@@ -10,13 +10,15 @@ list)::
 
 Division is only allowed by an unsigned integer literal, so `y/2` is sugar
 for `1/2*y` and `1/2` is an ordinary rational literal; `x/(y)` is a syntax
-error.  Vector fields are comma-separated component expressions.
+error.  A product or power whose total degree would exceed MAX_DEGREE is a
+parse error.  Vector fields are comma-separated component expressions.
 
 Every command writes exactly one JSON object to stdout and exits 0 once an
 answer is produced (whatever the verdict); input and parse errors exit 2,
-unmet bound hypotheses exit 3, and the dimension guard exits 4, each with
-an {"error": ...} object on stderr.  The guard (21) can be lifted with the
-EXTATICA_MAX_DIM environment variable.
+unmet bound hypotheses exit 3, and a size guard tripped (the dimension
+guard, or a height bound beyond the prime table) exits 4, each with an
+{"error": ...} object on stderr.  The dimension guard (21) can be lifted
+with the EXTATICA_MAX_DIM environment variable.
 """
 
 from __future__ import annotations
@@ -38,7 +40,10 @@ from .extactic import (DimensionGuardError, ExtacticNotZeroError,
                        ExtractionFailedError, extactic, extract_first_integral,
                        monomial_system)
 from .foliation import AFFINE, HOMOGENEOUS, VectorField, check_invariance
-from .polyring import ContextError, PolyRing, Polynomial
+from .polyring import BadPrimeError, ContextError, PolyRing, Polynomial
+
+#: Largest total degree a parsed product or power may reach.
+MAX_DEGREE = 64
 
 
 class ParseError(ValueError):
@@ -108,6 +113,18 @@ def _tokenize(text: str):
     return tokens
 
 
+def _degree(poly: Polynomial) -> int:
+    return max(poly.degree(), 0)
+
+
+def _check_degree(degree: int, tok: _Token) -> None:
+    """Refuse a product or power of too high degree before it is formed."""
+    if degree > MAX_DEGREE:
+        raise ParseError(
+            f"total degree {degree} exceeds the cap of {MAX_DEGREE}",
+            tok.line, tok.column)
+
+
 class _Parser:
     def __init__(self, text: str, ring: PolyRing):
         self.tokens = _tokenize(text)
@@ -150,7 +167,9 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "*":
                 self.advance()
-                value = value * self.parse_factor()
+                rhs = self.parse_factor()
+                _check_degree(_degree(value) + _degree(rhs), tok)
+                value = value * rhs
             elif tok.kind == "/":
                 self.advance()
                 num = self.peek()
@@ -171,7 +190,9 @@ class _Parser:
         while self.peek().kind == "^":
             self.advance()
             num = self.expect("number")
-            value = value ** int(num.text)
+            n = int(num.text)
+            _check_degree(_degree(value) * n, num)
+            value = value ** n
         return value
 
     def parse_atom(self) -> Polynomial:
@@ -579,7 +600,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except DimensionGuardError as exc:
+    except (DimensionGuardError, BadPrimeError) as exc:
         return _fail(str(exc), 4)
     except HypothesisNotMetError as exc:
         return _fail(str(exc), 3)

@@ -20,8 +20,9 @@ from typing import Iterator, Optional, Sequence
 from .foliation import (AFFINE, HOMOGENEOUS, VectorField,
                         apply_derivation, check_invariance,
                         default_variable_names)
+from .linalg import kernel, reduce_rational
 from .polyring import PolyRing, Polynomial, monomials_of_degree, \
-    monomials_up_to_degree
+    monomials_up_to_degree, proportional
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,7 @@ def pencil_field(f: Polynomial, g: Polynomial) -> CorpusEntry:
     invariant with the same cofactor, so X(f) g - f X(g) = 0 (checked)."""
     if f.ring != g.ring or f.ring.nvars != 2:
         raise ValueError("need two polynomials in one 2-variable ring")
-    if f.is_zero() or g.is_zero() or _proportional(f, g):
+    if proportional(f, g):
         raise ValueError("pencil members must be non-proportional")
     comps = (
         g.partial_derivative(1) * f - f.partial_derivative(1) * g,
@@ -243,12 +244,6 @@ def pencil_field(f: Polynomial, g: Polynomial) -> CorpusEntry:
              True, {"numerator": f, "denominator": g}),
     )
     return CorpusEntry(f"pencil:{f}:{g}", field, facts)
-
-
-def _proportional(f: Polynomial, g: Polynomial) -> bool:
-    ef, cf = f.leading_term()
-    eg, cg = g.leading_term()
-    return ef == eg and f.scale(cg) == g.scale(cf)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +315,7 @@ def invariant_curve_search(field: VectorField, curve_degree: int,
         row_exps = sorted({e for col in columns for e in col.terms})
         mat = [[col.terms.get(e, Fraction(0)) for col in columns]
                for e in row_exps]
-        for vec in _kernel_basis(mat, len(curve_mons)):
+        for vec in kernel(mat, len(curve_mons)):
             curve = ring.from_terms(dict(zip(curve_exps, vec)))
             if curve.is_zero():
                 continue
@@ -340,42 +335,6 @@ def _normalize(p: Polynomial) -> Polynomial:
     return p.scale(1 / c)
 
 
-def _kernel_basis(mat, ncols: int):
-    """Exact kernel basis of a rational matrix (rows x ncols)."""
-    rows = [list(map(Fraction, r)) for r in mat]
-    nrows = len(rows)
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        pick = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pick = i
-                break
-        if pick is None:
-            continue
-        rows[r], rows[pick] = rows[pick], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for c, pr in pivots.items():
-            vec[c] = -rows[pr][fc]
-        basis.append(vec)
-    return basis
-
-
 def conic_is_irreducible(conic: Polynomial) -> bool:
     """A ternary quadratic form is irreducible iff its symmetric matrix is
     non-singular."""
@@ -391,8 +350,6 @@ def conic_is_irreducible(conic: Polynomial) -> bool:
         c = t.get(tuple(e), Fraction(0))
         return c if i == j else c / 2
 
-    m = [[get(i, j) for j in range(3)] for i in range(3)]
-    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    _, _, det = reduce_rational([[get(i, j) for j in range(3)]
+                                 for i in range(3)])
     return det != 0

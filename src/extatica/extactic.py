@@ -15,7 +15,9 @@ Two exact determinant engines are provided:
   Chinese remaindering and rational reconstruction, vectorized over the
   evaluation grid; best once degrees blow up.
 
-Both return identical canonical polynomials.
+Both return identical canonical polynomials.  Scalar linear algebra (the
+rank probes and replaced-minor ratios of first-integral extraction, the
+determinant at a single point modulo p) runs on the kernels of `linalg`.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ import numpy as np
 
 from .foliation import (AFFINE, HOMOGENEOUS, VectorField, apply_derivation,
                         foliation_degree)
+from .linalg import det_mod, reduce_rational
 from .polyring import (PRIMES_2_31, BadPrimeError, ContextError,
                        PolyRing, Polynomial, monomials_of_degree,
-                       monomials_up_to_degree)
+                       monomials_up_to_degree, proportional)
 
 #: Complete monomial systems above this dimension are refused unless the
 #: caller overrides: the determinant degree grows quadratically in the
@@ -170,21 +173,26 @@ def jet_matrix(field: VectorField, system: LinearSystem) -> JetMatrix:
 # fraction-free determinant
 # ---------------------------------------------------------------------------
 
+def _square_rows(matrix) -> tuple:
+    """(mutable copy of the rows, their common ring) of a square matrix."""
+    rows = [list(r) for r in matrix]
+    m = len(rows)
+    if m == 0 or any(len(r) != m for r in rows):
+        raise ValueError("matrix must be square and non-empty")
+    ring = rows[0][0].ring
+    if any(e.ring != ring for r in rows for e in r):
+        raise ContextError("matrix entries live in different rings")
+    return rows, ring
+
+
 def det_fraction_free(matrix) -> Polynomial:
     """Exact determinant by Bareiss elimination over the polynomial ring.
 
     Every division performed is exact (Sylvester's identity), so no fraction
     field is needed.
     """
-    rows = [list(r) for r in matrix]
+    rows, ring = _square_rows(matrix)
     m = len(rows)
-    if m == 0 or any(len(r) != m for r in rows):
-        raise ValueError("matrix must be square and non-empty")
-    ring = rows[0][0].ring
-    for r in rows:
-        for e in r:
-            if e.ring != ring:
-                raise ContextError("matrix entries live in different rings")
     if m == 1:
         return rows[0][0]
     sign = 1
@@ -284,7 +292,7 @@ def _grid_entry_values(entry: Polynomial, pow_tables, shape, p) -> np.ndarray:
             raise BadPrimeError(f"denominator {den} vanishes mod {p}")
         v = c.numerator % p
         if den != 1:
-            v = v * pow(den, p - 2, p) % p
+            v = v * pow(den, -1, p) % p
         term = np.full(shape, v, dtype=np.int64)
         for axis in range(nv):
             k = exps[axis]
@@ -322,33 +330,8 @@ def _grid_determinants(values, m, p) -> np.ndarray:
         for idx in zip(*np.nonzero(dead)):
             mat = [[int(values[i][j][idx]) for j in range(m)]
                    for i in range(m)]
-            dets[idx] = _scalar_det_mod(mat, p)
+            dets[idx] = det_mod(mat, p)
     return dets
-
-
-def _scalar_det_mod(mat, p) -> int:
-    m = len(mat)
-    sign = 1
-    det = 1
-    for k in range(m):
-        piv = None
-        for i in range(k, m):
-            if mat[i][k] % p:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != k:
-            mat[k], mat[piv] = mat[piv], mat[k]
-            sign = -sign
-        inv = pow(mat[k][k], p - 2, p)
-        det = det * mat[k][k] % p
-        for i in range(k + 1, m):
-            f = mat[i][k] * inv % p
-            if f:
-                for j in range(k, m):
-                    mat[i][j] = (mat[i][j] - f * mat[k][j]) % p
-    return det * sign % p
 
 
 def _interpolate_axis(vals: np.ndarray, nodes, p: int) -> np.ndarray:
@@ -361,7 +344,7 @@ def _interpolate_axis(vals: np.ndarray, nodes, p: int) -> np.ndarray:
             delta = (nodes[j] - nodes[j - i]) % p
             inv = inv_cache.get(delta)
             if inv is None:
-                inv = pow(delta, p - 2, p)
+                inv = pow(delta, -1, p)
                 inv_cache[delta] = inv
             v[j] = (v[j] - v[j - 1]) * inv % p
     coeffs = np.zeros_like(v)
@@ -377,20 +360,9 @@ def _interpolate_axis(vals: np.ndarray, nodes, p: int) -> np.ndarray:
 
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple:
-    g, s, _ = _ext_gcd(m1, m2)
-    assert g == 1
+    s = pow(m1, -1, m2)
     m = m1 * m2
     return (r1 + (r2 - r1) * s % m2 * m1) % m, m
-
-
-def _ext_gcd(a: int, b: int) -> tuple:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    return old_r, old_s, (old_r - old_s * a) // b if b else 0
 
 
 def _rational_reconstruct(c: int, modulus: int, num_bound: int,
@@ -421,15 +393,8 @@ def det_modular(matrix, primes: Optional[Sequence[int]] = None,
     (hitting a coefficient denominator) are skipped; the result is
     bit-identical to `det_fraction_free`.
     """
-    rows = [list(r) for r in matrix]
+    rows, ring = _square_rows(matrix)
     m = len(rows)
-    if m == 0 or any(len(r) != m for r in rows):
-        raise ValueError("matrix must be square and non-empty")
-    ring = rows[0][0].ring
-    for r in rows:
-        for e in r:
-            if e.ring != ring:
-                raise ContextError("matrix entries live in different rings")
     # zero row / zero column: determinant is zero outright
     for i in range(m):
         if all(rows[i][j].is_zero() for j in range(m)):
@@ -467,8 +432,10 @@ def det_modular(matrix, primes: Optional[Sequence[int]] = None,
         if prod > target:
             break
     else:
-        raise BadPrimeError("prime table exhausted before reaching the "
-                            "height bound")
+        raise BadPrimeError(
+            f"prime table exhausted: the height bound needs "
+            f"{target.bit_length()} bits, the usable primes cover "
+            f"{prod.bit_length()}")
     nodes = [list(range(1, b + 2)) for b in var_bounds]
     shape = tuple(b + 1 for b in var_bounds)
 
@@ -541,22 +508,34 @@ def _self_check(rows, det, var_bounds, p):
     point = [b + 2 + v for v, b in enumerate(var_bounds)]
     mat = [[rows[i][j].evaluate_mod(point, p) for j in range(m)]
            for i in range(m)]
-    expected = _scalar_det_mod(mat, p)
+    expected = det_mod(mat, p)
     if det.evaluate_mod(point, p) != expected:
         raise EngineDisagreementError(
             "modular determinant failed its consistency re-check")
 
 
-def _det_auto(matrix, engine: str = "auto", jobs: int = 1) -> Polynomial:
-    m = len(matrix)
-    if engine == "fraction-free":
-        return det_fraction_free(matrix)
-    if engine == "modular":
-        return det_modular(matrix, jobs=jobs)
-    if engine != "auto":
+def _engine_for(engine: str, m: int) -> str:
+    """The engine that runs on an m x m matrix: "auto" is fraction-free up
+    to 4x4 and modular beyond."""
+    if engine not in ("auto", "fraction-free", "modular"):
         raise ValueError(f"unknown engine {engine!r}")
-    return det_fraction_free(matrix) if m <= 4 else det_modular(
-        matrix, jobs=jobs)
+    if engine == "auto":
+        return "fraction-free" if m <= 4 else "modular"
+    return engine
+
+
+def _det(matrix, engine: str, jobs: int = 1) -> Polynomial:
+    if _engine_for(engine, len(matrix)) == "fraction-free":
+        return det_fraction_free(matrix)
+    return det_modular(matrix, jobs=jobs)
+
+
+def _check_dimension(m: int, max_dim: Optional[int]) -> None:
+    limit = DEFAULT_MAX_DIMENSION if max_dim is None else max_dim
+    if m > limit:
+        raise DimensionGuardError(
+            f"system dimension {m} exceeds the guard ({limit}); raise the "
+            "limit explicitly to proceed")
 
 
 # ---------------------------------------------------------------------------
@@ -602,17 +581,10 @@ def extactic(field: VectorField, system: LinearSystem, engine: str = "auto",
     refused; pass `max_dim` to override.
     """
     m = system.dimension
-    limit = DEFAULT_MAX_DIMENSION if max_dim is None else max_dim
-    if m > limit:
-        raise DimensionGuardError(
-            f"system dimension {m} exceeds the guard ({limit}); raise the "
-            "limit explicitly to proceed")
-    if engine not in ("auto", "fraction-free", "modular"):
-        raise ValueError(f"unknown engine {engine!r}")
+    _check_dimension(m, max_dim)
+    used = _engine_for(engine, m)
     jet = jet_matrix(field, system)
-    used = engine if engine != "auto" else (
-        "fraction-free" if m <= 4 else "modular")
-    det = _det_auto(jet.entries, engine=used, jobs=jobs)
+    det = _det(jet.entries, used, jobs=jobs)
     d = foliation_degree(field).degree
     bound = extactic_degree_bound(m, system.degree, d)
     return ExtacticReport(
@@ -664,31 +636,6 @@ def _eval_matrix(rows, point):
     return [[e.evaluate(point) for e in r] for r in rows]
 
 
-def _rank_and_pivot_rows(mat, cols):
-    """Rank of the given columns (exact), plus greedily chosen pivot rows."""
-    m = len(mat)
-    work = [[mat[i][j] for j in cols] for i in range(m)]
-    pivot_rows = []
-    used = [False] * m
-    for j in range(len(cols)):
-        pick = None
-        for i in range(m):
-            if not used[i] and work[i][j] != 0:
-                pick = i
-                break
-        if pick is None:
-            continue
-        used[pick] = True
-        pivot_rows.append(pick)
-        inv = Fraction(1) / work[pick][j]
-        for i in range(m):
-            if i != pick and not used[i] and work[i][j] != 0:
-                f = work[i][j] * inv
-                for jj in range(j, len(cols)):
-                    work[i][jj] -= f * work[pick][jj]
-    return len(pivot_rows), pivot_rows
-
-
 def _minor(rows, row_idx, col_idx):
     return [[rows[i][j] for j in col_idx] for i in row_idx]
 
@@ -706,10 +653,7 @@ def extract_first_integral(field: VectorField, system: LinearSystem,
     certificate X(A)*B - A*X(B) = 0 is checked exactly before returning.
     """
     m = system.dimension
-    limit = DEFAULT_MAX_DIMENSION if max_dim is None else max_dim
-    if m > limit:
-        raise DimensionGuardError(
-            f"system dimension {m} exceeds the guard ({limit})")
+    _check_dimension(m, max_dim)
     if m < 2:
         raise ValueError("need a system of dimension at least 2")
     jet = jet_matrix(field, system)
@@ -722,47 +666,44 @@ def extract_first_integral(field: VectorField, system: LinearSystem,
     for attempt in range(8):
         point = [rng.randint(-_PROBE_RANGE, _PROBE_RANGE) for _ in range(nv)]
         mat = _eval_matrix(rows, point)
-        r, pivots = _rank_and_pivot_rows(mat, list(range(m)))
-        rank_profile.append(r)
-        if r == m:
+        _, found, _ = reduce_rational(mat)
+        rank_profile.append(len(found))
+        if len(found) == m:
             raise ExtacticNotZeroError(
                 "the extactic polynomial is not identically zero "
                 f"(full rank at {tuple(point)})")
-        attempts.append((r, pivots, point, mat))
-    r = max(a[0] for a in attempts)
+        attempts.append((found, point, mat))
+    r = max(rank_profile)
     if r == 0:
         raise ExtractionFailedError("jet matrix vanishes at all probe points",
                                     rank_profile=rank_profile)
     cols = list(range(r))
     # the point witnessing global rank r may still be deficient on the
     # leading columns; take the first probe exhibiting full leading rank
-    for _, _, point, mat in attempts:
-        rk, pivots = _rank_and_pivot_rows(mat, cols)
-        if rk == r:
+    # (the pivots in columns < r are those of the leading columns alone)
+    for found, point, mat in attempts:
+        pivots = sorted(i for i, j in found if j < r)
+        if len(pivots) == r:
             break
     else:
         raise ExtractionFailedError(
             "no probe point exhibits the generic rank on the leading "
             "columns", rank_profile=rank_profile)
-    pivots = sorted(pivots)
     others = [i for i in range(m) if i not in pivots]
 
     # B != 0 is certain: its evaluation at the probe point is nonzero.
-    denom = _det_auto(_minor(rows, pivots, cols), engine=engine)
+    denom = _det(_minor(rows, pivots, cols), engine)
     denom_at = denom.evaluate(point)
     if denom_at == 0 or denom.is_zero():
         raise ExtractionFailedError("pivot minor vanished unexpectedly",
                                     rank_profile=rank_profile)
 
-    second = None
     mat2 = None
-    den2 = Fraction(0)
     for _ in range(16):
         candidate = [rng.randint(-_PROBE_RANGE, _PROBE_RANGE)
                      for _ in range(nv)]
         den2 = denom.evaluate(candidate)
         if den2 != 0:
-            second = candidate
             mat2 = _eval_matrix(rows, candidate)
             break
     for i0 in others:
@@ -771,17 +712,13 @@ def extract_first_integral(field: VectorField, system: LinearSystem,
             row_idx[k] = i0
             # evaluate the replaced minor numerically first: a ratio that
             # differs between two points is certainly non-constant
-            sub1 = [[mat[i][j] for j in cols] for i in row_idx]
-            val1 = _numeric_det(sub1)
             if mat2 is not None:
-                sub2 = [[mat2[i][j] for j in cols] for i in row_idx]
-                val2 = _numeric_det(sub2)
+                val1 = reduce_rational(_minor(mat, row_idx, cols))[2]
+                val2 = reduce_rational(_minor(mat2, row_idx, cols))[2]
                 if val1 * den2 == val2 * denom_at:
                     continue  # looks constant; try another replacement
-            numer = _det_auto(_minor(rows, row_idx, cols), engine=engine)
-            if numer.is_zero():
-                continue
-            if _proportional(numer, denom):
+            numer = _det(_minor(rows, row_idx, cols), engine)
+            if numer.is_zero() or proportional(numer, denom):
                 continue
             lhs = apply_derivation(field, numer) * denom
             rhs = numer * apply_derivation(field, denom)
@@ -790,39 +727,3 @@ def extract_first_integral(field: VectorField, system: LinearSystem,
     raise ExtractionFailedError(
         "no non-constant dependency ratio passed exact verification",
         rank_profile=rank_profile)
-
-
-def _numeric_det(mat) -> Fraction:
-    m = len(mat)
-    work = [[Fraction(v) for v in row] for row in mat]
-    det = Fraction(1)
-    sign = 1
-    for k in range(m):
-        piv = None
-        for i in range(k, m):
-            if work[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
-            sign = -sign
-        det *= work[k][k]
-        inv = 1 / work[k][k]
-        for i in range(k + 1, m):
-            f = work[i][k] * inv
-            if f:
-                for j in range(k, m):
-                    work[i][j] -= f * work[k][j]
-    return det * sign
-
-
-def _proportional(a: Polynomial, b: Polynomial) -> bool:
-    if a.is_zero() or b.is_zero():
-        return True
-    ea, ca = a.leading_term()
-    eb, cb = b.leading_term()
-    if ea != eb:
-        return False
-    return a.scale(cb) == b.scale(ca)

@@ -24,18 +24,6 @@ Scalar = Union[int, Fraction]
 #: correct (max(NEG_INF, d) == d for every integer d).
 NEG_INF = float("-inf")
 
-#: Fixed table of primes just below 2**61: large enough that random integer
-#: evaluations essentially never collide, small enough that two-factor
-#: products stay cheap for the host integer type.
-PRIMES_2_61 = (
-    2305843009213693951, 2305843009213693921, 2305843009213693907,
-    2305843009213693723, 2305843009213693693, 2305843009213693669,
-    2305843009213693613, 2305843009213693561, 2305843009213693549,
-    2305843009213693487, 2305843009213693421, 2305843009213693373,
-    2305843009213693277, 2305843009213693193, 2305843009213693153,
-    2305843009213693133,
-)
-
 #: Fixed table of primes just below 2**31, used by the vectorized modular
 #: determinant engine: products of two residues fit in a 64-bit lane.
 PRIMES_2_31 = (
@@ -366,7 +354,7 @@ class Polynomial:
             den = c.denominator
             if den % p == 0:
                 raise BadPrimeError(f"denominator {den} vanishes mod {p}")
-            v = (c.numerator % p) * pow(den, p - 2, p) % p if den != 1 \
+            v = (c.numerator % p) * pow(den, -1, p) % p if den != 1 \
                 else c.numerator % p
             for x, k in zip(pt, e):
                 if k:
@@ -464,6 +452,16 @@ def _integer_image(terms: Mapping[Exponents, Fraction]) -> tuple:
         return 1, {e: c.numerator for e, c in terms.items()}
     return den, {e: c.numerator * (den // c.denominator)
                  for e, c in terms.items()}
+
+
+def proportional(f: Polynomial, g: Polynomial) -> bool:
+    """Whether f and g differ by a constant factor; zero is proportional to
+    every polynomial."""
+    if f.is_zero() or g.is_zero():
+        return True
+    ef, cf = f.leading_term()
+    eg, cg = g.leading_term()
+    return ef == eg and f.scale(cg) == g.scale(cf)
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponents]:

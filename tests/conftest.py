@@ -4,6 +4,17 @@ from hypothesis import strategies as st
 
 from extatica.polyring import PolyRing, monomials_up_to_degree
 
+#: Fixed table of primes just below 2**61: large enough that random integer
+#: evaluations essentially never collide.
+PRIMES_2_61 = (
+    2305843009213693951, 2305843009213693921, 2305843009213693907,
+    2305843009213693723, 2305843009213693693, 2305843009213693669,
+    2305843009213693613, 2305843009213693561, 2305843009213693549,
+    2305843009213693487, 2305843009213693421, 2305843009213693373,
+    2305843009213693277, 2305843009213693193, 2305843009213693153,
+    2305843009213693133,
+)
+
 RING_XY = PolyRing(("x", "y"))
 RING_XYZ = PolyRing(("x", "y", "z"))
 

@@ -1,11 +1,15 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from extatica.cli import ParseError, main, parse_polynomial, \
+import extatica
+from extatica.cli import MAX_DEGREE, ParseError, main, parse_polynomial, \
     parse_vector_field
 from extatica.corpus import random_polynomial
 from extatica.polyring import PolyRing
@@ -94,6 +98,11 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_vector_field("x", ring)
 
+    def test_degree_cap_itself_parses(self):
+        ring = PolyRing(("x", "y"))
+        p = parse_polynomial(f"(x+y+1)^{MAX_DEGREE}", ring)
+        assert p.degree() == MAX_DEGREE
+
 
 def test_round_trip_500_random():
     ring = PolyRing(("x", "y", "z"))
@@ -150,6 +159,30 @@ class TestExitCodes:
         code, _, err = run_cli(["extactic", "--vars", "x,y", "--field",
                                 "x, 2*y", "--k", "6"])
         assert code == 4 and "guard" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("text", ["(x+y+1)^100000",
+                                      "(x+y+1)^40*(x+y+1)^40"])
+    def test_degree_cap_is_2(self, text):
+        code, out, err = run_cli(["parse", "--vars", "x,y", text])
+        assert code == 2 and out == ""
+        assert "degree" in json.loads(err)["error"]
+
+    def test_prime_table_exhaustion_is_4(self):
+        # m = 21 is inside the dimension guard, but the height bound needs
+        # more bits than the prime table covers; run as a process so that a
+        # traceback would show on stderr
+        src = str(pathlib.Path(extatica.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "extatica", "extactic", "--field-corpus",
+             "random:2,2,7", "--k", "5"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "bits" in json.loads(lines[0])["error"]
 
     def test_env_override_lifts_guard(self, monkeypatch):
         monkeypatch.setenv("EXTATICA_MAX_DIM", "5")

@@ -10,9 +10,9 @@ from extatica.extactic import (divides_extactic, extactic, jet_matrix,
                                monomial_system)
 from extatica.foliation import (AFFINE, HOMOGENEOUS, apply_derivation,
                                 check_invariance, foliation_degree)
-from extatica.polyring import PRIMES_2_61
+from extatica.linalg import det_mod
 
-from conftest import RING_XY, RING_XYZ
+from conftest import PRIMES_2_61, RING_XY, RING_XYZ
 
 X, Y = RING_XY.variables()
 
@@ -198,8 +198,7 @@ def _nonvanishing_by_evaluation(field, k: int) -> bool:
     for point in [(3, 5, 7), (11, -4, 9), (-6, 13, 2)]:
         mat = [[e.evaluate_mod(list(point), p) for e in row]
                for row in jet.entries]
-        from extatica.extactic import _scalar_det_mod
-        if _scalar_det_mod(mat, p) != 0:
+        if det_mod(mat, p) != 0:
             return True
     return False
 

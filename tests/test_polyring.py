@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 
 from extatica.polyring import (NEG_INF, BadPrimeError, ContextError,
-                               DegreeError, PolyRing, PRIMES_2_31,
-                               PRIMES_2_61)
+                               DegreeError, PolyRing, PRIMES_2_31)
 
-from conftest import RING_XY, RING_XYZ, polynomials, rational_points
+from conftest import (PRIMES_2_61, RING_XY, RING_XYZ, polynomials,
+                      rational_points)
 
 X, Y = RING_XY.variables()
 X3, Y3, Z3 = RING_XYZ.variables()
