@@ -15,8 +15,10 @@ parse error.  Vector fields are comma-separated component expressions.
 
 Every command writes exactly one JSON object to stdout and exits 0 once an
 answer is produced (whatever the verdict); input and parse errors exit 2,
-unmet bound hypotheses exit 3, and a size guard tripped (the dimension
-guard, or a height bound beyond the prime table) exits 4, each with an
+unmet bound hypotheses exit 3, a size guard tripped (the dimension guard,
+the modular engine's grid memory guard, or a height bound beyond the prime
+table) exits 4, and an internal consistency check failed (the modular
+engine's re-check or rational reconstruction) exits 5, each with an
 {"error": ...} object on stderr.  The dimension guard (21) can be lifted
 with the EXTATICA_MAX_DIM environment variable.
 """
@@ -36,9 +38,9 @@ from .bounds import (BoundInput, HypothesisNotMetError, MissingInputError,
                      poincare_degree_bound, surface_bound, CONSISTENT, FORCES)
 from .corpus import (CorpusEntry, hamiltonian, pencil_field,
                      planted_lines_field, random_field, slv)
-from .extactic import (DimensionGuardError, ExtacticNotZeroError,
-                       ExtractionFailedError, extactic, extract_first_integral,
-                       monomial_system)
+from .extactic import (DimensionGuardError, EngineDisagreementError,
+                       ExtacticNotZeroError, ExtractionFailedError, extactic,
+                       extract_first_integral, monomial_system)
 from .foliation import AFFINE, HOMOGENEOUS, VectorField, check_invariance
 from .polyring import BadPrimeError, ContextError, PolyRing, Polynomial
 
@@ -604,6 +606,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(str(exc), 4)
     except HypothesisNotMetError as exc:
         return _fail(str(exc), 3)
+    except EngineDisagreementError as exc:
+        return _fail(str(exc), 5)
     except (ParseError, MissingInputError, ContextError, ValueError,
             ZeroDivisionError) as exc:
         return _fail(str(exc), 2)

@@ -12,12 +12,15 @@ Two exact determinant engines are provided:
 * `det_fraction_free` - Bareiss elimination over the polynomial ring, best
   for small matrices.
 * `det_modular` - evaluation/interpolation modulo word-size primes with
-  Chinese remaindering and rational reconstruction, vectorized over the
-  evaluation grid; best once degrees blow up.
+  Chinese remaindering and rational reconstruction; best once degrees blow
+  up.  Per prime it runs two array kernels over one (m, m, *grid) int64
+  tensor: per-axis Vandermonde evaluation of the entries (`_grid_values`)
+  and Gaussian elimination with per-point pivoting (`_grid_determinants`).
 
 Both return identical canonical polynomials.  Scalar linear algebra (the
 rank probes and replaced-minor ratios of first-integral extraction, the
-determinant at a single point modulo p) runs on the kernels of `linalg`.
+consistency re-check at a single point modulo p) runs on the kernels of
+`linalg`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ from .polyring import (PRIMES_2_31, BadPrimeError, ContextError,
 #: caller overrides: the determinant degree grows quadratically in the
 #: dimension and desk-scale runs must stay tractable.
 DEFAULT_MAX_DIMENSION = 21
+
+#: The modular engine refuses a grid value tensor (m x m int64 entries per
+#: grid point) larger than this many bytes.
+MAX_GRID_BYTES = 1 << 30
 
 _PROBE_RANGE = 10_000  # random integer probe points live in [-10^4, 10^4]
 
@@ -276,62 +283,102 @@ def _vec_modpow(base: np.ndarray, exp: int, p: int) -> np.ndarray:
     b = base % p
     while exp:
         if exp & 1:
-            out = out * b % p
-        b = b * b % p
+            out *= b
+            out %= p
         exp >>= 1
+        if exp:
+            b *= b
+            b %= p
     return out
 
 
-def _grid_entry_values(entry: Polynomial, pow_tables, shape, p) -> np.ndarray:
-    """Evaluate one entry over the whole grid, mod p."""
-    total = np.zeros(shape, dtype=np.int64)
-    nv = len(shape)
-    for exps, c in entry.terms.items():
-        den = c.denominator
-        if den % p == 0:
-            raise BadPrimeError(f"denominator {den} vanishes mod {p}")
-        v = c.numerator % p
-        if den != 1:
-            v = v * pow(den, -1, p) % p
-        term = np.full(shape, v, dtype=np.int64)
-        for axis in range(nv):
-            k = exps[axis]
-            if k:
-                sl = [None] * nv
-                sl[axis] = slice(None)
-                term = term * pow_tables[axis][k][tuple(sl)] % p
-        total = (total + term) % p
-    return total
+def _matmul_mod(a: np.ndarray, v: np.ndarray, p: int,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """a @ v mod p for int64 arrays with entries in [0, p), p < 2^31,
+    written into `out` when given.
 
-
-def _grid_determinants(values, m, p) -> np.ndarray:
-    """Pointwise determinants of an m x m matrix of grid tensors, mod p.
-
-    Division-free elimination vectorized over the grid; points that hit a
-    zero pivot are recomputed individually with row pivoting.
+    The left operand is split at 16 bits, so every partial sum of the two
+    int64 products stays below 2^62 while the inner dimension is below 2^15.
     """
-    shape = values[0][0].shape
-    if m == 1:
-        return values[0][0].copy()
-    work = [[values[i][j].copy() for j in range(m)] for i in range(m)]
-    dead = np.zeros(shape, dtype=bool)
-    scale = np.ones(shape, dtype=np.int64)
-    for k in range(m - 1):
-        piv = work[k][k]
-        dead |= piv == 0
-        if k <= m - 3:
-            scale = scale * _vec_modpow(piv, m - 2 - k, p) % p
+    if a.shape[-1] >= 1 << 15:
+        raise DimensionGuardError(
+            f"inner dimension {a.shape[-1]} reaches 2^15: an entry degree "
+            "is too large for exact int64 evaluation")
+    out = np.matmul(a >> 16, v, out=out)
+    out %= p
+    out <<= 16
+    out += (a & 0xFFFF) @ v
+    out %= p
+    return out
+
+
+def _grid_values(rows, nodes, p: int) -> np.ndarray:
+    """Values mod p of every matrix entry at every grid point.
+
+    Row by row, the entries become one dense coefficient tensor
+    (m, d_1+1, ..., d_n+1) mod p, contracted axis by axis with that axis's
+    Vandermonde matrix mod p; the result is the (m, m, *grid) tensor.
+    """
+    m = len(rows)
+    nv = len(nodes)
+    values = np.empty((m, m) + tuple(len(t) for t in nodes), dtype=np.int64)
+    for i, row in enumerate(rows):
+        degs = [max(e.degree_in(v) for e in row) for v in range(nv)]
+        coeffs = np.zeros((m,) + tuple(d + 1 for d in degs), dtype=np.int64)
+        for j, e in enumerate(row):
+            for exps, c in e.terms.items():
+                coeffs[(j,) + exps] = \
+                    c.numerator * pow(c.denominator, -1, p) % p
+        # contracting axis 1 moves its grid axis to the end, so after nv
+        # steps the axes are back in variable order
+        for v in range(nv):
+            node_arr = np.array(nodes[v], dtype=np.int64) % p
+            vander = np.empty((degs[v] + 1, len(node_arr)), dtype=np.int64)
+            vander[0] = 1
+            for d in range(degs[v]):
+                vander[d + 1] = vander[d] * node_arr % p
+            coeffs = _matmul_mod(np.moveaxis(coeffs, 1, -1), vander, p,
+                                 out=values[i] if v == nv - 1 else None)
+    return values
+
+
+def _grid_determinants(values: np.ndarray, p: int) -> np.ndarray:
+    """Pointwise determinants mod p of the (m, m, *grid) tensor `values`.
+
+    Gaussian elimination over the flattened grid, in place: at each point
+    the pivot of column k is the first nonzero row at or below k, rows are
+    swapped only at the points that need it, and a point without a pivot
+    has determinant 0.  The sweep stops early once every point has
+    determinant 0.  `values` is overwritten.
+    """
+    m = values.shape[0]
+    work = values.reshape(m, m, -1)
+    det = np.ones(work.shape[2], dtype=np.int64)
+    buf = np.empty_like(work[0])
+    for k in range(m):
+        below = k + np.argmax(work[k:, k] != 0, axis=0)
+        swap = np.nonzero(below != k)[0]
+        if swap.size:
+            top = work[k, k:, swap]
+            work[k, k:, swap] = work[below[swap], k:, swap]
+            work[below[swap], k:, swap] = top
+            det[swap] = (p - det[swap]) % p
+        piv = work[k, k]
+        det = det * piv % p
+        if k == m - 1 or not det.any():
+            break
+        # a point without a pivot is zero in column k from row k down, so
+        # its rows stay unchanged whatever its (zero) inverse
+        inv = _vec_modpow(piv, p - 2, p)
+        tail = work[k, k + 1:]
+        scratch = buf[:m - k - 1]
         for i in range(k + 1, m):
-            head = work[i][k]
-            for j in range(k + 1, m):
-                work[i][j] = (piv * work[i][j] - head * work[k][j]) % p
-    dets = work[m - 1][m - 1] * _vec_modpow(scale, p - 2, p) % p
-    if dead.any():
-        for idx in zip(*np.nonzero(dead)):
-            mat = [[int(values[i][j][idx]) for j in range(m)]
-                   for i in range(m)]
-            dets[idx] = det_mod(mat, p)
-    return dets
+            row = work[i, k + 1:]
+            # row - f * tail lies in (-p^2, p), inside int64
+            np.multiply(tail, work[i, k] * inv % p, out=scratch)
+            np.subtract(row, scratch, out=row)
+            np.remainder(row, p, out=row)
+    return det.reshape(values.shape[2:])
 
 
 def _interpolate_axis(vals: np.ndarray, nodes, p: int) -> np.ndarray:
@@ -388,10 +435,14 @@ def det_modular(matrix, primes: Optional[Sequence[int]] = None,
 
     The matrix is evaluated on an integer grid large enough for the a-priori
     degree bound, modulo enough primes for the a-priori coefficient-height
-    bound; grid determinants are interpolated per prime, combined by Chinese
-    remaindering and finished with rational reconstruction.  Unlucky primes
-    (hitting a coefficient denominator) are skipped; the result is
-    bit-identical to `det_fraction_free`.
+    bound.  Per prime, `_grid_values` evaluates all entries at once by
+    per-axis Vandermonde contractions, `_grid_determinants` eliminates at
+    every grid point with per-point pivoting, and the determinants are
+    interpolated; the primes are combined by Chinese remaindering and
+    finished with rational reconstruction.  Unlucky primes (hitting a
+    coefficient denominator) are skipped; the result is bit-identical to
+    `det_fraction_free`.  A value tensor above MAX_GRID_BYTES is refused
+    with DimensionGuardError before any prime is chosen.
     """
     rows, ring = _square_rows(matrix)
     m = len(rows)
@@ -418,6 +469,11 @@ def det_modular(matrix, primes: Optional[Sequence[int]] = None,
                 return ring.zero()
             return det_sub.homogenize(last, sum(col_degs))
     var_bounds, num_bound, den_bound = _det_bounds(rows, ring)
+    grid_bytes = m * m * math.prod(b + 1 for b in var_bounds) * 8
+    if grid_bytes > MAX_GRID_BYTES:
+        raise DimensionGuardError(
+            f"the grid value tensor needs {grid_bytes} bytes, above the "
+            f"guard of {MAX_GRID_BYTES}")
     target = 2 * num_bound * den_bound
     table = tuple(primes) if primes is not None else PRIMES_2_31
     chosen = []
@@ -437,21 +493,9 @@ def det_modular(matrix, primes: Optional[Sequence[int]] = None,
             f"{target.bit_length()} bits, the usable primes cover "
             f"{prod.bit_length()}")
     nodes = [list(range(1, b + 2)) for b in var_bounds]
-    shape = tuple(b + 1 for b in var_bounds)
 
     def run_prime(p: int) -> np.ndarray:
-        pow_tables = []
-        for v in range(ring.nvars):
-            maxexp = max(max((e.degree_in(v) for e in r), default=0)
-                         for r in rows)
-            node_arr = np.array(nodes[v], dtype=np.int64) % p
-            tab = [np.ones_like(node_arr)]
-            for _ in range(maxexp):
-                tab.append(tab[-1] * node_arr % p)
-            pow_tables.append(tab)
-        values = [[_grid_entry_values(rows[i][j], pow_tables, shape, p)
-                   for j in range(m)] for i in range(m)]
-        dets = _grid_determinants(values, m, p)
+        dets = _grid_determinants(_grid_values(rows, nodes, p), p)
         for axis in range(ring.nvars):
             moved = np.moveaxis(dets, axis, 0)
             moved[...] = _interpolate_axis(moved, nodes[axis], p)

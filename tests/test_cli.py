@@ -184,6 +184,38 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "bits" in json.loads(lines[0])["error"]
 
+    def test_grid_memory_guard_is_4(self):
+        # m = 10 is inside the dimension guard, but the modular engine's
+        # value tensor would need about 314 GiB; refused before any prime
+        src = str(pathlib.Path(extatica.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "extatica", "extactic", "--vars", "x,y,z",
+             "--field", "x^21*y^21*z^21, y, z", "--mode", "affine", "--k",
+             "2", "--engine", "modular"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "bytes" in json.loads(lines[0])["error"]
+
+    def test_failed_consistency_check_is_5(self, monkeypatch):
+        # the module; the package attribute `extatica.extactic` is the
+        # function of the same name
+        ext = sys.modules["extatica.extactic"]
+
+        def fail(*args):
+            raise ext.EngineDisagreementError("re-check failed")
+
+        monkeypatch.setattr(ext, "_self_check", fail)
+        code, out, err = run_cli(["extactic", "--field-corpus", "slv:1",
+                                  "--k", "2", "--engine", "modular"])
+        assert code == 5 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and "re-check" in json.loads(lines[0])["error"]
+
     def test_env_override_lifts_guard(self, monkeypatch):
         monkeypatch.setenv("EXTATICA_MAX_DIM", "5")
         code, _, _ = run_cli(["extactic", "--vars", "x,y", "--field",

@@ -1,20 +1,27 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extatica.corpus import (hamiltonian, pencil_field, planted_lines_field,
                              random_field, random_polynomial,
                              random_polynomial_matrix, slv,
                              slv1_invariant_conic)
-from extatica.extactic import (DimensionGuardError, ExtacticNotZeroError,
-                               LinearSystem, VacuousQueryError,
-                               det_fraction_free, det_modular,
-                               divides_extactic, extactic,
+from extatica.extactic import (MAX_GRID_BYTES, DimensionGuardError,
+                               ExtacticNotZeroError, LinearSystem,
+                               VacuousQueryError, _grid_determinants,
+                               _grid_values, _matmul_mod, det_fraction_free,
+                               det_modular, divides_extactic, extactic,
                                extactic_degree_bound, extract_first_integral,
                                jet_matrix, monomial_system)
 from extatica.foliation import (AFFINE, HOMOGENEOUS, VectorField,
                                 apply_derivation, radial_field)
+from extatica.linalg import det_mod
+from extatica.polyring import (PRIMES_2_31, PolyRing,
+                               monomials_up_to_degree)
 from conftest import RING_XY, RING_XYZ
 
 X, Y = RING_XY.variables()
@@ -224,6 +231,125 @@ class TestDetModular:
         m[0][0] = m[0][0] + RING_XY.constant(Fraction(1, PRIMES_2_31[0]))
         with pytest.raises(BadPrimeError):
             det_modular(m, primes=(PRIMES_2_31[0],))
+
+
+P31 = PRIMES_2_31[0]
+
+
+def _planted_point(rng, m, kind, k, small, p):
+    """One m x m matrix mod p of the given kind."""
+    high = 3 if small else p
+    mat = rng.integers(0, high, size=(m, m), dtype=np.int64)
+    if kind == "permuted":
+        # rows of an upper-triangular matrix in random order: elimination
+        # needs a swap wherever the order moved a pivot row down
+        mat = np.triu(mat)
+        mat[np.arange(m), np.arange(m)] = rng.integers(1, high, size=m)
+        mat = mat[rng.permutation(m)]
+    elif kind == "zero_column":
+        mat[:, k] = 0
+    elif kind == "singular" and m > 1:
+        # row k is a combination of the others
+        coef = rng.integers(0, high, size=m)
+        coef[k] = 0
+        mat[k] = [sum(int(c) * int(v) for c, v in zip(coef, col)) % p
+                  for col in mat.T]
+    return mat
+
+
+def _grid_of(m, kinds, seed, small, p=P31):
+    rng = np.random.default_rng(seed)
+    return np.stack([_planted_point(rng, m, kind, k % m, small, p)
+                     for kind, k in kinds], axis=-1)
+
+
+_KINDS = st.tuples(st.sampled_from(["random", "permuted", "zero_column",
+                                    "singular"]), st.integers(0, 5))
+
+
+class TestModularKernels:
+    @given(m=st.integers(1, 6), kinds=st.lists(_KINDS, min_size=1,
+                                               max_size=8),
+           seed=st.integers(0, 2**32), small=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_grid_determinants_match_det_mod(self, m, kinds, seed, small):
+        values = _grid_of(m, kinds, seed, small)
+        expected = [det_mod(values[:, :, t].tolist(), P31)
+                    for t in range(values.shape[2])]
+        assert _grid_determinants(values.copy(), P31).tolist() == expected
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_all_singular_grid(self, m):
+        # every point rank deficient, as on a vanishing extactic
+        kinds = [("singular", t) for t in range(12)] if m > 1 else \
+            [("zero_column", 0)] * 12
+        values = _grid_of(m, kinds, 17 + m, small=False)
+        assert not _grid_determinants(values.copy(), P31).any()
+        assert all(det_mod(values[:, :, t].tolist(), P31) == 0
+                   for t in range(12))
+
+    def test_grid_determinants_keep_grid_shape(self):
+        kinds = [("permuted", t) for t in range(12)]
+        values = _grid_of(4, kinds, 5, small=True).reshape(4, 4, 3, 4)
+        expected = [[det_mod(values[:, :, a, b].tolist(), P31)
+                     for b in range(4)] for a in range(3)]
+        assert _grid_determinants(values.copy(), P31).tolist() == expected
+
+    @given(data=st.data(), nvars=st.integers(1, 3), m=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_grid_values_match_evaluate_mod(self, data, nvars, m):
+        ring = PolyRing(("x", "y", "z")[:nvars])
+        exps = list(monomials_up_to_degree(nvars, 3))
+        coeff = st.fractions(min_value=Fraction(-50), max_value=Fraction(50),
+                             max_denominator=9)
+        entry = st.one_of(
+            st.just(ring.zero()),
+            coeff.map(ring.constant),
+            st.dictionaries(st.sampled_from(exps), coeff, max_size=5).map(
+                ring.from_terms))
+        rows = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                                  min_size=m, max_size=m))
+        nodes = data.draw(st.lists(
+            st.lists(st.integers(-40, 40), min_size=1, max_size=4),
+            min_size=nvars, max_size=nvars))
+        values = _grid_values(rows, nodes, P31)
+        assert values.shape == (m, m) + tuple(len(t) for t in nodes)
+        for idx in np.ndindex(*values.shape[2:]):
+            point = [nodes[v][i] for v, i in enumerate(idx)]
+            for i in range(m):
+                for j in range(m):
+                    assert values[(i, j) + idx] == \
+                        rows[i][j].evaluate_mod(point, P31)
+
+    def test_matmul_mod_at_the_top_of_the_range(self):
+        inner = 700
+        a = np.full((3, inner), P31 - 1, dtype=np.int64)
+        v = np.full((inner, 4), P31 - 1, dtype=np.int64)
+        expected = inner * (P31 - 1) ** 2 % P31
+        assert (_matmul_mod(a, v, P31) == expected).all()
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, P31, size=(2, inner), dtype=np.int64)
+        v = rng.integers(0, P31, size=(inner, 3), dtype=np.int64)
+        got = _matmul_mod(a, v, P31)
+        for i in range(2):
+            for j in range(3):
+                assert got[i, j] == sum(int(a[i, t]) * int(v[t, j])
+                                        for t in range(inner)) % P31
+
+    def test_matmul_mod_refuses_a_long_inner_dimension(self):
+        a = np.zeros((1, 1 << 15), dtype=np.int64)
+        v = np.zeros((1 << 15, 1), dtype=np.int64)
+        with pytest.raises(DimensionGuardError):
+            _matmul_mod(a, v, P31)
+
+    def test_grid_memory_guard(self):
+        x, y, z = RING_XYZ.variables()
+        high = (x * y * z) ** 200
+        one = RING_XYZ.one()
+        # a 401^3 grid of 2 x 2 int64 values is about 2 GB
+        with pytest.raises(DimensionGuardError, match="bytes") as info:
+            det_modular([[high, one], [one, high]])
+        assert str(MAX_GRID_BYTES) in str(info.value)
 
 
 class TestExtractFirstIntegral:
