@@ -13,9 +13,9 @@ Two exact determinant engines are provided:
   for small matrices.
 * `det_modular` - evaluation/interpolation modulo word-size primes with
   Chinese remaindering and rational reconstruction; best once degrees blow
-  up.  Per prime it runs two array kernels over one (m, m, *grid) int64
-  tensor: per-axis Vandermonde evaluation of the entries (`_grid_values`)
-  and Gaussian elimination with per-point pivoting (`_grid_determinants`).
+  up.  Per prime it evaluates the entries on one (m, m, *grid) int64 tensor
+  by per-axis Vandermonde contractions, eliminates with per-point pivoting,
+  and interpolates by the inverse contraction (a Lagrange matrix per axis).
 
 Both return identical canonical polynomials.  Scalar linear algebra (the
 rank probes and replaced-minor ratios of first-integral extraction, the
@@ -45,8 +45,8 @@ from .polyring import (PRIMES_2_31, BadPrimeError, ContextError,
 #: dimension and desk-scale runs must stay tractable.
 DEFAULT_MAX_DIMENSION = 21
 
-#: The modular engine refuses a grid value tensor (m x m int64 entries per
-#: grid point) larger than this many bytes.
+#: The modular engine refuses a grid whose arrays (m x m int64 values per
+#: point, a Vandermonde and a Lagrange matrix per axis) exceed this many bytes.
 MAX_GRID_BYTES = 1 << 30
 
 _PROBE_RANGE = 10_000  # random integer probe points live in [-10^4, 10^4]
@@ -316,15 +316,23 @@ def _grid_values(rows, nodes, p: int) -> np.ndarray:
     """Values mod p of every matrix entry at every grid point.
 
     Row by row, the entries become one dense coefficient tensor
-    (m, d_1+1, ..., d_n+1) mod p, contracted axis by axis with that axis's
-    Vandermonde matrix mod p; the result is the (m, m, *grid) tensor.
+    (m, d_1+1, ..., d_n+1) mod p, contracted axis by axis with the leading
+    rows of that axis's one Vandermonde matrix mod p, giving (m, m, *grid).
     """
     m = len(rows)
     nv = len(nodes)
+    sizes = [[max(e.degree_in(v) for e in row) + 1 for v in range(nv)]
+             for row in rows]
+    vanders = []
+    for v, axis_nodes in enumerate(nodes):
+        x = np.array(axis_nodes, dtype=np.int64) % p
+        vander = np.ones((max(s[v] for s in sizes), len(x)), dtype=np.int64)
+        for d in range(1, len(vander)):
+            vander[d] = vander[d - 1] * x % p
+        vanders.append(vander)
     values = np.empty((m, m) + tuple(len(t) for t in nodes), dtype=np.int64)
     for i, row in enumerate(rows):
-        degs = [max(e.degree_in(v) for e in row) for v in range(nv)]
-        coeffs = np.zeros((m,) + tuple(d + 1 for d in degs), dtype=np.int64)
+        coeffs = np.zeros((m, *sizes[i]), dtype=np.int64)
         for j, e in enumerate(row):
             for exps, c in e.terms.items():
                 coeffs[(j,) + exps] = \
@@ -332,14 +340,34 @@ def _grid_values(rows, nodes, p: int) -> np.ndarray:
         # contracting axis 1 moves its grid axis to the end, so after nv
         # steps the axes are back in variable order
         for v in range(nv):
-            node_arr = np.array(nodes[v], dtype=np.int64) % p
-            vander = np.empty((degs[v] + 1, len(node_arr)), dtype=np.int64)
-            vander[0] = 1
-            for d in range(degs[v]):
-                vander[d + 1] = vander[d] * node_arr % p
-            coeffs = _matmul_mod(np.moveaxis(coeffs, 1, -1), vander, p,
+            coeffs = _matmul_mod(np.moveaxis(coeffs, 1, -1),
+                                 vanders[v][:sizes[i][v]], p,
                                  out=values[i] if v == nv - 1 else None)
     return values
+
+
+def _interpolation_matrix(nodes, p: int) -> np.ndarray:
+    """W with values @ W = coefficients mod p, for values at distinct nodes.
+
+    Row t is the Lagrange basis polynomial M(x) / ((x - x_t) M'(x_t)) of
+    node t, M = prod(x - x_i): one synthetic division gives every quotient
+    degree by degree, and a fused Horner step evaluates it at its node.
+    """
+    x = np.array(nodes, dtype=np.int64) % p
+    n = len(x)
+    master = np.zeros(n + 1, dtype=np.int64)  # leading coefficient first
+    master[0] = 1
+    for k, xk in enumerate(x.tolist()):
+        master[1:k + 2] = (master[1:k + 2] - xk * master[:k + 1]) % p
+    by_degree = np.empty((n, n), dtype=np.int64)  # W transposed
+    by_degree[n - 1] = 1
+    at_node = np.ones(n, dtype=np.int64)
+    for d in range(n - 1, 0, -1):
+        by_degree[d - 1] = (by_degree[d] * x + master[n - d]) % p
+        at_node = (at_node * x + by_degree[d - 1]) % p
+    by_degree *= _vec_modpow(at_node, p - 2, p)
+    by_degree %= p
+    return by_degree.T
 
 
 def _grid_determinants(values: np.ndarray, p: int) -> np.ndarray:
@@ -381,37 +409,6 @@ def _grid_determinants(values: np.ndarray, p: int) -> np.ndarray:
     return det.reshape(values.shape[2:])
 
 
-def _interpolate_axis(vals: np.ndarray, nodes, p: int) -> np.ndarray:
-    """Newton interpolation along axis 0: values at `nodes` -> coefficients."""
-    d = len(nodes)
-    v = vals.copy()
-    inv_cache = {}
-    for i in range(1, d):
-        for j in range(d - 1, i - 1, -1):
-            delta = (nodes[j] - nodes[j - i]) % p
-            inv = inv_cache.get(delta)
-            if inv is None:
-                inv = pow(delta, -1, p)
-                inv_cache[delta] = inv
-            v[j] = (v[j] - v[j - 1]) * inv % p
-    coeffs = np.zeros_like(v)
-    coeffs[0] = v[d - 1]
-    top = 0
-    for i in range(d - 2, -1, -1):
-        shifted = np.zeros_like(coeffs)
-        shifted[1:top + 2] = coeffs[:top + 1]
-        coeffs = (shifted - nodes[i] * coeffs) % p
-        coeffs[0] = (coeffs[0] + v[i]) % p
-        top += 1
-    return coeffs
-
-
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple:
-    s = pow(m1, -1, m2)
-    m = m1 * m2
-    return (r1 + (r2 - r1) * s % m2 * m1) % m, m
-
-
 def _rational_reconstruct(c: int, modulus: int, num_bound: int,
                           den_bound: int) -> Fraction:
     """Recover n/d from c mod modulus with |n| <= num_bound, 0 < d <= den_bound."""
@@ -438,11 +435,11 @@ def det_modular(matrix, primes: Optional[Sequence[int]] = None,
     bound.  Per prime, `_grid_values` evaluates all entries at once by
     per-axis Vandermonde contractions, `_grid_determinants` eliminates at
     every grid point with per-point pivoting, and the determinants are
-    interpolated; the primes are combined by Chinese remaindering and
-    finished with rational reconstruction.  Unlucky primes (hitting a
-    coefficient denominator) are skipped; the result is bit-identical to
-    `det_fraction_free`.  A value tensor above MAX_GRID_BYTES is refused
-    with DimensionGuardError before any prime is chosen.
+    interpolated by the inverse contraction; the primes are combined by
+    Chinese remaindering on a fixed basis and finished with rational
+    reconstruction.  Unlucky primes (hitting a coefficient denominator) are
+    skipped; the result is bit-identical to `det_fraction_free`.  Grid
+    arrays above MAX_GRID_BYTES are refused with DimensionGuardError first.
     """
     rows, ring = _square_rows(matrix)
     m = len(rows)
@@ -469,11 +466,13 @@ def det_modular(matrix, primes: Optional[Sequence[int]] = None,
                 return ring.zero()
             return det_sub.homogenize(last, sum(col_degs))
     var_bounds, num_bound, den_bound = _det_bounds(rows, ring)
-    grid_bytes = m * m * math.prod(b + 1 for b in var_bounds) * 8
+    grid_bytes = 8 * (m * m * math.prod(b + 1 for b in var_bounds)
+                      + 2 * sum((b + 1) ** 2 for b in var_bounds))
     if grid_bytes > MAX_GRID_BYTES:
         raise DimensionGuardError(
-            f"the grid value tensor needs {grid_bytes} bytes, above the "
-            f"guard of {MAX_GRID_BYTES}")
+            f"the grid value tensor and its Vandermonde and Lagrange "
+            f"matrices need {grid_bytes} bytes, above the guard of "
+            f"{MAX_GRID_BYTES}")
     target = 2 * num_bound * den_bound
     table = tuple(primes) if primes is not None else PRIMES_2_31
     chosen = []
@@ -495,11 +494,11 @@ def det_modular(matrix, primes: Optional[Sequence[int]] = None,
     nodes = [list(range(1, b + 2)) for b in var_bounds]
 
     def run_prime(p: int) -> np.ndarray:
-        dets = _grid_determinants(_grid_values(rows, nodes, p), p)
-        for axis in range(ring.nvars):
-            moved = np.moveaxis(dets, axis, 0)
-            moved[...] = _interpolate_axis(moved, nodes[axis], p)
-        return dets
+        coeffs = _grid_determinants(_grid_values(rows, nodes, p), p)
+        for axis_nodes in nodes:  # each contraction moves its axis last
+            coeffs = _matmul_mod(np.moveaxis(coeffs, 0, -1),
+                                 _interpolation_matrix(axis_nodes, p), p)
+        return coeffs
 
     if jobs > 1 and len(chosen) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -508,18 +507,18 @@ def det_modular(matrix, primes: Optional[Sequence[int]] = None,
     else:
         tensors = [run_prime(p) for p in chosen]
 
-    support = set()
-    for t in tensors:
-        support.update(zip(*np.nonzero(t)))
+    # Chinese remaindering on a fixed basis: basis_i is 1 mod p_i and 0 mod
+    # every other chosen prime
+    modulus = math.prod(chosen)
+    basis = [modulus // p * pow(modulus // p, -1, p) for p in chosen]
+    support = np.nonzero(sum(t != 0 for t in tensors))
+    residues = zip(*(t[support].tolist() for t in tensors))
     terms = {}
-    for idx in support:
-        residue, modulus = int(tensors[0][idx]), chosen[0]
-        for t, p in zip(tensors[1:], chosen[1:]):
-            residue, modulus = _crt_pair(residue, modulus, int(t[idx]), p)
-        coeff = _rational_reconstruct(residue, modulus, num_bound, den_bound)
-        if coeff != 0:
-            terms[tuple(int(e) for e in idx)] = coeff
-    det = Polynomial(ring, terms)
+    for exps, rs in zip(zip(*(s.tolist() for s in support)), residues):
+        residue = sum(r * b for r, b in zip(rs, basis)) % modulus
+        terms[exps] = _rational_reconstruct(residue, modulus, num_bound,
+                                            den_bound)
+    det = Polynomial(ring, terms)  # drops zero coefficients
     _self_check(rows, det, var_bounds, chosen[0])
     return det
 

@@ -13,7 +13,8 @@ from extatica.corpus import (hamiltonian, pencil_field, planted_lines_field,
 from extatica.extactic import (MAX_GRID_BYTES, DimensionGuardError,
                                ExtacticNotZeroError, LinearSystem,
                                VacuousQueryError, _grid_determinants,
-                               _grid_values, _matmul_mod, det_fraction_free,
+                               _grid_values, _interpolation_matrix,
+                               _matmul_mod, det_fraction_free,
                                det_modular, divides_extactic, extactic,
                                extactic_degree_bound, extract_first_integral,
                                jet_matrix, monomial_system)
@@ -341,6 +342,65 @@ class TestModularKernels:
         v = np.zeros((1 << 15, 1), dtype=np.int64)
         with pytest.raises(DimensionGuardError):
             _matmul_mod(a, v, P31)
+
+    @staticmethod
+    def _vandermonde(nodes, p):
+        """n x n Vandermonde mod p, entry (d, t) = nodes[t]^d, by Python
+        integers."""
+        return np.array([[pow(x, d, p) for x in nodes]
+                         for d in range(len(nodes))], dtype=np.int64)
+
+    @given(nodes=st.lists(st.integers(-10**6, 10**6), min_size=1,
+                          max_size=40, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_interpolation_matrix_inverts_vandermonde(self, nodes):
+        w = _interpolation_matrix(nodes, P31)
+        assert w.shape == (len(nodes), len(nodes))
+        product = _matmul_mod(self._vandermonde(nodes, P31), w, P31)
+        assert (product == np.eye(len(nodes), dtype=np.int64)).all()
+
+    @given(data=st.data(), nvars=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_evaluate_then_interpolate_round_trip(self, data, nvars):
+        shape = tuple(data.draw(st.lists(st.integers(1, 7), min_size=nvars,
+                                         max_size=nvars)))
+        nodes = [data.draw(st.lists(st.integers(-50, 50), min_size=n,
+                                    max_size=n, unique=True)) for n in shape]
+        seed = data.draw(st.integers(0, 2**32))
+        coeffs = np.random.default_rng(seed).integers(0, P31, size=shape)
+        values = coeffs
+        for axis_nodes in nodes:
+            values = _matmul_mod(np.moveaxis(values, 0, -1),
+                                 self._vandermonde(axis_nodes, P31), P31)
+        back = values
+        for axis_nodes in nodes:
+            back = _matmul_mod(np.moveaxis(back, 0, -1),
+                               _interpolation_matrix(axis_nodes, P31), P31)
+        assert back.shape == shape and (back == coeffs).all()
+
+    def test_interpolation_at_the_top_of_the_range(self):
+        nodes = list(range(1, 301))
+        w = _interpolation_matrix(nodes, P31)
+        # every value p - 1 = -1 interpolates to the constant -1
+        values = np.full(len(nodes), P31 - 1, dtype=np.int64)
+        expected = np.zeros(len(nodes), dtype=np.int64)
+        expected[0] = P31 - 1
+        assert (_matmul_mod(values, w, P31) == expected).all()
+        # nodes near p and values near p - 1, against the Vandermonde
+        nodes = [P31 - 1 - t for t in range(200)]
+        rng = np.random.default_rng(11)
+        coeffs = rng.integers(P31 - 3, P31, size=len(nodes))
+        values = _matmul_mod(coeffs, self._vandermonde(nodes, P31), P31)
+        assert (_matmul_mod(values, _interpolation_matrix(nodes, P31), P31)
+                == coeffs).all()
+
+    def test_grid_memory_guard_counts_the_lagrange_matrices(self):
+        # a 2 x 2 value tensor on 9001 nodes is small, but the Vandermonde
+        # and Lagrange matrices on those nodes need about 1.3 GB
+        x = PolyRing(("x",)).variables()[0]
+        one = x.ring.one()
+        with pytest.raises(DimensionGuardError, match="bytes"):
+            det_modular([[x ** 4500, one], [one, x ** 4500]])
 
     def test_grid_memory_guard(self):
         x, y, z = RING_XYZ.variables()
