@@ -382,8 +382,6 @@ def _cmd_first_integral(args) -> int:
     descriptor = HOMOGENEOUS if field.mode == HOMOGENEOUS else AFFINE
     system = monomial_system(ring.nvars, args.k, descriptor,
                              names=ring.names)
-    report = extactic(field, system, engine=args.engine, max_dim=_max_dim(),
-                      jobs=args.jobs)
     payload = {
         "command": "first-integral",
         "status": None,
@@ -391,14 +389,18 @@ def _cmd_first_integral(args) -> int:
         "denominator": None,
         "rank": None,
     }
-    if not report.identically_zero:
-        payload["status"] = "extactic-nonzero"
-        return _emit(payload)
     try:
         fi = extract_first_integral(field, system, max_dim=_max_dim(),
                                     engine=args.engine)
-    except (ExtractionFailedError, ExtacticNotZeroError):
-        payload["status"] = "failed"
+    except ExtacticNotZeroError:
+        payload["status"] = "extactic-nonzero"
+        return _emit(payload)
+    except ExtractionFailedError:
+        # no certificate: the determinant tells a nonzero E from a failure
+        report = extactic(field, system, engine=args.engine,
+                          max_dim=_max_dim(), jobs=args.jobs)
+        payload["status"] = ("failed" if report.identically_zero
+                             else "extactic-nonzero")
         return _emit(payload)
     payload.update({
         "status": "found",

@@ -17,10 +17,13 @@ Two exact determinant engines are provided:
   by per-axis Vandermonde contractions, eliminates with per-point pivoting,
   and interpolates by the inverse contraction (a Lagrange matrix per axis).
 
-Both return identical canonical polynomials.  Scalar linear algebra (the
-rank probes and replaced-minor ratios of first-integral extraction, the
-consistency re-check at a single point modulo p) runs on the kernels of
-`linalg`.
+Both return identical canonical polynomials.  A determinant is computed
+only when E is nonzero: `_certify_vanishing` first probes J modulo a prime,
+then certifies E = 0 by a first integral of degree <= k read off the left
+kernels of J at two points.  Without a certified pair, `extactic` falls back
+to the full determinant and `extract_first_integral` to ratios of Cramer
+minors.  Scalar linear algebra (the probes, the kernels, the consistency
+re-check at a single point modulo p) runs on `linalg`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .foliation import (AFFINE, HOMOGENEOUS, VectorField, apply_derivation,
                         foliation_degree)
-from .linalg import det_mod, reduce_rational
+from .linalg import det_mod, kernel, reduce_rational
 from .polyring import (PRIMES_2_31, BadPrimeError, ContextError,
                        PolyRing, Polynomial, monomials_of_degree,
                        monomials_up_to_degree, proportional)
@@ -478,10 +481,8 @@ def det_modular(matrix, primes: Optional[Sequence[int]] = None,
     chosen = []
     prod = 1
     for p in table:
-        if den_bound % p == 0 or any(
-                c.denominator % p == 0
-                for r in rows for e in r for c in e.terms.values()):
-            continue  # unlucky prime: some denominator vanishes mod p
+        if den_bound % p == 0:
+            continue  # unlucky prime: it divides a coefficient denominator
         chosen.append(p)
         prod *= p
         if prod > target:
@@ -545,14 +546,15 @@ def _column_homogeneous_degrees(rows, m):
     return degs
 
 
+def _det_mod_at(rows, point, p: int) -> int:
+    """det of the matrix evaluated at an integer point, modulo p."""
+    return det_mod([[e.evaluate_mod(point, p) for e in r] for r in rows], p)
+
+
 def _self_check(rows, det, var_bounds, p):
     """Re-check the reconstructed determinant at one fresh point mod p."""
-    m = len(rows)
     point = [b + 2 + v for v, b in enumerate(var_bounds)]
-    mat = [[rows[i][j].evaluate_mod(point, p) for j in range(m)]
-           for i in range(m)]
-    expected = det_mod(mat, p)
-    if det.evaluate_mod(point, p) != expected:
+    if det.evaluate_mod(point, p) != _det_mod_at(rows, point, p):
         raise EngineDisagreementError(
             "modular determinant failed its consistency re-check")
 
@@ -598,7 +600,12 @@ def extactic_degree_bound(m: int, k: int, d: int, deg_variety: int = 1) -> int:
 
 @dataclass(frozen=True)
 class ExtacticReport:
-    """The extactic polynomial together with its derived facts."""
+    """The extactic polynomial together with its derived facts.
+
+    `engine` names the determinant engine selected for the matrix size.  It
+    computes E when E is nonzero; a certified E = 0 needs no determinant,
+    and the name is reported all the same.
+    """
 
     extactic: Polynomial
     identically_zero: bool
@@ -619,15 +626,22 @@ def extactic(field: VectorField, system: LinearSystem, engine: str = "auto",
              max_dim: Optional[int] = None, jobs: int = 1) -> ExtacticReport:
     """Determinant of the jet matrix plus derived facts.
 
-    `engine` is "fraction-free", "modular" or "auto" (fraction-free up to
-    4x4, modular beyond).  Systems larger than the guard (21 by default) are
+    The decision comes first (`_certify_vanishing`): a certified first
+    integral proves E = 0 without a determinant.  Otherwise E is computed by
+    `engine`, "fraction-free", "modular" or "auto" (fraction-free up to 4x4,
+    modular beyond).  Systems larger than the guard (21 by default) are
     refused; pass `max_dim` to override.
     """
     m = system.dimension
     _check_dimension(m, max_dim)
     used = _engine_for(engine, m)
     jet = jet_matrix(field, system)
-    det = _det(jet.entries, used, jobs=jobs)
+    try:
+        certified = _certify_vanishing(jet, Random(0)) is not None
+    except ExtacticNotZeroError:
+        certified = False
+    det = system.ring.zero() if certified else _det(jet.entries, used,
+                                                    jobs=jobs)
     d = foliation_degree(field).degree
     bound = extactic_degree_bound(m, system.degree, d)
     return ExtacticReport(
@@ -667,7 +681,10 @@ class FirstIntegral:
     """A verified rational first integral numerator/denominator pair.
 
     The certificate identity X(A)*B - A*X(B) = 0 holds exactly and A/B is
-    non-constant; both are signed minors of the jet matrix.
+    non-constant.  From the kernel certificate, A and B are elements of the
+    linear system (degree <= k) in reduced row echelon form; from the
+    fallback they are signed minors of the jet matrix.  `rank` is the rank
+    of the jet matrix seen at the probe points.
     """
 
     numerator: Polynomial
@@ -675,18 +692,94 @@ class FirstIntegral:
     rank: int
 
 
+def _probe_point(rng: Random, nvars: int, bound: int) -> list:
+    """A seeded random integer point with coordinates in [-bound, bound]."""
+    return [rng.randint(-bound, bound) for _ in range(nvars)]
+
+
 def _eval_matrix(rows, point):
     return [[e.evaluate(point) for e in r] for r in rows]
+
+
+def _certify_vanishing(jet: JetMatrix, rng: Random) -> Optional[FirstIntegral]:
+    """Decide E = 0 by a probe, then certify it by a first integral.
+
+    A nonzero det J(p) modulo a prime at a random point p proves E != 0 and
+    raises ExtacticNotZeroError.  Otherwise the left kernel of J over Q is
+    taken at two integer points; at each, the vector of the first free
+    column is the element F = sum c_i s_i of the system on the shortest
+    basis prefix whose jets vanish there, so F vanishes along the leaf.  The
+    reduced row echelon form of the two vectors gives a denominator D (first
+    row) and numerator N (second) that do not depend on the points.  If they
+    are not proportional and X(N)*D = N*X(D), then h = N/D is a first
+    integral and coeffs(N) - h*coeffs(D) is a nonzero vector annihilating
+    every column X^j(s) over the field of first integrals, so E = 0.
+
+    Returns None when no pair is certified; the caller falls back to a full
+    determinant or to Cramer minors.
+    """
+    rows = jet.entries
+    m = len(rows)
+    nv = jet.field.ring.nvars
+    denominators = {c.denominator for r in rows for e in r
+                    for c in e.terms.values()}
+    prime = next((p for p in PRIMES_2_31
+                  if all(d % p for d in denominators)), None)
+    if prime is None:
+        raise BadPrimeError("every table prime divides a denominator")
+    point = _probe_point(rng, nv, prime - 1)
+    if _det_mod_at(rows, point, prime):
+        raise ExtacticNotZeroError(
+            "the extactic polynomial is not identically zero "
+            f"(nonzero modulo {prime} at {tuple(point)})")
+    vectors, ranks = [], []
+    for _ in range(2):
+        point = _probe_point(rng, nv, _PROBE_RANGE)
+        left_kernel = kernel(list(zip(*_eval_matrix(rows, point))), m)
+        if not left_kernel:
+            raise ExtacticNotZeroError(
+                "the extactic polynomial is not identically zero "
+                f"(full rank at {tuple(point)})")
+        vectors.append(left_kernel[0])
+        ranks.append(m - len(left_kernel))
+    reduced, pivots, _ = reduce_rational(vectors)
+    if len(pivots) < 2:
+        return None  # proportional: no pencil
+    system = jet.system
+    den, num = (sum((s.scale(c) for s, c in zip(system.basis, reduced[i])
+                     if c), system.ring.zero())
+                for i, _ in pivots)
+    field = jet.field
+    if apply_derivation(field, num) * den != num * apply_derivation(field, den):
+        return None
+    return FirstIntegral(num, den, max(ranks))
+
+
+def extract_first_integral(field: VectorField, system: LinearSystem,
+                           seed: int = 0, max_dim: Optional[int] = None,
+                           engine: str = "auto") -> FirstIntegral:
+    """A verified rational first integral, when the extactic vanishes.
+
+    The kernel certificate of `_certify_vanishing` decides first: it raises
+    ExtacticNotZeroError when a probe proves E != 0, and otherwise usually
+    returns a pair of degree <= k.  Only when it certifies no pair does the
+    Cramer-minor fallback run (`engine` computes its minors).  Probe points
+    are drawn from `seed`.
+    """
+    _check_dimension(system.dimension, max_dim)
+    jet = jet_matrix(field, system)
+    rng = Random(seed)
+    fi = _certify_vanishing(jet, rng)
+    return fi if fi is not None else _cramer_first_integral(jet, rng, engine)
 
 
 def _minor(rows, row_idx, col_idx):
     return [[rows[i][j] for j in col_idx] for i in row_idx]
 
 
-def extract_first_integral(field: VectorField, system: LinearSystem,
-                           seed: int = 0, max_dim: Optional[int] = None,
-                           engine: str = "auto") -> FirstIntegral:
-    """Build a rational first integral from a rank-deficient jet matrix.
+def _cramer_first_integral(jet: JetMatrix, rng: Random,
+                           engine: str) -> FirstIntegral:
+    """The fallback: a first integral as a ratio of two signed minors.
 
     The generic rank r < m and a good row subset are found by evaluating the
     jet matrix at random integer points (a nonzero evaluation of a minor
@@ -695,14 +788,10 @@ def extract_first_integral(field: VectorField, system: LinearSystem,
     is solved by Cramer's rule, giving two signed r x r minors A, B; the
     certificate X(A)*B - A*X(B) = 0 is checked exactly before returning.
     """
-    m = system.dimension
-    _check_dimension(m, max_dim)
-    if m < 2:
-        raise ValueError("need a system of dimension at least 2")
-    jet = jet_matrix(field, system)
+    field = jet.field
     rows = [list(r) for r in jet.entries]
+    m = len(rows)
     nv = field.ring.nvars
-    rng = Random(seed)
 
     attempts = []
     rank_profile = []

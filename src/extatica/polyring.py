@@ -326,18 +326,27 @@ class Polynomial:
     # -- evaluation ---------------------------------------------------------------
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point."""
+        """Exact value at a rational point.
+
+        Summed in integers: with x_v = a_v/b_v and D_v the degree in x_v,
+        the term c*x^e of the integer image becomes c * prod a_v^e_v *
+        b_v^(D_v - e_v), and one division by the common denominator ends.
+        """
         if len(point) != self.ring.nvars:
             raise ContextError("point length does not match variable count")
-        pt = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(pt, e):
-                if k:
-                    v *= x ** k
-            total += v
-        return total
+        den, ints = _integer_image(self.terms)
+        powers = []
+        for v, x in enumerate(point):
+            x = Fraction(x)
+            a, b, d = x.numerator, x.denominator, self.degree_in(v)
+            powers.append([a ** k * b ** (d - k) for k in range(d + 1)])
+            den *= b ** d
+        total = 0
+        for e, n in ints.items():
+            for table, k in zip(powers, e):
+                n *= table[k]
+            total += n
+        return Fraction(total, den)
 
     def evaluate_mod(self, point: Sequence[int], p: int) -> int:
         """Value at an integer point modulo a prime p.
@@ -348,19 +357,22 @@ class Polynomial:
         """
         if len(point) != self.ring.nvars:
             raise ContextError("point length does not match variable count")
-        pt = [v % p for v in point]
+        powers = []
+        for v, x in enumerate(point):
+            table = [1]
+            for _ in range(self.degree_in(v)):
+                table.append(table[-1] * x % p)
+            powers.append(table)
         total = 0
         for e, c in self.terms.items():
             den = c.denominator
             if den % p == 0:
                 raise BadPrimeError(f"denominator {den} vanishes mod {p}")
-            v = (c.numerator % p) * pow(den, -1, p) % p if den != 1 \
-                else c.numerator % p
-            for x, k in zip(pt, e):
-                if k:
-                    v = v * pow(x, k, p) % p
-            total = (total + v) % p
-        return total
+            v = c.numerator * pow(den, -1, p) if den != 1 else c.numerator
+            for table, k in zip(powers, e):
+                v = v * table[k] % p
+            total += v
+        return total % p
 
     # -- chart changes -----------------------------------------------------------
 

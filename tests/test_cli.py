@@ -46,6 +46,34 @@ def test_stdout_is_one_json_object(name, argv):
     json.loads(lines[0])
 
 
+@pytest.mark.parametrize("name", ["first_integral_radial",
+                                  "first_integral_nonzero"])
+def test_first_integral_computes_no_determinant(name, monkeypatch):
+    # the module; the package attribute `extatica.extactic` is the function
+    # of the same name
+    ext = sys.modules["extatica.extactic"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a determinant was computed")
+
+    monkeypatch.setattr(ext, "det_fraction_free", refuse)
+    monkeypatch.setattr(ext, "det_modular", refuse)
+    code, out, err = run_cli(dict(GOLDEN_CASES)[name])
+    assert code == 0 and err == ""
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+def test_zero_extactic_is_certified_without_a_grid():
+    # z/y is a first integral of degree 1, so E = 0 is certified; the
+    # modular engine's grid for this jet would exceed the memory guard
+    code, out, err = run_cli([
+        "extactic", "--vars", "x,y,z", "--field", "x^21*y^21*z^21, y, z",
+        "--mode", "affine", "--k", "2", "--engine", "modular"])
+    assert code == 0 and err == ""
+    answer = json.loads(out)
+    assert answer["identically_zero"] and answer["extactic"] == "0"
+
+
 class TestParser:
     def test_slv_component(self):
         ring = PolyRing(("x", "y", "z"))
@@ -186,15 +214,17 @@ class TestExitCodes:
 
     def test_grid_memory_guard_is_4(self):
         # m = 10 is inside the dimension guard, but the modular engine's
-        # value tensor would need about 314 GiB; refused before any prime
+        # value tensor would need about 628 GiB; refused before any prime.
+        # The field has no first integral of degree <= 2, so the probe
+        # finds E != 0 and the determinant is attempted.
         src = str(pathlib.Path(extatica.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ,
                    PYTHONPATH=src + (os.pathsep + path if path else ""))
         proc = subprocess.run(
             [sys.executable, "-m", "extatica", "extactic", "--vars", "x,y,z",
-             "--field", "x^21*y^21*z^21, y, z", "--mode", "affine", "--k",
-             "2", "--engine", "modular"],
+             "--field", "x^21*y^21*z^21, y + x, z", "--mode", "affine",
+             "--k", "2", "--engine", "modular"],
             capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 4 and proc.stdout == ""
         assert "Traceback" not in proc.stderr

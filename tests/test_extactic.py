@@ -1,9 +1,10 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from extatica.corpus import (hamiltonian, pencil_field, planted_lines_field,
@@ -22,8 +23,8 @@ from extatica.foliation import (AFFINE, HOMOGENEOUS, VectorField,
                                 apply_derivation, radial_field)
 from extatica.linalg import det_mod
 from extatica.polyring import (PRIMES_2_31, PolyRing,
-                               monomials_up_to_degree)
-from conftest import RING_XY, RING_XYZ
+                               monomials_up_to_degree, proportional)
+from conftest import RING_XY, RING_XYZ, polynomials
 
 X, Y = RING_XY.variables()
 
@@ -464,6 +465,178 @@ class TestExtractFirstIntegral:
             (f.partial_derivative(1) * g - f * g.partial_derivative(1)) * \
             (a.partial_derivative(0) * b - a * b.partial_derivative(0))
         assert jac.is_zero()
+
+
+# the module; the package attribute `extatica.extactic` is the function of
+# the same name
+EXT = sys.modules["extatica.extactic"]
+
+
+def _cross_identity(field, a, b):
+    return (apply_derivation(field, a) * b ==
+            a * apply_derivation(field, b))
+
+
+def _probes_on(monkeypatch, lines):
+    """Put the decision's probe points, in turn, on the coordinate lines
+    `lines` (0 for x = 0, 1 for y = 0)."""
+    order = iter(lines)
+
+    def on_line(rng, nvars, bound):
+        point = [rng.randint(-bound, bound) for _ in range(nvars)]
+        point[next(order)] = 0
+        return point
+
+    monkeypatch.setattr(EXT, "_probe_point", on_line)
+
+
+def _spy(monkeypatch, name):
+    """Record the results of the module function `name`."""
+    results = []
+    original = getattr(EXT, name)
+
+    def spy(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(EXT, name, spy)
+    return results
+
+
+class TestVanishingDecision:
+    def test_certificate_has_degree_at_most_k(self):
+        h = X**3 - (X * Y).scale(2) + Y**2 + X
+        field = hamiltonian(h).field
+        fi = extract_first_integral(field, monomial_system(2, 3, AFFINE))
+        assert (str(fi.numerator), str(fi.denominator)) == (str(h), "1")
+        assert fi.rank == 9
+
+    def test_pair_does_not_depend_on_the_seed(self):
+        field = pencil_field(X**2 + 1, Y).field
+        system = monomial_system(2, 2, AFFINE)
+        pairs = {(str(fi.numerator), str(fi.denominator)) for fi in (
+            extract_first_integral(field, system, seed=s) for s in range(4))}
+        assert pairs == {("y", "x^2 + 1")}
+
+    @pytest.mark.parametrize("lines", [(0, 0, 0), (0, 0, 1)],
+                             ids=["proportional", "cross-identity-fails"])
+    def test_singular_probe_with_nonzero_extactic(self, monkeypatch, lines):
+        # on the invariant line x = 0 of a planted field J(p) is singular,
+        # although E != 0; kernel vectors x, x are proportional, and x, y
+        # fail the cross identity (the cofactors differ)
+        field = planted_lines_field(2, 2, 1).field
+        system = monomial_system(2, 1, AFFINE)
+        expected = det_modular(jet_matrix(field, system).entries)
+        assert not expected.is_zero()
+        decided = _spy(monkeypatch, "_certify_vanishing")
+        _probes_on(monkeypatch, lines)
+        assert extactic(field, system).extactic == expected
+        _probes_on(monkeypatch, lines)
+        with pytest.raises(ExtacticNotZeroError):
+            extract_first_integral(field, system)
+        assert decided == [None, None]  # both went on to a fallback
+
+    def test_proportional_kernel_vectors_reach_the_fallback(self,
+                                                            monkeypatch):
+        # x = 0 is a reducible fiber of h = xy: both probes find x alone
+        field = hamiltonian(X * Y).field
+        system = monomial_system(2, 2, AFFINE)
+        decided = _spy(monkeypatch, "_certify_vanishing")
+        fallback = _spy(monkeypatch, "_cramer_first_integral")
+        _probes_on(monkeypatch, (0, 0, 0))
+        assert extactic(field, system).identically_zero
+        _probes_on(monkeypatch, (0, 0, 0))
+        fi = extract_first_integral(field, system)
+        assert decided == [None, None] and fallback == [fi]
+        assert not proportional(fi.numerator, fi.denominator)
+        assert _cross_identity(field, fi.numerator, fi.denominator)
+
+    def test_the_probe_skips_a_prime_dividing_a_denominator(self,
+                                                           monkeypatch):
+        p = PRIMES_2_31[0]
+        field = VectorField((X.scale(Fraction(1, p)), Y.scale(2)), AFFINE)
+        system = monomial_system(2, 1, AFFINE)
+        used = []
+        original = EXT._det_mod_at
+
+        def spy(rows, point, prime):
+            used.append(prime)
+            return original(rows, point, prime)
+
+        monkeypatch.setattr(EXT, "_det_mod_at", spy)
+        with pytest.raises(ExtacticNotZeroError):
+            extract_first_integral(field, system)
+        assert used == [PRIMES_2_31[1]]
+
+
+def _small(max_degree):
+    return polynomials(RING_XY, max_degree=max_degree, max_terms=4,
+                       coeff_bound=5)
+
+
+@st.composite
+def hamiltonian_inputs(draw, max_k):
+    """(field, k) for a Hamiltonian h with 1 <= deg h <= k <= max_k."""
+    h = draw(_small(max_k))
+    assume(not h.is_constant())
+    return hamiltonian(h).field, draw(st.integers(h.degree(), max_k))
+
+
+@st.composite
+def pencil_inputs(draw, max_k):
+    """(field, k) for a pencil f/g with deg f, deg g <= k <= max_k."""
+    f, g = draw(_small(max_k)), draw(_small(max_k))
+    try:
+        field = pencil_field(f, g).field
+    except ValueError:
+        assume(False)
+    k = max(1, f.degree(), g.degree())
+    return field, draw(st.integers(k, max_k))
+
+
+@st.composite
+def field_inputs(draw):
+    """(field, k): a 2-variable field of degree 1-3 at k = 1-2."""
+    comps = (draw(_small(3)), draw(_small(3)))
+    assume(any(c.degree() >= 1 for c in comps))
+    return VectorField(comps, AFFINE), draw(st.integers(1, 2))
+
+
+@given(st.one_of(field_inputs(), hamiltonian_inputs(2), pencil_inputs(2)))
+@settings(max_examples=60, deadline=None)
+def test_decision_agrees_with_the_determinant(case):
+    field, k = case
+    system = monomial_system(2, k, AFFINE)
+    det = det_fraction_free(jet_matrix(field, system).entries)
+    report = extactic(field, system)
+    assert report.identically_zero == det.is_zero()
+    assert report.extactic == det
+    event("E = 0" if det.is_zero() else "E != 0")
+    if det.is_zero():
+        fi = extract_first_integral(field, system)
+        assert max(fi.numerator.degree(), fi.denominator.degree()) <= k
+        assert not proportional(fi.numerator, fi.denominator)
+        assert _cross_identity(field, fi.numerator, fi.denominator)
+    else:
+        with pytest.raises(ExtacticNotZeroError):
+            extract_first_integral(field, system)
+
+
+def test_known_first_integrals_never_reach_the_fallback(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Cramer-minor fallback ran")
+
+    monkeypatch.setattr(EXT, "_cramer_first_integral", refuse)
+
+    @given(st.one_of(hamiltonian_inputs(3), pencil_inputs(3)))
+    @settings(max_examples=60, deadline=None)
+    def check(case):
+        field, k = case
+        fi = extract_first_integral(field, monomial_system(2, k, AFFINE))
+        assert max(fi.numerator.degree(), fi.denominator.degree()) <= k
+        assert _cross_identity(field, fi.numerator, fi.denominator)
+
+    check()
 
 
 class TestSymmetries:
