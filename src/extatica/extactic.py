@@ -14,8 +14,11 @@ Two exact determinant engines are provided:
 * `det_modular` - evaluation/interpolation modulo word-size primes with
   Chinese remaindering and rational reconstruction; best once degrees blow
   up.  Per prime it evaluates the entries on one (m, m, *grid) int64 tensor
-  by per-axis Vandermonde contractions, eliminates with per-point pivoting,
-  and interpolates by the inverse contraction (a Lagrange matrix per axis).
+  by per-axis Vandermonde contractions, eliminates with per-point pivoting
+  and batched pivot inversion, and interpolates by the inverse contraction
+  (a Lagrange matrix per distinct axis).  Every contraction runs as float64
+  BLAS products of 16-bit halves over inner chunks of 64, so each partial
+  sum stays below 2^53 and is exact.
 
 Both return identical canonical polynomials.  A determinant is computed
 only when E is nonzero: `_certify_vanishing` first probes J modulo a prime,
@@ -49,7 +52,8 @@ from .polyring import (PRIMES_2_31, BadPrimeError, ContextError,
 DEFAULT_MAX_DIMENSION = 21
 
 #: The modular engine refuses a grid whose arrays (m x m int64 values per
-#: point, a Vandermonde and a Lagrange matrix per axis) exceed this many bytes.
+#: point, a float64 Vandermonde and Lagrange matrix per axis) exceed this
+#: many bytes.
 MAX_GRID_BYTES = 1 << 30
 
 _PROBE_RANGE = 10_000  # random integer probe points live in [-10^4, 10^4]
@@ -295,56 +299,184 @@ def _vec_modpow(base: np.ndarray, exp: int, p: int) -> np.ndarray:
     return out
 
 
-def _matmul_mod(a: np.ndarray, v: np.ndarray, p: int,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """a @ v mod p for int64 arrays with entries in [0, p), p < 2^31,
-    written into `out` when given.
+def _inverse_blocks(n: int) -> int:
+    """Block count of `_batch_inverse` on n entries.  Each block costs six
+    array operations over its width and the exponentiation about 120 over
+    one width; with numpy's fixed cost per call, about sqrt(n / 32) blocks
+    was fastest on 10^2 to 3 * 10^5 entries."""
+    return max(1, math.isqrt(n >> 5))
 
-    The left operand is split at 16 bits, so every partial sum of the two
-    int64 products stays below 2^62 while the inner dimension is below 2^15.
+
+def _batch_inverse(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod p of the entries of the 1-D array `a` (in [0, p)), with
+    0 mapped to 0.
+
+    Montgomery's trick on a (blocks, width) view of the array:
+    prefix products run down the blocks, one `_vec_modpow` inverts the last
+    block row, and two multiplications per block give the inverses on the
+    way back.  A zero, and the padding of the last block row, is a stand-in
+    1 that keeps it out of the products.
     """
-    if a.shape[-1] >= 1 << 15:
-        raise DimensionGuardError(
-            f"inner dimension {a.shape[-1]} reaches 2^15: an entry degree "
-            "is too large for exact int64 evaluation")
-    out = np.matmul(a >> 16, v, out=out)
-    out %= p
-    out <<= 16
-    out += (a & 0xFFFF) @ v
-    out %= p
+    n = a.size
+    blocks = _inverse_blocks(n)
+    width = -(-n // blocks)
+    x = np.ones(blocks * width, dtype=np.int64)
+    x[:n] = a
+    zero = x == 0
+    x[zero] = 1
+    x = x.reshape(blocks, width)
+    prefix = np.empty_like(x)
+    prefix[0] = x[0]
+    for b in range(1, blocks):
+        np.multiply(prefix[b - 1], x[b], out=prefix[b])
+        prefix[b] %= p
+    inv = _vec_modpow(prefix[-1], p - 2, p)
+    # inv is the inverse of prefix[b]; prefix[b] becomes the inverse of x[b]
+    for b in range(blocks - 1, 0, -1):
+        np.multiply(prefix[b - 1], inv, out=prefix[b])
+        prefix[b] %= p
+        inv *= x[b]
+        inv %= p
+    prefix[0] = inv
+    out = prefix.reshape(-1)[:n]
+    out[zero[:n]] = 0
     return out
 
 
-def _grid_values(rows, nodes, p: int) -> np.ndarray:
+#: Inner-dimension chunk of one float64 product in `_matmul_mod`: with at
+#: most 64 terms, a sum of products of a 16-bit and a 31-bit factor stays
+#: below 64 * 2^16 * 2^31 = 2^53, where float64 is exact.
+_CHUNK = 64
+
+#: `_matmul_mod` writes its output in blocks of rows holding about this many
+#: values, so its float64 product and int64 copy stay at 256 KB each.
+_BLOCK_VALUES = 1 << 15
+
+
+def _matmul_mod(a: np.ndarray, v: np.ndarray, p: int,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """a @ v mod p for an int64 `a` and an int64 or float64 `v`, both with
+    entries in [0, p), p < 2^31, written into `out` when given.
+
+    The left operand is split at 16 bits and both halves are multiplied by
+    `v` as float64 matrices, which run on BLAS.  The inner dimension is cut
+    into chunks of 64, so every partial sum stays below 64 * 2^16 * 2^31 =
+    2^53 and is exact in float64.  The chunks' products are added in int64
+    and reduced mod p once per half: an inner dimension below 2^15 (at most
+    2^9 chunks) keeps those sums below 2^62, and a longer one is refused.
+    """
+    inner = a.shape[-1]
+    if inner >= 1 << 15:
+        raise DimensionGuardError(
+            f"inner dimension {inner} reaches 2^15: an entry degree is too "
+            "large for exact evaluation")
+    v = np.asarray(v, dtype=np.float64)
+    if out is None:
+        out = np.empty(a.shape[:-1] + v.shape[-1:], dtype=np.int64)
+    high, low = np.empty(a.shape), np.empty(a.shape)
+    np.right_shift(a, 16, out=high, casting="unsafe")
+    np.bitwise_and(a, 0xFFFF, out=low, casting="unsafe")
+    high, low = high.reshape(-1, inner), low.reshape(-1, inner)
+    flat = out.reshape(len(high), -1)
+    step = max(1, _BLOCK_VALUES // flat.shape[1])
+    prod = np.empty((min(step, len(flat)), flat.shape[1]))
+    part = np.empty(prod.shape, dtype=np.int64)
+    for r in range(0, len(flat), step):
+        target = flat[r:r + step]
+        n = len(target)
+        target.fill(0)
+        for half in (high, low):  # (high mod p) * 2^16 + low, mod p
+            target <<= 16
+            for c in range(0, inner, _CHUNK):
+                np.matmul(half[r:r + step, c:c + _CHUNK], v[c:c + _CHUNK],
+                          out=prod[:n])
+                np.copyto(part[:n], prod[:n], casting="unsafe")
+                target += part[:n]
+            target %= p
+    return out
+
+
+@dataclass(frozen=True)
+class _GridPlan:
+    """The prime-independent layout of a matrix's coefficient tensors.
+
+    Row i becomes one dense tensor of shape `shapes[i]`, (m, d_1+1, ...,
+    d_n+1) with d_v the row's largest degree in variable v, stored in
+    `flat[offsets[i]:offsets[i + 1]]` of one flat array.  Term t of the
+    matrix (row by row, entry by entry) sits at `positions[t]` with
+    coefficient `numerators[t] / denominators[t]`; `denominators` is None
+    when all are 1, and both are object arrays when a value exceeds int64.
+    """
+
+    shapes: tuple
+    offsets: tuple
+    positions: np.ndarray
+    numerators: np.ndarray
+    denominators: Optional[np.ndarray]
+
+
+def _grid_plan(rows) -> _GridPlan:
+    """One pass over the terms of every entry, made once per determinant."""
+    m = len(rows)
+    nv = rows[0][0].ring.nvars
+    shapes, offsets, positions, nums, dens = [], [0], [], [], []
+    for row in rows:
+        index = np.array([(j,) + exps for j, e in enumerate(row)
+                          for exps in e.terms],
+                         dtype=np.int64).reshape(-1, nv + 1)
+        shape = (m,) + tuple((index[:, 1:].max(axis=0, initial=0)
+                              + 1).tolist())
+        positions.append(offsets[-1] + np.ravel_multi_index(index.T, shape))
+        offsets.append(offsets[-1] + math.prod(shape))
+        shapes.append(shape)
+        for e in row:
+            for c in e.terms.values():
+                nums.append(c.numerator)
+                dens.append(c.denominator)
+    top = max(max(map(abs, nums), default=0), max(dens, default=1))
+    dtype = np.int64 if top < 1 << 63 else object
+    return _GridPlan(tuple(shapes), tuple(offsets),
+                     np.concatenate(positions), np.array(nums, dtype=dtype),
+                     None if all(d == 1 for d in dens)
+                     else np.array(dens, dtype=dtype))
+
+
+def _grid_values(plan: _GridPlan, nodes, p: int) -> np.ndarray:
     """Values mod p of every matrix entry at every grid point.
 
-    Row by row, the entries become one dense coefficient tensor
-    (m, d_1+1, ..., d_n+1) mod p, contracted axis by axis with the leading
-    rows of that axis's one Vandermonde matrix mod p, giving (m, m, *grid).
+    The coefficients reduced mod p are written into the row tensors of
+    `plan` with one scatter, and each row tensor is contracted axis by axis
+    with the leading rows of that axis's one Vandermonde matrix mod p,
+    giving (m, m, *grid).
     """
-    m = len(rows)
+    m = len(plan.shapes)
     nv = len(nodes)
-    sizes = [[max(e.degree_in(v) for e in row) + 1 for v in range(nv)]
-             for row in rows]
+    coeff = (plan.numerators % p).astype(np.int64)
+    if plan.denominators is not None:
+        coeff *= _batch_inverse((plan.denominators % p).astype(np.int64), p)
+        coeff %= p
+    flat = np.zeros(plan.offsets[-1], dtype=np.int64)
+    flat[plan.positions] = coeff
     vanders = []
     for v, axis_nodes in enumerate(nodes):
+        # built row by row into float64, the operand type of _matmul_mod
         x = np.array(axis_nodes, dtype=np.int64) % p
-        vander = np.ones((max(s[v] for s in sizes), len(x)), dtype=np.int64)
+        vander = np.empty((max(s[v + 1] for s in plan.shapes), len(x)))
+        power = np.ones_like(x)
+        vander[0] = power
         for d in range(1, len(vander)):
-            vander[d] = vander[d - 1] * x % p
+            power *= x
+            power %= p
+            vander[d] = power
         vanders.append(vander)
     values = np.empty((m, m) + tuple(len(t) for t in nodes), dtype=np.int64)
-    for i, row in enumerate(rows):
-        coeffs = np.zeros((m, *sizes[i]), dtype=np.int64)
-        for j, e in enumerate(row):
-            for exps, c in e.terms.items():
-                coeffs[(j,) + exps] = \
-                    c.numerator * pow(c.denominator, -1, p) % p
+    for i, shape in enumerate(plan.shapes):
+        coeffs = flat[plan.offsets[i]:plan.offsets[i + 1]].reshape(shape)
         # contracting axis 1 moves its grid axis to the end, so after nv
         # steps the axes are back in variable order
         for v in range(nv):
             coeffs = _matmul_mod(np.moveaxis(coeffs, 1, -1),
-                                 vanders[v][:sizes[i][v]], p,
+                                 vanders[v][:shape[v + 1]], p,
                                  out=values[i] if v == nv - 1 else None)
     return values
 
@@ -362,14 +494,22 @@ def _interpolation_matrix(nodes, p: int) -> np.ndarray:
     master[0] = 1
     for k, xk in enumerate(x.tolist()):
         master[1:k + 2] = (master[1:k + 2] - xk * master[:k + 1]) % p
-    by_degree = np.empty((n, n), dtype=np.int64)  # W transposed
-    by_degree[n - 1] = 1
+    # W transposed, in float64 (the operand type of _matmul_mod); the
+    # quotient rows are computed in int64 and stored one by one
+    by_degree = np.empty((n, n))
+    quotient = np.ones(n, dtype=np.int64)
+    by_degree[n - 1] = quotient
     at_node = np.ones(n, dtype=np.int64)
     for d in range(n - 1, 0, -1):
-        by_degree[d - 1] = (by_degree[d] * x + master[n - d]) % p
-        at_node = (at_node * x + by_degree[d - 1]) % p
-    by_degree *= _vec_modpow(at_node, p - 2, p)
-    by_degree %= p
+        quotient = (quotient * x + master[n - d]) % p
+        by_degree[d - 1] = quotient
+        at_node = (at_node * x + quotient) % p
+    inv = _batch_inverse(at_node, p)
+    for start in range(0, n, 64):  # scaled in int64, a block of rows at once
+        block = by_degree[start:start + 64].astype(np.int64)
+        block *= inv
+        block %= p
+        by_degree[start:start + 64] = block
     return by_degree.T
 
 
@@ -400,7 +540,7 @@ def _grid_determinants(values: np.ndarray, p: int) -> np.ndarray:
             break
         # a point without a pivot is zero in column k from row k down, so
         # its rows stay unchanged whatever its (zero) inverse
-        inv = _vec_modpow(piv, p - 2, p)
+        inv = _batch_inverse(piv, p)
         tail = work[k, k + 1:]
         scratch = buf[:m - k - 1]
         for i in range(k + 1, m):
@@ -435,14 +575,17 @@ def det_modular(matrix, primes: Optional[Sequence[int]] = None,
 
     The matrix is evaluated on an integer grid large enough for the a-priori
     degree bound, modulo enough primes for the a-priori coefficient-height
-    bound.  Per prime, `_grid_values` evaluates all entries at once by
+    bound.  The terms' layout in the coefficient tensors (`_grid_plan`) is
+    found once; per prime, `_grid_values` evaluates all entries at once by
     per-axis Vandermonde contractions, `_grid_determinants` eliminates at
     every grid point with per-point pivoting, and the determinants are
     interpolated by the inverse contraction; the primes are combined by
     Chinese remaindering on a fixed basis and finished with rational
-    reconstruction.  Unlucky primes (hitting a coefficient denominator) are
-    skipped; the result is bit-identical to `det_fraction_free`.  Grid
-    arrays above MAX_GRID_BYTES are refused with DimensionGuardError first.
+    reconstruction.  The contractions are float64 products whose partial
+    sums stay below 2^53, so every residue is exact.  Unlucky primes
+    (hitting a coefficient denominator) are skipped; the result is
+    bit-identical to `det_fraction_free`.  Grid arrays above MAX_GRID_BYTES
+    are refused with DimensionGuardError first.
     """
     rows, ring = _square_rows(matrix)
     m = len(rows)
@@ -492,13 +635,15 @@ def det_modular(matrix, primes: Optional[Sequence[int]] = None,
             f"prime table exhausted: the height bound needs "
             f"{target.bit_length()} bits, the usable primes cover "
             f"{prod.bit_length()}")
-    nodes = [list(range(1, b + 2)) for b in var_bounds]
+    nodes = [tuple(range(1, b + 2)) for b in var_bounds]
+    plan = _grid_plan(rows)
 
     def run_prime(p: int) -> np.ndarray:
-        coeffs = _grid_determinants(_grid_values(rows, nodes, p), p)
+        coeffs = _grid_determinants(_grid_values(plan, nodes, p), p)
+        lagrange = {t: _interpolation_matrix(t, p) for t in set(nodes)}
         for axis_nodes in nodes:  # each contraction moves its axis last
             coeffs = _matmul_mod(np.moveaxis(coeffs, 0, -1),
-                                 _interpolation_matrix(axis_nodes, p), p)
+                                 lagrange[axis_nodes], p)
         return coeffs
 
     if jobs > 1 and len(chosen) > 1:

@@ -12,6 +12,7 @@ threads.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +54,11 @@ class BadPrimeError(ArithmeticError):
 def grlex_key(exponents: Exponents) -> tuple:
     """Sort key realizing the graded-lex order (earlier variables stronger)."""
     return (sum(exponents), exponents)
+
+
+def _heap_key(exponents: Exponents) -> tuple:
+    """Min-heap entry that pops the graded-lex largest exponents first."""
+    return (-sum(exponents), tuple(-e for e in exponents)), exponents
 
 
 @dataclass(frozen=True)
@@ -297,7 +303,9 @@ class Polynomial:
 
         Leading-term elimination in graded-lex order; because leading terms
         are multiplicative, a failed leading-term division certifies
-        non-divisibility.
+        non-divisibility.  The remainder's exponents wait in a heap keyed by
+        the reversed order; an entry whose term has cancelled is skipped
+        when it is popped.
         """
         g = self._coerce(g)
         if g.is_zero():
@@ -306,9 +314,13 @@ class Polynomial:
             return Polynomial._raw(self.ring, {})
         g_exps, g_coeff = g.leading_term()
         rem = dict(self.terms)
+        heap = [_heap_key(e) for e in rem]
+        heapq.heapify(heap)
         quot = {}
         while rem:
-            exps = max(rem, key=grlex_key)
+            exps = heapq.heappop(heap)[1]
+            if exps not in rem:
+                continue
             diff = tuple(a - b for a, b in zip(exps, g_exps))
             if any(d < 0 for d in diff):
                 return None
@@ -316,10 +328,12 @@ class Polynomial:
             quot[diff] = c
             for eg, cg in g.terms.items():
                 key = tuple(map(sum, zip(eg, diff)))
-                s = rem.get(key, Fraction(0)) - cg * c
+                s = rem.get(key, 0) - cg * c
                 if s == 0:
                     rem.pop(key, None)
                 else:
+                    if key not in rem:
+                        heapq.heappush(heap, _heap_key(key))
                     rem[key] = s
         return Polynomial._raw(self.ring, quot)
 

@@ -13,8 +13,9 @@ from extatica.corpus import (hamiltonian, pencil_field, planted_lines_field,
                              slv1_invariant_conic)
 from extatica.extactic import (MAX_GRID_BYTES, DimensionGuardError,
                                ExtacticNotZeroError, LinearSystem,
-                               VacuousQueryError, _grid_determinants,
-                               _grid_values, _interpolation_matrix,
+                               VacuousQueryError, _batch_inverse,
+                               _grid_determinants, _grid_plan, _grid_values,
+                               _interpolation_matrix, _inverse_blocks,
                                _matmul_mod, det_fraction_free,
                                det_modular, divides_extactic, extactic,
                                extactic_degree_bound, extract_first_integral,
@@ -314,7 +315,7 @@ class TestModularKernels:
         nodes = data.draw(st.lists(
             st.lists(st.integers(-40, 40), min_size=1, max_size=4),
             min_size=nvars, max_size=nvars))
-        values = _grid_values(rows, nodes, P31)
+        values = _grid_values(_grid_plan(rows), nodes, P31)
         assert values.shape == (m, m) + tuple(len(t) for t in nodes)
         for idx in np.ndindex(*values.shape[2:]):
             point = [nodes[v][i] for v, i in enumerate(idx)]
@@ -337,6 +338,58 @@ class TestModularKernels:
             for j in range(3):
                 assert got[i, j] == sum(int(a[i, t]) * int(v[t, j])
                                         for t in range(inner)) % P31
+
+    def test_grid_values_with_coefficients_beyond_int64(self):
+        x, y = RING_XY.variables()
+        wide = Fraction(2**70 + 1, 3**45)
+        rows = [[x.scale(wide) + y, RING_XY.constant(-wide)],
+                [y ** 3, x * y.scale(Fraction(-(2**64), 7))]]
+        nodes = [[-3, 0, 5], [2, 9]]
+        values = _grid_values(_grid_plan(rows), nodes, P31)
+        for a, u in enumerate(nodes[0]):
+            for b, w in enumerate(nodes[1]):
+                assert values[:, :, a, b].tolist() == [
+                    [e.evaluate_mod([u, w], P31) for e in r] for r in rows]
+
+    @given(n=st.integers(1, 3000), seed=st.integers(0, 2**32),
+           fill=st.sampled_from(["random", "with_zeros", "zeros", "top"]))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_inverse_matches_pow(self, n, seed, fill):
+        blocks = _inverse_blocks(n)
+        assume(blocks == 1 or n % blocks)  # the last block row is padded
+        rng = np.random.default_rng(seed)
+        a = {"random": lambda: rng.integers(1, P31, n),
+             "with_zeros": lambda: rng.integers(0, P31, n)
+             * (rng.random(n) < 0.75),
+             "zeros": lambda: np.zeros(n, dtype=np.int64),
+             "top": lambda: np.full(n, P31 - 1, dtype=np.int64)}[fill]()
+        before = a.copy()
+        got = _batch_inverse(a, P31)
+        assert got.tolist() == [pow(t, -1, P31) if t else 0
+                                for t in a.tolist()]
+        assert (a == before).all()
+
+    @pytest.mark.parametrize("inner", [63, 64, 65, 128])
+    @pytest.mark.parametrize("fill", ["top", "random", "odd_low_halves"])
+    def test_matmul_mod_at_the_chunk_edges(self, inner, fill):
+        rng = np.random.default_rng(inner)
+        if fill == "top":
+            a = np.full((3, inner), P31 - 1, dtype=np.int64)
+            v = np.full((inner, 4), P31 - 1, dtype=np.int64)
+        elif fill == "random":
+            a = rng.integers(0, P31, size=(3, inner), dtype=np.int64)
+            v = rng.integers(0, P31, size=(inner, 4), dtype=np.int64)
+        else:
+            # low halves 0xFFFF against the odd p - 2: 64 such products sum
+            # to just below 2^53, 65 to an odd value above it, which float64
+            # cannot hold
+            a = np.full((3, inner), 0x7FFEFFFF, dtype=np.int64)
+            v = np.full((inner, 4), P31 - 2, dtype=np.int64)
+        got = _matmul_mod(a, v, P31)
+        assert got.tolist() == [[sum(int(a[i, t]) * int(v[t, j])
+                                     for t in range(inner)) % P31
+                                 for j in range(4)] for i in range(3)]
+        assert (_matmul_mod(a, v.astype(np.float64), P31) == got).all()
 
     def test_matmul_mod_refuses_a_long_inner_dimension(self):
         a = np.zeros((1, 1 << 15), dtype=np.int64)

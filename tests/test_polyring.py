@@ -169,10 +169,16 @@ def test_canonical_form_commutes(f, g):
     assert (f - f).is_zero()
 
 
-@given(f=polynomials(), g=polynomials(nonzero=True))
+@given(f=polynomials(), g=polynomials(nonzero=True),
+       r=polynomials(max_degree=3))
 @settings(max_examples=150)
-def test_exactness_of_division(f, g):
+def test_exactness_of_division(f, g, r):
     assert (f * g).divide_exact(g) == f
+    # a nonzero remainder below the degree of g is never a multiple of g
+    low = sum((r.homogeneous_part(d) for d in range(int(g.degree()))),
+              RING_XYZ.zero())
+    if not low.is_zero():
+        assert (f * g + low).divide_exact(g) is None
 
 
 def test_evaluation_homomorphism_100_points():
