@@ -451,9 +451,10 @@ def _grid_values(plan: _GridPlan, nodes, p: int) -> np.ndarray:
     """
     m = len(plan.shapes)
     nv = len(nodes)
-    coeff = (plan.numerators % p).astype(np.int64)
+    coeff = (plan.numerators % p).astype(np.int64, copy=False)
     if plan.denominators is not None:
-        coeff *= _batch_inverse((plan.denominators % p).astype(np.int64), p)
+        coeff *= _batch_inverse(
+            (plan.denominators % p).astype(np.int64, copy=False), p)
         coeff %= p
     flat = np.zeros(plan.offsets[-1], dtype=np.int64)
     flat[plan.positions] = coeff
