@@ -188,10 +188,6 @@ class Polynomial:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def degree_info(self) -> tuple:
-        """(total degree | NEG_INF, is_homogeneous)."""
-        return self.degree(), self.is_homogeneous()
-
     def degree_in(self, var: int) -> int:
         """Largest exponent of one variable (0 for the zero polynomial)."""
         return max((e[var] for e in self.terms), default=0)

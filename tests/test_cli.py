@@ -63,6 +63,29 @@ def test_first_integral_computes_no_determinant(name, monkeypatch):
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
 
 
+@pytest.mark.parametrize("argv,status", [
+    (["--vars", "x,y", "--field", "x, -y", "--k", "2"], "failed"),
+    (["--field-corpus", "planted:2,2,1", "--k", "1"], "extactic-nonzero"),
+], ids=["fiber-of-xy", "planted-line"])
+def test_first_integral_after_failed_extraction(argv, status, monkeypatch):
+    # every probe on x = 0: a reducible fiber of h = xy, where no pair of
+    # points certifies although E = 0, and an invariant line of a planted
+    # field, where J is singular although E != 0; the determinant decides
+    ext = sys.modules["extatica.extactic"]
+
+    def on_line(rng, nvars, bound):
+        return [0] + [rng.randint(-bound, bound) for _ in range(nvars - 1)]
+
+    monkeypatch.setattr(ext, "_probe_point", on_line)
+    code, out, err = run_cli(["first-integral"] + argv)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "command": "first-integral", "status": status, "numerator": None,
+        "denominator": None, "rank": None}
+
+
 def test_zero_extactic_is_certified_without_a_grid():
     # z/y is a first integral of degree 1, so E = 0 is certified; the
     # modular engine's grid for this jet would exceed the memory guard

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -12,9 +13,10 @@ from extatica.corpus import (hamiltonian, pencil_field, planted_lines_field,
                              random_polynomial_matrix, slv,
                              slv1_invariant_conic)
 from extatica.extactic import (MAX_GRID_BYTES, DimensionGuardError,
-                               ExtacticNotZeroError, LinearSystem,
-                               VacuousQueryError, _batch_inverse,
-                               _grid_determinants, _grid_plan, _grid_values,
+                               ExtacticNotZeroError, ExtractionFailedError,
+                               LinearSystem, VacuousQueryError,
+                               _batch_inverse, _grid_determinants,
+                               _grid_plan, _grid_values,
                                _interpolation_matrix, _inverse_blocks,
                                _matmul_mod, det_fraction_free,
                                det_modular, divides_extactic, extactic,
@@ -531,25 +533,36 @@ def _cross_identity(field, a, b):
 
 
 def _probes_on(monkeypatch, lines):
-    """Put the decision's probe points, in turn, on the coordinate lines
-    `lines` (0 for x = 0, 1 for y = 0)."""
+    """Put the decision's first probe points, in turn, on the coordinate
+    lines `lines` (0 for x = 0, 1 for y = 0) and draw the rest freely.
+    Returns the list of the points drawn."""
     order = iter(lines)
+    drawn = []
 
     def on_line(rng, nvars, bound):
         point = [rng.randint(-bound, bound) for _ in range(nvars)]
-        point[next(order)] = 0
+        line = next(order, None)
+        if line is not None:
+            point[line] = 0
+        drawn.append(point)
         return point
 
     monkeypatch.setattr(EXT, "_probe_point", on_line)
+    return drawn
 
 
 def _spy(monkeypatch, name):
-    """Record the results of the module function `name`."""
+    """Record the results, or the exceptions raised, of the module function
+    `name`."""
     results = []
     original = getattr(EXT, name)
 
     def spy(*args):
-        results.append(original(*args))
+        try:
+            results.append(original(*args))
+        except Exception as exc:
+            results.append(exc)
+            raise
         return results[-1]
 
     monkeypatch.setattr(EXT, name, spy)
@@ -584,25 +597,54 @@ class TestVanishingDecision:
         decided = _spy(monkeypatch, "_certify_vanishing")
         _probes_on(monkeypatch, lines)
         assert extactic(field, system).extactic == expected
-        _probes_on(monkeypatch, lines)
-        with pytest.raises(ExtacticNotZeroError):
+        drawn = _probes_on(monkeypatch, lines)
+        with pytest.raises(ExtacticNotZeroError, match="full rank"):
             extract_first_integral(field, system)
-        assert decided == [None, None]  # both went on to a fallback
+        # both decisions went on to a fresh pair, whose first point is free
+        # of the line and shows full rank
+        assert len(drawn) == 4
+        assert [type(d) for d in decided] == [ExtacticNotZeroError] * 2
+        assert all("full rank" in str(d) for d in decided)
 
-    def test_proportional_kernel_vectors_reach_the_fallback(self,
-                                                            monkeypatch):
-        # x = 0 is a reducible fiber of h = xy: both probes find x alone
+    def test_proportional_first_pair_is_retried(self, monkeypatch):
+        # x = 0 is a reducible fiber of h = xy: both probes of the first
+        # pair find the same kernel, spanned by x, x^2 and xy
         field = hamiltonian(X * Y).field
-        system = monomial_system(2, 2, AFFINE)
+        k = 2
+        system = monomial_system(2, k, AFFINE)
         decided = _spy(monkeypatch, "_certify_vanishing")
-        fallback = _spy(monkeypatch, "_cramer_first_integral")
         _probes_on(monkeypatch, (0, 0, 0))
         assert extactic(field, system).identically_zero
-        _probes_on(monkeypatch, (0, 0, 0))
+        drawn = _probes_on(monkeypatch, (0, 0, 0))
         fi = extract_first_integral(field, system)
-        assert decided == [None, None] and fallback == [fi]
+        assert len(drawn) == 5  # the probe, the first pair and the retry
+        assert all(point[0] == 0 for point in drawn[:3])
+        assert decided == [fi, fi]  # the same seed, the same certificate
+        assert max(fi.numerator.degree(), fi.denominator.degree()) <= k
         assert not proportional(fi.numerator, fi.denominator)
         assert _cross_identity(field, fi.numerator, fi.denominator)
+
+    def test_a_later_free_column_certifies(self, monkeypatch):
+        # X = (1, z, 0) = grad z x grad(xz - y): the leaf through p is the
+        # line z = z0, y - z0 x = c0, so the first free column (y) gives
+        # y - z0 x - c0, which spans no pencil over two points; the column
+        # of z gives z - z0
+        z = RING_XYZ.variables()[2]
+        field = VectorField((RING_XYZ.one(), z, RING_XYZ.zero()), AFFINE)
+        drawn = _probes_on(monkeypatch, ())
+        for k in (1, 2):
+            drawn.clear()
+            fi = extract_first_integral(field, monomial_system(3, k, AFFINE))
+            assert (str(fi.numerator), str(fi.denominator)) == ("z", "1")
+            assert len(drawn) == 3
+
+    def test_every_pair_failing_raises_extraction_failed(self, monkeypatch):
+        field = hamiltonian(X * Y).field
+        system = monomial_system(2, 2, AFFINE)
+        drawn = _probes_on(monkeypatch, itertools.repeat(0))
+        with pytest.raises(ExtractionFailedError):
+            extract_first_integral(field, system)
+        assert len(drawn) == 1 + 2 * EXT._PAIRS
 
     def test_the_probe_skips_a_prime_dividing_a_denominator(self,
                                                            monkeypatch):
@@ -675,19 +717,51 @@ def test_decision_agrees_with_the_determinant(case):
             extract_first_integral(field, system)
 
 
-def test_known_first_integrals_never_reach_the_fallback(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the Cramer-minor fallback ran")
+def _small3(max_degree):
+    return polynomials(RING_XYZ, max_degree=max_degree, max_terms=4,
+                       coeff_bound=5)
 
-    monkeypatch.setattr(EXT, "_cramer_first_integral", refuse)
 
-    @given(st.one_of(hamiltonian_inputs(3), pencil_inputs(3)))
-    @settings(max_examples=60, deadline=None)
+@st.composite
+def gradient_cross_inputs(draw):
+    """(field, 2) for X = grad h1 x grad h2, 1 <= deg h1, deg h2 <= 2: h1
+    and h2 are first integrals."""
+    h1, h2 = draw(_small3(2)), draw(_small3(2))
+    assume(not (h1.is_constant() or h2.is_constant()))
+    g1 = [h1.partial_derivative(v) for v in range(3)]
+    g2 = [h2.partial_derivative(v) for v in range(3)]
+    comps = tuple(g1[(v + 1) % 3] * g2[(v + 2) % 3]
+                  - g1[(v + 2) % 3] * g2[(v + 1) % 3] for v in range(3))
+    assume(not all(c.is_zero() for c in comps))
+    return VectorField(comps, AFFINE), 2
+
+
+@st.composite
+def planar_lift_inputs(draw):
+    """(field, k) for X = (P, Q, 0), deg P, deg Q <= 2, at k = 1-2: z is a
+    first integral."""
+    p, q = draw(_small3(2)), draw(_small3(2))
+    assume(not (p.is_zero() and q.is_zero()))
+    return VectorField((p, q, RING_XYZ.zero()), AFFINE), draw(
+        st.integers(1, 2))
+
+
+def test_known_first_integrals_certify_on_the_first_pair(monkeypatch):
+    drawn = _probes_on(monkeypatch, ())
+
+    @given(st.one_of(hamiltonian_inputs(3), pencil_inputs(3),
+                     gradient_cross_inputs(), planar_lift_inputs()))
+    @settings(max_examples=100, deadline=None)
     def check(case):
         field, k = case
-        fi = extract_first_integral(field, monomial_system(2, k, AFFINE))
+        nv = field.ring.nvars
+        drawn.clear()
+        fi = extract_first_integral(field, monomial_system(nv, k, AFFINE))
+        assert len(drawn) == 3  # the probe and the first pair
         assert max(fi.numerator.degree(), fi.denominator.degree()) <= k
+        assert not proportional(fi.numerator, fi.denominator)
         assert _cross_identity(field, fi.numerator, fi.denominator)
+        event(f"{nv} variables")
 
     check()
 

@@ -95,14 +95,16 @@ class TestEvaluate:
 
 class TestDegreeInfo:
     def test_homogeneous(self):
-        assert (X3**2 * Y3 + Z3**3).degree_info() == (3, True)
+        f = X3**2 * Y3 + Z3**3
+        assert (f.degree(), f.is_homogeneous()) == (3, True)
 
     def test_inhomogeneous(self):
-        assert (X**2 + Y).degree_info() == (2, False)
+        f = X**2 + Y
+        assert (f.degree(), f.is_homogeneous()) == (2, False)
 
     def test_zero(self):
-        deg, homog = RING_XY.zero().degree_info()
-        assert deg == NEG_INF and homog
+        zero = RING_XY.zero()
+        assert zero.degree() == NEG_INF and zero.is_homogeneous()
 
 
 class TestHomogenize:
