@@ -390,7 +390,8 @@ def _cmd_first_integral(args) -> int:
         "rank": None,
     }
     try:
-        fi = extract_first_integral(field, system, max_dim=_max_dim())
+        fi = extract_first_integral(field, system, max_dim=_max_dim(),
+                                    engine=args.engine)
     except ExtacticNotZeroError:
         payload["status"] = "extactic-nonzero"
         return _emit(payload)

@@ -23,11 +23,12 @@ Two exact determinant engines are provided:
 Both return identical canonical polynomials.  A determinant is computed
 only when E is nonzero: `_certify_vanishing` first probes J modulo a prime,
 then certifies E = 0 by a first integral of degree <= k read off the left
-kernels of J at a pair of points, retried at a few fresh pairs.  It is the
-only source of first integrals: without a certified pair `extactic` computes
-the full determinant and `extract_first_integral` gives up.  Scalar linear
-algebra (the probes, the kernels, the consistency re-check at a single point
-modulo p) runs on `linalg`.
+kernels of J at a pair of points, retried at a few fresh pairs.  Without a
+certified pair (off the plane, E = 0 does not force an integral of degree
+<= k), `extactic` computes the full determinant and `extract_first_integral`
+falls back to a ratio of Cramer minors of J.  Scalar linear algebra (the
+probes, the kernels, the consistency re-check at a single point modulo p)
+runs on `linalg`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .foliation import (AFFINE, HOMOGENEOUS, VectorField, apply_derivation,
 from .linalg import det_mod, kernel, reduce_rational
 from .polyring import (PRIMES_2_31, BadPrimeError, ContextError,
                        PolyRing, Polynomial, monomials_of_degree,
-                       monomials_up_to_degree)
+                       monomials_up_to_degree, proportional)
 
 #: Complete monomial systems above this dimension are refused unless the
 #: caller overrides: the determinant degree grows quadratically in the
@@ -715,6 +716,12 @@ def _engine_for(engine: str, m: int) -> str:
     return engine
 
 
+def _det(matrix, engine: str, jobs: int = 1) -> Polynomial:
+    if _engine_for(engine, len(matrix)) == "fraction-free":
+        return det_fraction_free(matrix)
+    return det_modular(matrix, jobs=jobs)
+
+
 def _check_dimension(m: int, max_dim: Optional[int]) -> None:
     limit = DEFAULT_MAX_DIMENSION if max_dim is None else max_dim
     if m > limit:
@@ -780,12 +787,8 @@ def extactic(field: VectorField, system: LinearSystem, engine: str = "auto",
         certified = _certify_vanishing(jet, Random(0)) is not None
     except ExtacticNotZeroError:
         certified = False
-    if certified:
-        det = system.ring.zero()
-    elif used == "fraction-free":
-        det = det_fraction_free(jet.entries)
-    else:
-        det = det_modular(jet.entries, jobs=jobs)
+    det = system.ring.zero() if certified else _det(jet.entries, used,
+                                                    jobs=jobs)
     d = foliation_degree(field).degree
     bound = extactic_degree_bound(m, system.degree, d)
     return ExtacticReport(
@@ -825,10 +828,10 @@ class FirstIntegral:
     """A verified rational first integral numerator/denominator pair.
 
     The certificate identity X(A)*B - A*X(B) = 0 holds exactly and A/B is
-    non-constant.  A and B are elements of the linear system (degree <= k),
-    the reduced row echelon form of two left kernel vectors of the jet
-    matrix.  `rank` is the rank of the jet matrix seen at the pair of probe
-    points that certified.
+    non-constant.  From the kernel certificate, A and B are elements of the
+    linear system (degree <= k) in reduced row echelon form; from the
+    fallback they are signed minors of the jet matrix.  `rank` is the rank
+    of the jet matrix seen at the probe points.
     """
 
     numerator: Polynomial
@@ -850,20 +853,23 @@ def _certify_vanishing(jet: JetMatrix, rng: Random) -> Optional[FirstIntegral]:
 
     A nonzero det J(p) modulo a prime at a random point p proves E != 0 and
     raises ExtacticNotZeroError.  Otherwise the left kernel of J over Q is
-    taken at a pair of integer points; a point where J has full rank proves
-    E != 0 as well and raises the same.  The kernel vector of a free column is
-    an element F = sum c_i s_i of the system whose jets vanish at the point,
-    so F vanishes along the leaf; for the first free column it lies on the
-    shortest basis prefix that has one.  Column by column, the reduced row
-    echelon form of the two points' vectors gives a denominator D (first
-    row) and numerator N (second), which for a pencil of first integrals do
-    not depend on the points.  If they are not proportional and
-    X(N)*D = N*X(D), then h = N/D is a first integral and coeffs(N) -
-    h*coeffs(D) is a nonzero vector annihilating every column X^j(s) over
-    the field of first integrals, so E = 0.
+    taken at a pair of integer points (a full-rank point raises the same).
+    The kernel vector of a free column is an element F = sum c_i s_i of the
+    system whose jets vanish at the point, so F vanishes along the leaf; for
+    the first free column it lies on the shortest basis prefix that has one.
+    Taking the points' kernel basis vectors in turn (the first with the
+    first, and so on: those of one free column when the two points have the
+    same rank, as generic points do), the reduced row echelon form of the
+    two vectors gives a denominator D (first row) and numerator N (second).
+    If they are not proportional and X(N)*D = N*X(D), then h = N/D is a
+    first integral and coeffs(N) - h*coeffs(D) is a nonzero vector
+    annihilating every column X^j(s) over the field of first integrals, so
+    E = 0.
 
-    A pair that certifies nothing (a point on a special leaf) is replaced
-    by a fresh one, up to `_PAIRS` pairs; then None is returned.
+    A pair that certifies nothing (a point on a special leaf, or kernel
+    vectors that span no pencil of first integrals) is replaced by a fresh
+    one, up to `_PAIRS` pairs; then None is returned and the caller falls
+    back to a full determinant or to Cramer minors.
     """
     rows = jet.entries
     m = len(rows)
@@ -906,19 +912,99 @@ def _certify_vanishing(jet: JetMatrix, rng: Random) -> Optional[FirstIntegral]:
 
 
 def extract_first_integral(field: VectorField, system: LinearSystem,
-                           seed: int = 0,
-                           max_dim: Optional[int] = None) -> FirstIntegral:
-    """A verified rational first integral of degree <= k, when E vanishes.
+                           seed: int = 0, max_dim: Optional[int] = None,
+                           engine: str = "auto") -> FirstIntegral:
+    """A verified rational first integral, when the extactic vanishes.
 
-    The kernel certificate of `_certify_vanishing`, with probe points drawn
-    from `seed`, decides: it raises ExtacticNotZeroError when a probe proves
-    E != 0, and ExtractionFailedError follows when no pair of probe points
-    certifies a first integral.
+    The kernel certificate of `_certify_vanishing` decides first: it raises
+    ExtacticNotZeroError when a probe proves E != 0, and otherwise returns a
+    pair of degree <= k when some pair of probe points certifies one.  Only
+    when none does is the Cramer-minor fallback run (`engine` computes its
+    minors).  Probe points are drawn from `seed`.
     """
     _check_dimension(system.dimension, max_dim)
-    fi = _certify_vanishing(jet_matrix(field, system), Random(seed))
-    if fi is None:
+    jet = jet_matrix(field, system)
+    rng = Random(seed)
+    fi = _certify_vanishing(jet, rng)
+    return fi if fi is not None else _cramer_first_integral(jet, rng, engine)
+
+
+def _minor(rows, row_idx, col_idx):
+    return [[rows[i][j] for j in col_idx] for i in row_idx]
+
+
+def _cramer_first_integral(jet: JetMatrix, rng: Random,
+                           engine: str) -> FirstIntegral:
+    """The fallback: a first integral as a ratio of two signed minors.
+
+    The generic rank r < m and a good row subset are found by evaluating the
+    jet matrix at random integer points (a nonzero evaluation of a minor
+    proves it nonzero; rank guesses are only ever used through the exact
+    verification below).  The dependency of one extra row on the pivot rows
+    is solved by Cramer's rule, giving two signed r x r minors A, B; the
+    certificate X(A)*B - A*X(B) = 0 is checked exactly before returning.
+    """
+    field = jet.field
+    rows = [list(r) for r in jet.entries]
+    m = len(rows)
+    nv = field.ring.nvars
+
+    attempts = []
+    for _ in range(8):
+        point = _probe_point(rng, nv, _PROBE_RANGE)
+        mat = _eval_matrix(rows, point)
+        _, found, _ = reduce_rational(mat)
+        if len(found) == m:
+            raise ExtacticNotZeroError(
+                "the extactic polynomial is not identically zero "
+                f"(full rank at {tuple(point)})")
+        attempts.append((found, point, mat))
+    r = max(len(found) for found, _, _ in attempts)
+    if r == 0:
+        raise ExtractionFailedError("jet matrix vanishes at all probe points")
+    cols = list(range(r))
+    # the point witnessing global rank r may still be deficient on the
+    # leading columns; take the first probe exhibiting full leading rank
+    # (the pivots in columns < r are those of the leading columns alone)
+    for found, point, mat in attempts:
+        pivots = sorted(i for i, j in found if j < r)
+        if len(pivots) == r:
+            break
+    else:
         raise ExtractionFailedError(
-            f"no first integral of degree <= {system.degree} passed the "
-            f"cross identity at {_PAIRS} pairs of probe points")
-    return fi
+            "no probe point exhibits the generic rank on the leading columns")
+    others = [i for i in range(m) if i not in pivots]
+
+    # B != 0 is certain: its evaluation at the probe point is nonzero.
+    denom = _det(_minor(rows, pivots, cols), engine)
+    denom_at = denom.evaluate(point)
+    if denom_at == 0 or denom.is_zero():
+        raise ExtractionFailedError("pivot minor vanished unexpectedly")
+
+    mat2 = None
+    for _ in range(16):
+        candidate = _probe_point(rng, nv, _PROBE_RANGE)
+        den2 = denom.evaluate(candidate)
+        if den2 != 0:
+            mat2 = _eval_matrix(rows, candidate)
+            break
+    for i0 in others:
+        for k in range(r):
+            row_idx = pivots.copy()
+            row_idx[k] = i0
+            # evaluate the replaced minor numerically first: a ratio that
+            # differs between two points is certainly non-constant
+            if mat2 is not None:
+                val1 = reduce_rational(_minor(mat, row_idx, cols))[2]
+                val2 = reduce_rational(_minor(mat2, row_idx, cols))[2]
+                if val1 * den2 == val2 * denom_at:
+                    continue  # looks constant; try another replacement
+            numer = _det(_minor(rows, row_idx, cols), engine)
+            if numer.is_zero() or proportional(numer, denom):
+                continue
+            lhs = apply_derivation(field, numer) * denom
+            rhs = numer * apply_derivation(field, denom)
+            if lhs == rhs:
+                return FirstIntegral(numer, denom, r)
+    raise ExtractionFailedError(
+        "no non-constant dependency ratio passed exact verification")

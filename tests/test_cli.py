@@ -68,9 +68,10 @@ def test_first_integral_computes_no_determinant(name, monkeypatch):
     (["--field-corpus", "planted:2,2,1", "--k", "1"], "extactic-nonzero"),
 ], ids=["fiber-of-xy", "planted-line"])
 def test_first_integral_after_failed_extraction(argv, status, monkeypatch):
-    # every probe on x = 0: a reducible fiber of h = xy, where no pair of
-    # points certifies although E = 0, and an invariant line of a planted
-    # field, where J is singular although E != 0; the determinant decides
+    # every probe on x = 0: a reducible fiber of h = xy, where neither a
+    # pair of points nor the Cramer fallback certifies although E = 0, and
+    # an invariant line of a planted field, where J is singular although
+    # E != 0; the determinant decides
     ext = sys.modules["extatica.extactic"]
 
     def on_line(rng, nvars, bound):
@@ -84,6 +85,19 @@ def test_first_integral_after_failed_extraction(argv, status, monkeypatch):
     assert json.loads(lines[0]) == {
         "command": "first-integral", "status": status, "numerator": None,
         "denominator": None, "rank": None}
+
+
+def test_first_integral_of_degree_above_k():
+    # E = 0 at k = 1, but the leaves are lines of an elliptic congruence and
+    # no pencil of planes over Q holds them: only the minors find the
+    # integral, of degree 2
+    code, out, err = run_cli([
+        "first-integral", "--vars", "x,y,z", "--field",
+        "1 + x^2, z + x*y, x*z - y", "--mode", "affine", "--k", "1"])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "command": "first-integral", "status": "found",
+        "numerator": "-x*z + y", "denominator": "x^2 + 1", "rank": 2}
 
 
 def test_zero_extactic_is_certified_without_a_grid():

@@ -638,13 +638,39 @@ class TestVanishingDecision:
             assert (str(fi.numerator), str(fi.denominator)) == ("z", "1")
             assert len(drawn) == 3
 
-    def test_every_pair_failing_raises_extraction_failed(self, monkeypatch):
+    def test_no_integral_of_degree_k_reaches_the_fallback(self,
+                                                          monkeypatch):
+        # the leaves of X = (1 + x^2, z + xy, xz - y) are the lines meeting
+        # the complex conjugate lines x = -+i, y = -+iz: every leaf lies in
+        # a pencil of planes, so E = 0 at k = 1, but no rational pencil of
+        # planes contains them all; the integrals over Q have degree 2
+        x, y, z = RING_XYZ.variables()
+        field = VectorField((RING_XYZ.one() + x * x, z + x * y, x * z - y),
+                            AFFINE)
+        system = monomial_system(3, 1, AFFINE)
+        decided = _spy(monkeypatch, "_certify_vanishing")
+        fallback = _spy(monkeypatch, "_cramer_first_integral")
+        assert extactic(field, system).identically_zero
+        fi = extract_first_integral(field, system)
+        assert decided == [None, None] and fallback == [fi]
+        assert (str(fi.numerator), str(fi.denominator)) == (
+            "-x*z + y", "x^2 + 1")
+        assert fi.rank == 2
+        assert not proportional(fi.numerator, fi.denominator)
+        assert _cross_identity(field, fi.numerator, fi.denominator)
+
+    def test_every_pair_and_the_fallback_failing_raise(self, monkeypatch):
+        # on x = 0, a reducible fiber of h = xy, no pair certifies and the
+        # minors at the rank seen there give no first integral either
         field = hamiltonian(X * Y).field
         system = monomial_system(2, 2, AFFINE)
+        decided = _spy(monkeypatch, "_certify_vanishing")
         drawn = _probes_on(monkeypatch, itertools.repeat(0))
         with pytest.raises(ExtractionFailedError):
             extract_first_integral(field, system)
-        assert len(drawn) == 1 + 2 * EXT._PAIRS
+        assert decided == [None]
+        # the probe and every pair, then the fallback's own points
+        assert len(drawn) > 1 + 2 * EXT._PAIRS
 
     def test_the_probe_skips_a_prime_dividing_a_denominator(self,
                                                            monkeypatch):
@@ -746,7 +772,7 @@ def planar_lift_inputs(draw):
         st.integers(1, 2))
 
 
-def test_known_first_integrals_certify_on_the_first_pair(monkeypatch):
+def test_known_first_integrals_never_reach_the_fallback(monkeypatch):
     drawn = _probes_on(monkeypatch, ())
 
     @given(st.one_of(hamiltonian_inputs(3), pencil_inputs(3),
@@ -757,7 +783,8 @@ def test_known_first_integrals_certify_on_the_first_pair(monkeypatch):
         nv = field.ring.nvars
         drawn.clear()
         fi = extract_first_integral(field, monomial_system(nv, k, AFFINE))
-        assert len(drawn) == 3  # the probe and the first pair
+        # the probe and the first pair: no retry, no fallback
+        assert len(drawn) == 3
         assert max(fi.numerator.degree(), fi.denominator.degree()) <= k
         assert not proportional(fi.numerator, fi.denominator)
         assert _cross_identity(field, fi.numerator, fi.denominator)
