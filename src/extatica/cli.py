@@ -10,8 +10,9 @@ list)::
 
 Division is only allowed by an unsigned integer literal, so `y/2` is sugar
 for `1/2*y` and `1/2` is an ordinary rational literal; `x/(y)` is a syntax
-error.  A product or power whose total degree would exceed MAX_DEGREE is a
-parse error.  Vector fields are comma-separated component expressions.
+error.  A product or power whose total degree would exceed MAX_DEGREE, or
+whose term count may exceed MAX_TERMS, is a parse error.  Vector fields are
+comma-separated component expressions.
 
 Every command writes exactly one JSON object to stdout and exits 0 once an
 answer is produced (whatever the verdict); input and parse errors exit 2,
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -46,6 +48,11 @@ from .polyring import BadPrimeError, ContextError, PolyRing, Polynomial
 
 #: Largest total degree a parsed product or power may reach.
 MAX_DEGREE = 64
+
+#: Largest term-count bound a parsed product or power may reach.  The
+#: degree cap alone does not bound the work with 4 or more variables:
+#: (a+b+c+d+1)^32 has 58,905 terms.  (x+y+1)^64 has 2,145.
+MAX_TERMS = 10_000
 
 
 class ParseError(ValueError):
@@ -127,6 +134,15 @@ def _check_degree(degree: int, tok: _Token) -> None:
             tok.line, tok.column)
 
 
+def _check_terms(what: str, bound: int, tok: _Token) -> None:
+    """Refuse a product or power whose term-count bound is too large before
+    it is formed."""
+    if bound > MAX_TERMS:
+        raise ParseError(
+            f"{what} may have {bound} terms, above the cap of {MAX_TERMS}",
+            tok.line, tok.column)
+
+
 class _Parser:
     def __init__(self, text: str, ring: PolyRing):
         self.tokens = _tokenize(text)
@@ -149,6 +165,10 @@ class _Parser:
                 tok.line, tok.column)
         return self.advance()
 
+    def dense_terms(self, degree: int) -> int:
+        """The number of monomials of total degree <= `degree`."""
+        return math.comb(self.ring.nvars + degree, degree)
+
     def parse_expression(self) -> Polynomial:
         sign = 1
         if self.peek().kind in ("+", "-"):
@@ -170,7 +190,12 @@ class _Parser:
             if tok.kind == "*":
                 self.advance()
                 rhs = self.parse_factor()
-                _check_degree(_degree(value) + _degree(rhs), tok)
+                degree = _degree(value) + _degree(rhs)
+                _check_degree(degree, tok)
+                a, b = len(value.terms), len(rhs.terms)
+                _check_terms(f"a product of {a} and {b} terms of degree "
+                             f"{degree}",
+                             min(a * b, self.dense_terms(degree)), tok)
                 value = value * rhs
             elif tok.kind == "/":
                 self.advance()
@@ -193,7 +218,13 @@ class _Parser:
             self.advance()
             num = self.expect("number")
             n = int(num.text)
-            _check_degree(_degree(value) * n, num)
+            degree = _degree(value) * n
+            _check_degree(degree, num)
+            # A^n has at most one term per multiset of n terms of A
+            a = len(value.terms)
+            products = math.comb(a + n - 1, n) if a else 1
+            _check_terms(f"the power {n} of {a} terms, of degree {degree},",
+                         min(products, self.dense_terms(degree)), num)
             value = value ** n
         return value
 

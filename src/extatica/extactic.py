@@ -26,9 +26,12 @@ then certifies E = 0 by a first integral of degree <= k read off the left
 kernels of J at a pair of points, retried at a few fresh pairs.  Without a
 certified pair (off the plane, E = 0 does not force an integral of degree
 <= k), `extactic` computes the full determinant and `extract_first_integral`
-falls back to a ratio of Cramer minors of J.  Scalar linear algebra (the
-probes, the kernels, the consistency re-check at a single point modulo p)
-runs on `linalg`.
+falls back to a ratio of Cramer minors of J.  Every probe needs J only at a
+point: `_point_jet` evaluates it there, exact or modulo p, by Taylor-mode
+recurrences along the flow, and the symbolic jet matrix (`jet_matrix`) is
+built only for a determinant or for the fallback's minors.  Scalar linear
+algebra (the probes, the kernels, the consistency re-check at a single point
+modulo p) runs on `linalg`.
 """
 
 from __future__ import annotations
@@ -169,19 +172,88 @@ class JetMatrix:
     system: LinearSystem
 
 
-def jet_matrix(field: VectorField, system: LinearSystem) -> JetMatrix:
-    """Columns built by iterated derivation: column j+1 applies X to column j."""
+def _check_pair(field: VectorField, system: LinearSystem) -> None:
+    """Refuse a field and a system that cannot form a jet matrix."""
     if system.ring != field.ring:
         raise ContextError("system and field rings differ")
     if field.mode == HOMOGENEOUS and system.descriptor != HOMOGENEOUS:
         raise ContextError(
             "a homogeneous field needs a homogeneous linear system")
+
+
+def jet_matrix(field: VectorField, system: LinearSystem) -> JetMatrix:
+    """Columns built by iterated derivation: column j+1 applies X to column j."""
+    _check_pair(field, system)
     m = system.dimension
     columns = [list(system.basis)]
     for _ in range(m - 1):
         columns.append([apply_derivation(field, f) for f in columns[-1]])
     rows = tuple(tuple(columns[j][i] for j in range(m)) for i in range(m))
     return JetMatrix(rows, field, system)
+
+
+def _point_jet(field: VectorField, system: LinearSystem, point,
+               p: Optional[int] = None) -> list:
+    """The jet matrix at a point, [[(X^j s_i)(point)]], exact or modulo p.
+
+    Taylor mode along the flow, with no symbolic polynomial: the values
+    f_j = (X^j f)(point) of a product obey Leibniz's rule, (fg)_j =
+    sum_i C(j, i) f_i g_(j-i), and those of a variable follow its
+    component, (x_v)_(j+1) = (P_v)_j.  The monomials of the field and of
+    the basis, closed under dropping one variable (the last present), get
+    their values column by column, each by one binomial convolution of its
+    parent's values with the dropped variable's; a point costs
+    O(#monomials * m^2) scalar operations.  Exact values are Python ints
+    where the coefficients are integral and Fractions otherwise.  Modulo p
+    the point is an integer point and every coefficient n/d is reduced
+    once to n * d^-1; a p dividing some d raises BadPrimeError.
+    """
+    m = system.dimension
+    nv = field.ring.nvars
+    if p is None:
+        def scalar(c):
+            return c.numerator if c.denominator == 1 else c
+    else:
+        def scalar(c):
+            if c.denominator % p == 0:
+                raise BadPrimeError(
+                    f"denominator {c.denominator} vanishes mod {p}")
+            return c.numerator * pow(c.denominator, -1, p) % p
+        point = [x % p for x in point]
+    terms = [[(e, scalar(c)) for e, c in f.terms.items()]
+             for f in field.components + system.basis]
+    parents = {}  # monomial of degree >= 2 -> (parent, dropped variable)
+    todo = [e for t in terms for e, _ in t]
+    while todo:
+        e = todo.pop()
+        if e in parents or sum(e) < 2:
+            continue
+        v = max(i for i, k in enumerate(e) if k)
+        parents[e] = (e[:v] + (e[v] - 1,) + e[v + 1:], v)
+        todo.append(parents[e][0])
+    order = sorted(parents, key=sum)  # parents before their children
+    xs = [[x] for x in point]  # x_v's column j + 1 is P_v's column j
+    values = {(0,) * nv: [1] + [0] * (m - 1)}
+    for v in range(nv):
+        values[tuple(int(i == v) for i in range(nv))] = xs[v]
+    for e in order:
+        values[e] = []
+
+    def combine(t, j):
+        total = sum(c * values[e][j] for e, c in t)
+        return total if p is None else total % p
+
+    for j in range(m):
+        binom = [math.comb(j, i) for i in range(j + 1)]
+        for e in order:
+            parent, v = parents[e]
+            total = sum(c * a * b for c, a, b in zip(
+                binom, values[parent], xs[v][::-1]))
+            values[e].append(total if p is None else total % p)
+        if j + 1 < m:
+            for v in range(nv):
+                xs[v].append(combine(terms[v], j))
+    return [[combine(t, j) for j in range(m)] for t in terms[nv:]]
 
 
 # ---------------------------------------------------------------------------
@@ -782,13 +854,13 @@ def extactic(field: VectorField, system: LinearSystem, engine: str = "auto",
     m = system.dimension
     _check_dimension(m, max_dim)
     used = _engine_for(engine, m)
-    jet = jet_matrix(field, system)
+    _check_pair(field, system)
     try:
-        certified = _certify_vanishing(jet, Random(0)) is not None
+        certified = _certify_vanishing(field, system, Random(0)) is not None
     except ExtacticNotZeroError:
         certified = False
-    det = system.ring.zero() if certified else _det(jet.entries, used,
-                                                    jobs=jobs)
+    det = system.ring.zero() if certified else _det(
+        jet_matrix(field, system).entries, used, jobs=jobs)
     d = foliation_degree(field).degree
     bound = extactic_degree_bound(m, system.degree, d)
     return ExtacticReport(
@@ -844,16 +916,15 @@ def _probe_point(rng: Random, nvars: int, bound: int) -> list:
     return [rng.randint(-bound, bound) for _ in range(nvars)]
 
 
-def _eval_matrix(rows, point):
-    return [[e.evaluate(point) for e in r] for r in rows]
-
-
-def _certify_vanishing(jet: JetMatrix, rng: Random) -> Optional[FirstIntegral]:
+def _certify_vanishing(field: VectorField, system: LinearSystem,
+                       rng: Random) -> Optional[FirstIntegral]:
     """Decide E = 0 by a probe, then certify it by a first integral.
 
-    A nonzero det J(p) modulo a prime at a random point p proves E != 0 and
-    raises ExtacticNotZeroError.  Otherwise the left kernel of J over Q is
-    taken at a pair of integer points (a full-rank point raises the same).
+    J is only ever evaluated at points, by `_point_jet`; the symbolic jet
+    matrix is not built.  A nonzero det J(p) modulo a prime at a random
+    point p proves E != 0 and raises ExtacticNotZeroError.  Otherwise the
+    left kernel of J over Q is taken at a pair of integer points (a
+    full-rank point raises the same).
     The kernel vector of a free column is an element F = sum c_i s_i of the
     system whose jets vanish at the point, so F vanishes along the leaf; for
     the first free column it lies on the shortest basis prefix that has one.
@@ -866,23 +937,27 @@ def _certify_vanishing(jet: JetMatrix, rng: Random) -> Optional[FirstIntegral]:
     annihilating every column X^j(s) over the field of first integrals, so
     E = 0.
 
+    The prime is the first table prime dividing no coefficient denominator
+    of the field or of the basis.  Every denominator of an entry of J
+    divides a product of those, so the prime divides none; it can differ
+    from the first prime dividing no entry's denominator only when
+    cancellation removes p from every entry.
+
     A pair that certifies nothing (a point on a special leaf, or kernel
     vectors that span no pencil of first integrals) is replaced by a fresh
     one, up to `_PAIRS` pairs; then None is returned and the caller falls
     back to a full determinant or to Cramer minors.
     """
-    rows = jet.entries
-    m = len(rows)
-    field, system = jet.field, jet.system
+    m = system.dimension
     nv = field.ring.nvars
-    denominators = {c.denominator for r in rows for e in r
-                    for c in e.terms.values()}
+    denominators = {c.denominator for f in field.components + system.basis
+                    for c in f.terms.values()}
     prime = next((p for p in PRIMES_2_31
                   if all(d % p for d in denominators)), None)
     if prime is None:
         raise BadPrimeError("every table prime divides a denominator")
     point = _probe_point(rng, nv, prime - 1)
-    if _det_mod_at(rows, point, prime):
+    if det_mod(_point_jet(field, system, point, prime), prime):
         raise ExtacticNotZeroError(
             "the extactic polynomial is not identically zero "
             f"(nonzero modulo {prime} at {tuple(point)})")
@@ -890,7 +965,8 @@ def _certify_vanishing(jet: JetMatrix, rng: Random) -> Optional[FirstIntegral]:
         kernels = []
         for _ in range(2):
             point = _probe_point(rng, nv, _PROBE_RANGE)
-            left_kernel = kernel(list(zip(*_eval_matrix(rows, point))), m)
+            left_kernel = kernel(
+                list(zip(*_point_jet(field, system, point))), m)
             if not left_kernel:
                 raise ExtacticNotZeroError(
                     "the extactic polynomial is not identically zero "
@@ -923,36 +999,36 @@ def extract_first_integral(field: VectorField, system: LinearSystem,
     minors).  Probe points are drawn from `seed`.
     """
     _check_dimension(system.dimension, max_dim)
-    jet = jet_matrix(field, system)
+    _check_pair(field, system)
     rng = Random(seed)
-    fi = _certify_vanishing(jet, rng)
-    return fi if fi is not None else _cramer_first_integral(jet, rng, engine)
+    fi = _certify_vanishing(field, system, rng)
+    return fi if fi is not None else _cramer_first_integral(field, system,
+                                                            rng, engine)
 
 
 def _minor(rows, row_idx, col_idx):
     return [[rows[i][j] for j in col_idx] for i in row_idx]
 
 
-def _cramer_first_integral(jet: JetMatrix, rng: Random,
-                           engine: str) -> FirstIntegral:
+def _cramer_first_integral(field: VectorField, system: LinearSystem,
+                           rng: Random, engine: str) -> FirstIntegral:
     """The fallback: a first integral as a ratio of two signed minors.
 
     The generic rank r < m and a good row subset are found by evaluating the
-    jet matrix at random integer points (a nonzero evaluation of a minor
+    jet matrix at random integer points with `_point_jet`; the symbolic jet
+    matrix is built once they are found (a nonzero evaluation of a minor
     proves it nonzero; rank guesses are only ever used through the exact
     verification below).  The dependency of one extra row on the pivot rows
     is solved by Cramer's rule, giving two signed r x r minors A, B; the
     certificate X(A)*B - A*X(B) = 0 is checked exactly before returning.
     """
-    field = jet.field
-    rows = [list(r) for r in jet.entries]
-    m = len(rows)
+    m = system.dimension
     nv = field.ring.nvars
 
     attempts = []
     for _ in range(8):
         point = _probe_point(rng, nv, _PROBE_RANGE)
-        mat = _eval_matrix(rows, point)
+        mat = _point_jet(field, system, point)
         _, found, _ = reduce_rational(mat)
         if len(found) == m:
             raise ExtacticNotZeroError(
@@ -974,6 +1050,7 @@ def _cramer_first_integral(jet: JetMatrix, rng: Random,
         raise ExtractionFailedError(
             "no probe point exhibits the generic rank on the leading columns")
     others = [i for i in range(m) if i not in pivots]
+    rows = jet_matrix(field, system).entries
 
     # B != 0 is certain: its evaluation at the probe point is nonzero.
     denom = _det(_minor(rows, pivots, cols), engine)
@@ -986,7 +1063,7 @@ def _cramer_first_integral(jet: JetMatrix, rng: Random,
         candidate = _probe_point(rng, nv, _PROBE_RANGE)
         den2 = denom.evaluate(candidate)
         if den2 != 0:
-            mat2 = _eval_matrix(rows, candidate)
+            mat2 = _point_jet(field, system, candidate)
             break
     for i0 in others:
         for k in range(r):

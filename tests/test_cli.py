@@ -5,12 +5,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import extatica
-from extatica.cli import MAX_DEGREE, ParseError, main, parse_polynomial, \
-    parse_vector_field
+from extatica.cli import MAX_DEGREE, MAX_TERMS, ParseError, main, \
+    parse_polynomial, parse_vector_field
 from extatica.corpus import random_polynomial
 from extatica.polyring import PolyRing
 
@@ -24,6 +25,18 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_process(argv):
+    """`python -m extatica argv` in a child process, so that a traceback
+    would show on stderr."""
+    src = str(pathlib.Path(extatica.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "extatica", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
 
 
 @pytest.mark.parametrize("name,argv", GOLDEN_CASES,
@@ -167,6 +180,30 @@ class TestParser:
         ring = PolyRing(("x", "y"))
         p = parse_polynomial(f"(x+y+1)^{MAX_DEGREE}", ring)
         assert p.degree() == MAX_DEGREE
+        assert len(p.terms) == 2145
+
+    @pytest.mark.parametrize("text,numbers", [
+        ("(a+b+c+d+1)^32", "the power 32 of 5 terms, of degree 32, may "
+                           "have 58905 terms"),
+        ("(a+b+c+d+1)^12*(a+b+c+d+1)^12", "a product of 1820 and 1820 "
+                                          "terms of degree 24 may have "
+                                          "20475 terms"),
+    ])
+    def test_term_cap(self, text, numbers):
+        # inside the degree cap, but refused before the expansion, because
+        # the bound min(|A|*|B|, C(n + deg, n)) exceeds the cap
+        ring = PolyRing(("a", "b", "c", "d"))
+        start = time.perf_counter()
+        with pytest.raises(ParseError,
+                           match=f"{numbers}, above the cap of {MAX_TERMS}"):
+            parse_polynomial(text, ring)
+        assert time.perf_counter() - start < 1.0
+
+    def test_monomial_powers_are_not_refused(self):
+        # C(3 + 60, 3) = 39,711 > MAX_TERMS, but z^60 has one term
+        ring = PolyRing(("x", "y", "z"))
+        assert str(parse_polynomial("z^60 + x^30*y^30", ring)) == \
+            "x^30*y^30 + z^60"
 
 
 def test_round_trip_500_random():
@@ -232,18 +269,19 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "degree" in json.loads(err)["error"]
 
+    def test_term_cap_is_2(self):
+        proc = run_process(["parse", "--vars", "a,b,c,d", "(a+b+c+d+1)^32"])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "58905 terms" in json.loads(
+            lines[0])["error"]
+
     def test_prime_table_exhaustion_is_4(self):
         # m = 21 is inside the dimension guard, but the height bound needs
-        # more bits than the prime table covers; run as a process so that a
-        # traceback would show on stderr
-        src = str(pathlib.Path(extatica.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ,
-                   PYTHONPATH=src + (os.pathsep + path if path else ""))
-        proc = subprocess.run(
-            [sys.executable, "-m", "extatica", "extactic", "--field-corpus",
-             "random:2,2,7", "--k", "5"],
-            capture_output=True, text=True, env=env, timeout=300)
+        # more bits than the prime table covers
+        proc = run_process(["extactic", "--field-corpus", "random:2,2,7",
+                            "--k", "5"])
         assert proc.returncode == 4 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
@@ -254,15 +292,9 @@ class TestExitCodes:
         # value tensor would need about 628 GiB; refused before any prime.
         # The field has no first integral of degree <= 2, so the probe
         # finds E != 0 and the determinant is attempted.
-        src = str(pathlib.Path(extatica.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ,
-                   PYTHONPATH=src + (os.pathsep + path if path else ""))
-        proc = subprocess.run(
-            [sys.executable, "-m", "extatica", "extactic", "--vars", "x,y,z",
-             "--field", "x^21*y^21*z^21, y + x, z", "--mode", "affine",
-             "--k", "2", "--engine", "modular"],
-            capture_output=True, text=True, env=env, timeout=300)
+        proc = run_process(["extactic", "--vars", "x,y,z", "--field",
+                            "x^21*y^21*z^21, y + x, z", "--mode", "affine",
+                            "--k", "2", "--engine", "modular"])
         assert proc.returncode == 4 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()

@@ -18,15 +18,16 @@ from extatica.extactic import (MAX_GRID_BYTES, DimensionGuardError,
                                _batch_inverse, _grid_determinants,
                                _grid_plan, _grid_values,
                                _interpolation_matrix, _inverse_blocks,
-                               _matmul_mod, det_fraction_free,
+                               _matmul_mod, _point_jet, det_fraction_free,
                                det_modular, divides_extactic, extactic,
                                extactic_degree_bound, extract_first_integral,
                                jet_matrix, monomial_system)
 from extatica.foliation import (AFFINE, HOMOGENEOUS, VectorField,
                                 apply_derivation, radial_field)
 from extatica.linalg import det_mod
-from extatica.polyring import (PRIMES_2_31, PolyRing,
-                               monomials_up_to_degree, proportional)
+from extatica.polyring import (PRIMES_2_31, ContextError, PolyRing,
+                               monomials_of_degree, monomials_up_to_degree,
+                               proportional)
 from conftest import RING_XY, RING_XYZ, polynomials
 
 X, Y = RING_XY.variables()
@@ -90,6 +91,61 @@ class TestJetMatrix:
                 if not entry.is_zero():
                     assert entry.is_homogeneous()
                     assert entry.degree() == 2 + j * (2 - 1)
+
+    @pytest.mark.parametrize("build", [jet_matrix, extactic,
+                                       extract_first_integral])
+    def test_incompatible_pairs_are_refused(self, build):
+        other_ring = monomial_system(2, 1, AFFINE, names=("u", "v"))
+        with pytest.raises(ContextError, match="rings differ"):
+            build(weighted_field(), other_ring)
+        homogeneous = VectorField((X, Y.scale(2)), HOMOGENEOUS)
+        with pytest.raises(ContextError, match="homogeneous linear system"):
+            build(homogeneous, monomial_system(2, 1, AFFINE))
+
+
+def _rational_polynomials(ring, exps, min_size=0):
+    coeff = st.fractions(min_value=-9, max_value=9,
+                         max_denominator=6).filter(bool)
+    return st.dictionaries(st.sampled_from(exps), coeff, min_size=min_size,
+                           max_size=3).map(ring.from_terms)
+
+
+@st.composite
+def point_jet_inputs(draw):
+    """(field, system, integer point): 1-3 variables, affine or homogeneous,
+    rational components (some zero) of degree <= 2, and a basis of 1-10
+    random polynomials of degree <= k (== k when homogeneous)."""
+    nv = draw(st.integers(1, 3))
+    ring = PolyRing(("x", "y", "z")[:nv])
+    mode = draw(st.sampled_from((AFFINE, HOMOGENEOUS)))
+    k = draw(st.integers(1, 2))
+    if mode == HOMOGENEOUS:
+        d = draw(st.integers(0, 2))
+        comp_exps = list(monomials_of_degree(nv, d))
+        basis_exps = list(monomials_of_degree(nv, k))
+    else:
+        comp_exps = list(monomials_up_to_degree(nv, 2))
+        basis_exps = list(monomials_up_to_degree(nv, k))
+    comps = draw(st.lists(_rational_polynomials(ring, comp_exps),
+                          min_size=nv, max_size=nv))
+    m = draw(st.integers(1, 10))
+    basis = draw(st.lists(_rational_polynomials(ring, basis_exps, 1),
+                          min_size=m, max_size=m))
+    point = draw(st.lists(st.integers(-20, 20), min_size=nv, max_size=nv))
+    return (VectorField(tuple(comps), mode),
+            LinearSystem(tuple(basis), k, mode), point)
+
+
+@given(point_jet_inputs(), st.sampled_from(PRIMES_2_31))
+@settings(max_examples=100, deadline=None)
+def test_point_jet_matches_the_symbolic_jet(case, p):
+    field, system, point = case
+    rows = jet_matrix(field, system).entries
+    assert _point_jet(field, system, point) == [
+        [e.evaluate(point) for e in r] for r in rows]
+    assert _point_jet(field, system, point, p) == [
+        [e.evaluate_mod(point, p) for e in r] for r in rows]
+    event(f"m = {system.dimension}")
 
 
 class TestExtactic:
@@ -678,13 +734,13 @@ class TestVanishingDecision:
         field = VectorField((X.scale(Fraction(1, p)), Y.scale(2)), AFFINE)
         system = monomial_system(2, 1, AFFINE)
         used = []
-        original = EXT._det_mod_at
+        original = EXT._point_jet
 
-        def spy(rows, point, prime):
-            used.append(prime)
-            return original(rows, point, prime)
+        def spy(field, system, point, p=None):
+            used.append(p)
+            return original(field, system, point, p)
 
-        monkeypatch.setattr(EXT, "_det_mod_at", spy)
+        monkeypatch.setattr(EXT, "_point_jet", spy)
         with pytest.raises(ExtacticNotZeroError):
             extract_first_integral(field, system)
         assert used == [PRIMES_2_31[1]]
