@@ -1,14 +1,71 @@
 """Dense exact linear algebra: one elimination over Q, one over Z/p.
 
 `reduce_rational` is the Gauss-Jordan reduction behind every rational rank,
-kernel and scalar determinant in the package; `det_mod` is the determinant
-of an integer matrix modulo a prime, used wherever the modular engine
-evaluates a single point.
+kernel and scalar determinant in the package.  It runs fraction-free over Z
+(Bareiss's integer-preserving elimination): each row's denominators are
+cleared once, every division is exact, and `Fraction`s are built only from
+the final rows.  `det_mod` is the determinant of an integer matrix modulo a
+prime, used wherever the modular engine evaluates a single point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
+
+def _eliminate(matrix) -> tuple:
+    """Fraction-free Gauss-Jordan over Z, without row exchanges.
+
+    A row with a non-integer entry is first multiplied by the lcm of its
+    denominators; integer rows (`int` entries) are taken as they are.  Row
+    scaling changes neither the zero pattern of the reduction nor the
+    kernel.  Column by column, the pivot is the first row, in the original
+    row order, that is not a pivot row yet and has a nonzero entry there.
+    With `a` the pivot and `prev` the previous pivot (1 at first), every
+    other row becomes (a*row - row[c]*pivot_row) // prev, all of it: pivot
+    rows carry nonzero entries in earlier free columns.  Every division is
+    exact (each entry is a minor of the scaled matrix), and afterwards every
+    pivot row holds `prev` at each pivot column, so the rational reduction
+    is the integer one divided by the last pivot.
+
+    Returns (rows, pivots, prev, scale): the integer rows, the (row, column)
+    pivots in column order, the last pivot (1 if none), and the product of
+    the row scale factors.
+    """
+    rows = []
+    scale = 1
+    for r in matrix:
+        if all(type(v) is int for v in r):
+            rows.append(list(r))
+        else:
+            r = [Fraction(v) for v in r]
+            s = lcm(*(v.denominator for v in r))
+            scale *= s
+            rows.append([v.numerator * (s // v.denominator) for v in r])
+    ncols = len(rows[0]) if rows else 0
+    used = [False] * len(rows)
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        p = next((i for i, row in enumerate(rows) if not used[i] and row[c]),
+                 None)
+        if p is None:
+            continue
+        used[p] = True
+        pivots.append((p, c))
+        top = rows[p]
+        a = top[c]
+        for i, row in enumerate(rows):
+            if i == p:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = [(a * x - f * y) // prev for x, y in zip(row, top)]
+            else:
+                rows[i] = [a * x // prev for x in row]
+        prev = a
+    return rows, pivots, prev, scale
 
 
 def reduce_rational(matrix) -> tuple:
@@ -18,48 +75,35 @@ def reduce_rational(matrix) -> tuple:
     that is not a pivot row yet and has a nonzero entry there; it is scaled
     to 1 and its column is cleared in every other row.  Rows keep their
     positions, so the pivot rows of the leading columns are the pivots that
-    fall in those columns.
+    fall in those columns.  The reduction runs fraction-free over Z after
+    clearing each row's denominators (`_eliminate`); the reduced rows are
+    its rows divided by the last pivot, and the determinant is that pivot,
+    signed by the pivot rows' order, over the row scale factors.
 
     Returns (rows, pivots, det): the reduced rows, the (row, column) pivots
     in column order, and the determinant (None for a rectangular matrix).
     """
-    rows = [[Fraction(v) for v in r] for r in matrix]
+    rows, pivots, prev, scale = _eliminate(matrix)
+    reduced = [[Fraction(v, prev) for v in row] for row in rows]
     ncols = len(rows[0]) if rows else 0
-    used = [False] * len(rows)
-    pivots = []
-    det = Fraction(1)
-    for c in range(ncols):
-        p = next((i for i, row in enumerate(rows) if not used[i] and row[c]),
-                 None)
-        if p is None:
-            continue
-        used[p] = True
-        pivots.append((p, c))
-        top = rows[p]
-        det *= top[c]
-        inv = 1 / top[c]
-        # entries left of c are zero in every row not yet a pivot row
-        top[c:] = tail = [v * inv for v in top[c:]]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != p:
-                row[c:] = [a - f * b for a, b in zip(row[c:], tail)]
     if len(rows) != ncols:
-        return rows, pivots, None
+        return reduced, pivots, None
     if len(pivots) < ncols:
-        return rows, pivots, Fraction(0)
+        return reduced, pivots, Fraction(0)
     order = [p for p, _ in pivots]
     inversions = sum(a > b for n, a in enumerate(order) for b in order[n + 1:])
-    return rows, pivots, -det if inversions % 2 else det
+    return reduced, pivots, Fraction(-prev if inversions % 2 else prev, scale)
 
 
 def kernel(matrix, ncols: int) -> list:
     """Exact kernel basis of a rational matrix with `ncols` columns.
 
     One vector per free (non-pivot) column, in column order; each is 1 on
-    its own free column and 0 on the others.
+    its own free column and 0 on the others.  Its entry at a pivot column c
+    is -row[fc] / prev, read off the fraction-free reduction
+    (`_eliminate`): the only `Fraction`s built are the basis entries.
     """
-    rows, pivots, _ = reduce_rational(matrix)
+    rows, pivots, prev, _ = _eliminate(matrix)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for fc in range(ncols):
@@ -68,7 +112,7 @@ def kernel(matrix, ncols: int) -> list:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for p, c in pivots:
-            vec[c] = -rows[p][fc]
+            vec[c] = Fraction(-rows[p][fc], prev)
         basis.append(vec)
     return basis
 

@@ -1,10 +1,15 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extatica.extactic import det_fraction_free
+import gauss_jordan_oracle as oracle
+from extatica.corpus import hamiltonian, pencil_field
+from extatica.extactic import (_PROBE_RANGE, _point_jet, det_fraction_free,
+                               extract_first_integral, monomial_system)
+from extatica.foliation import AFFINE
 from extatica.linalg import det_mod, kernel, reduce_rational
 
 from conftest import PRIMES_2_61, RING_XY
@@ -14,17 +19,27 @@ PRIMES = (2, 7, 101, 2147483647, PRIMES_2_61[0])
 
 @st.composite
 def matrices(draw, square=False, integer=False):
-    """Small matrices of rank at most a drawn r: products of an n x r and an
-    r x m factor whose entries are zero half of the time."""
-    nrows = draw(st.integers(1, 5))
-    ncols = nrows if square else draw(st.integers(1, 5))
+    """Matrices of rank at most a drawn r: products of an n x r and an r x m
+    factor whose entries are zero half of the time, up to 10 x 10, square or
+    rectangular either way, with some rows and columns then set to zero.  Factor entries
+    are small or up to 10^10 (products up to about 10^20), and rational
+    ones have small or large denominators."""
+    nrows = draw(st.integers(1, 10))
+    ncols = nrows if square else draw(st.integers(1, 10))
     rank = draw(st.integers(0, min(nrows, ncols)))
-    value = st.integers(-4, 4) if integer else st.fractions(
-        min_value=-4, max_value=4, max_denominator=3)
+    top = draw(st.sampled_from((4, 10**10)))
+    if integer:
+        value = st.integers(-top, top)
+    else:
+        value = st.fractions(min_value=-top, max_value=top,
+                             max_denominator=draw(st.sampled_from((3, 10**6))))
     entry = st.one_of(st.just(0), value)
     left = [[draw(entry) for _ in range(rank)] for _ in range(nrows)]
     right = [[draw(entry) for _ in range(ncols)] for _ in range(rank)]
-    return [[sum((left[i][k] * right[k][j] for k in range(rank)), 0)
+    zero_rows = draw(st.sets(st.integers(0, nrows - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    return [[0 if i in zero_rows or j in zero_cols else
+             sum((left[i][k] * right[k][j] for k in range(rank)), 0)
              for j in range(ncols)] for i in range(nrows)]
 
 
@@ -93,3 +108,82 @@ def test_determinant_signs(mat, det):
 
 def test_kernel_of_empty_system_is_the_identity():
     assert kernel([], 2) == [[1, 0], [0, 1]]
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free reduction against the Fraction Gauss-Jordan oracle
+# ---------------------------------------------------------------------------
+
+@given(mat=st.one_of(matrices(), matrices(integer=True)))
+@settings(max_examples=300, deadline=None)
+def test_reduce_rational_equals_the_fraction_oracle(mat):
+    rows, pivots, det = reduce_rational(mat)
+    assert (rows, pivots, det) == oracle.reduce_rational(mat)
+    assert all(type(v) is Fraction for row in rows for v in row)
+    assert det is None or type(det) is Fraction
+
+
+@given(mat=st.one_of(matrices(), matrices(integer=True)))
+@settings(max_examples=300, deadline=None)
+def test_kernel_equals_the_fraction_oracle(mat):
+    ncols = len(mat[0])
+    basis = kernel(mat, ncols)
+    assert basis == oracle.kernel(mat, ncols)
+    assert all(type(v) is Fraction for vec in basis for v in vec)
+
+
+# ---------------------------------------------------------------------------
+# real point jets: the kernels the vanishing certificate reduces
+# ---------------------------------------------------------------------------
+
+#: The four Hamiltonians of the benchmark's vanishing workload (k = 3) and
+#: two conic/line pencils f/g (k = 2), each with the first integral that
+#: extract_first_integral(seed=0) returns: (numerator, denominator, rank).
+POINT_JET_CASES = [
+    ({(3, 0): 1, (0, 2): -1}, None, 3,
+     ("-x^3 + y^2", "1", 9)),
+    ({(2, 1): 1, (0, 3): 1, (1, 0): 1}, None, 3,
+     ("x^2*y + y^3 + x", "1", 9)),
+    ({(2, 0): 1, (0, 2): 1}, None, 3,
+     ("x^2 + y^2", "1", 7)),
+    ({(3, 0): 1, (1, 1): -2, (0, 2): 1, (1, 0): 1}, None, 3,
+     ("x^3 - 2*x*y + y^2 + x", "1", 9)),
+    ({(2, 0): 1, (1, 1): 3, (0, 2): -2, (1, 0): 1, (0, 0): -5},
+     {(1, 0): 2, (0, 1): -1, (0, 0): 7}, 2,
+     ("7/17*x^2 + 21/17*x*y - 14/17*y^2 + x - 5/17*y",
+      "-2/17*x^2 - 6/17*x*y + 4/17*y^2 - 1/17*y + 1", 5)),
+    ({(2, 0): -4, (0, 2): 9, (1, 0): 6, (0, 1): -1, (0, 0): 2},
+     {(1, 0): 1, (0, 1): 3, (0, 0): -8}, 2,
+     ("-16/25*x^2 + 36/25*y^2 + x - 1/25*y",
+      "-2/25*x^2 + 9/50*y^2 - 19/50*y + 1", 5)),
+]
+
+
+def _point_jet_case(f, g, k):
+    if g is None:
+        field = hamiltonian(RING_XY.from_terms(f)).field
+    else:
+        field = pencil_field(RING_XY.from_terms(f),
+                             RING_XY.from_terms(g)).field
+    return field, monomial_system(2, k, AFFINE, names=RING_XY.names)
+
+
+@pytest.mark.parametrize("f,g,k,expected", POINT_JET_CASES)
+def test_point_jet_kernels_equal_the_fraction_oracle(f, g, k, expected):
+    field, system = _point_jet_case(f, g, k)
+    rng = Random(k)
+    points = [[0, 0], [1, -1]] + [
+        [rng.randint(-_PROBE_RANGE, _PROBE_RANGE) for _ in range(2)]
+        for _ in range(4)]
+    for point in points:
+        transposed = list(zip(*_point_jet(field, system, point)))
+        basis = kernel(transposed, system.dimension)
+        assert basis  # E = 0: J is singular everywhere
+        assert basis == oracle.kernel(transposed, system.dimension)
+
+
+@pytest.mark.parametrize("f,g,k,expected", POINT_JET_CASES)
+def test_extract_first_integral_on_point_jets_is_pinned(f, g, k, expected):
+    field, system = _point_jet_case(f, g, k)
+    fi = extract_first_integral(field, system)
+    assert (str(fi.numerator), str(fi.denominator), fi.rank) == expected
