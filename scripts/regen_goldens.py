@@ -1,16 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate the CLI golden fixtures in tests/goldens/.
 
-    python3 scripts/regen_goldens.py          # rewrite every golden
-    python3 scripts/regen_goldens.py --check  # write nothing; exit 1 if
-                                              # some golden would change
-
 Review the diff before committing: the goldens pin the byte-exact JSON
-contract of every subcommand.  With --check each golden whose bytes would
-change (or that is missing) is named on stderr.
+contract of every subcommand.
 """
 
-import argparse
 import contextlib
 import io
 import pathlib
@@ -32,32 +26,15 @@ def run(argv):
     return buf.getvalue()
 
 
-def main_script(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="write nothing; exit 1 naming each golden whose "
-                             "bytes would change")
-    args = parser.parse_args(argv)
+def main_script():
     outdir = ROOT / "tests" / "goldens"
-    if not args.check:
-        outdir.mkdir(exist_ok=True)
-    changed = []
+    outdir.mkdir(exist_ok=True)
     for name, argv in GOLDEN_CASES:
         text = run(argv)
         path = outdir / f"{name}.json"
-        rel = path.relative_to(ROOT)
-        if args.check:
-            if not path.exists() or path.read_bytes() != text.encode():
-                changed.append(rel)
-                print(f"would change {rel}", file=sys.stderr)
-            continue
         path.write_text(text)
-        print(f"wrote {rel} ({len(text)} bytes)")
-    if args.check:
-        print(f"{len(GOLDEN_CASES) - len(changed)} of {len(GOLDEN_CASES)} "
-              "goldens unchanged")
-    return 1 if changed else 0
+        print(f"wrote {path.relative_to(ROOT)} ({len(text)} bytes)")
 
 
 if __name__ == "__main__":
-    sys.exit(main_script())
+    main_script()

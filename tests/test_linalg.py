@@ -21,9 +21,9 @@ PRIMES = (2, 7, 101, 2147483647, PRIMES_2_61[0])
 def matrices(draw, square=False, integer=False):
     """Matrices of rank at most a drawn r: products of an n x r and an r x m
     factor whose entries are zero half of the time, up to 10 x 10, square or
-    rectangular either way, with some rows and columns then set to zero.  Factor entries
-    are small or up to 10^10 (products up to about 10^20), and rational
-    ones have small or large denominators."""
+    rectangular either way, with some rows and columns then set to zero.
+    Factor entries are small or up to 10^10 (products up to about 10^20),
+    and rational ones have small or large denominators."""
     nrows = draw(st.integers(1, 10))
     ncols = nrows if square else draw(st.integers(1, 10))
     rank = draw(st.integers(0, min(nrows, ncols)))
@@ -159,18 +159,16 @@ POINT_JET_CASES = [
 ]
 
 
-def _point_jet_case(f, g, k):
+@pytest.mark.parametrize("f,g,k,expected", POINT_JET_CASES)
+def test_point_jet_kernels_and_first_integral(f, g, k, expected):
+    """Each point jet's kernel equals the oracle's at six points, and the
+    certificate built from such kernels returns the pinned first integral."""
     if g is None:
         field = hamiltonian(RING_XY.from_terms(f)).field
     else:
         field = pencil_field(RING_XY.from_terms(f),
                              RING_XY.from_terms(g)).field
-    return field, monomial_system(2, k, AFFINE, names=RING_XY.names)
-
-
-@pytest.mark.parametrize("f,g,k,expected", POINT_JET_CASES)
-def test_point_jet_kernels_equal_the_fraction_oracle(f, g, k, expected):
-    field, system = _point_jet_case(f, g, k)
+    system = monomial_system(2, k, AFFINE, names=RING_XY.names)
     rng = Random(k)
     points = [[0, 0], [1, -1]] + [
         [rng.randint(-_PROBE_RANGE, _PROBE_RANGE) for _ in range(2)]
@@ -180,10 +178,5 @@ def test_point_jet_kernels_equal_the_fraction_oracle(f, g, k, expected):
         basis = kernel(transposed, system.dimension)
         assert basis  # E = 0: J is singular everywhere
         assert basis == oracle.kernel(transposed, system.dimension)
-
-
-@pytest.mark.parametrize("f,g,k,expected", POINT_JET_CASES)
-def test_extract_first_integral_on_point_jets_is_pinned(f, g, k, expected):
-    field, system = _point_jet_case(f, g, k)
     fi = extract_first_integral(field, system)
     assert (str(fi.numerator), str(fi.denominator), fi.rank) == expected
