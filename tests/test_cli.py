@@ -27,16 +27,21 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_process(argv):
-    """`python -m extatica argv` in a child process, so that a traceback
-    would show on stderr."""
+def run_python(args):
+    """A child interpreter on `args`, with this checkout's extatica first on
+    its path."""
     src = str(pathlib.Path(extatica.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, "-m", "extatica", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=300)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
+def run_process(argv):
+    """`python -m extatica argv` in a child process, so that a traceback
+    would show on stderr."""
+    return run_python(["-m", "extatica", *argv])
 
 
 @pytest.mark.parametrize("name,argv", GOLDEN_CASES,
@@ -233,6 +238,26 @@ def test_parser_never_crashes_on_garbage():
     check()
 
 
+def test_numpy_loads_only_for_a_modular_determinant():
+    # a fresh interpreter: this one has imported numpy for other tests
+    cases = dict(GOLDEN_CASES)
+    script = f"""
+import contextlib, io, sys
+import extatica, extatica.cli
+def loaded_after(name):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert extatica.cli.main({cases!r}[name]) == 0
+    return "numpy" in sys.modules
+assert "numpy" not in sys.modules
+assert not loaded_after("bound_pn")
+assert not loaded_after("first_integral_radial")  # certifies, status found
+assert not loaded_after("extactic_slv1_k1")  # m = 3, nonzero, Bareiss
+assert loaded_after("extactic_slv1_k2_modular")
+"""
+    proc = run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self):
         code, out, err = run_cli(["parse", "--vars", "x,y", "x +* y"])
@@ -251,6 +276,18 @@ class TestExitCodes:
     def test_missing_field_source_is_2(self):
         code, _, err = run_cli(["extactic", "--vars", "x,y", "--k", "1"])
         assert code == 2 and "field" in json.loads(err)["error"]
+
+    def test_zero_field_is_2(self):
+        # both commands refuse it up front, with the same error line
+        errors = set()
+        for command in ("extactic", "first-integral"):
+            proc = run_process([command, "--vars", "x,y", "--field", "0,0",
+                                "--k", "1"])
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert "Traceback" not in proc.stderr
+            errors.add(proc.stderr)
+        assert [json.loads(e) for e in errors] == [
+            {"error": "zero field presents no foliation"}]
 
     def test_hypothesis_not_met_is_3(self):
         code, _, err = run_cli(["bound", "pn", "--d", "2", "--k", "2",

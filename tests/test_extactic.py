@@ -14,17 +14,17 @@ from extatica.corpus import (hamiltonian, pencil_field, planted_lines_field,
                              slv1_invariant_conic)
 from extatica.extactic import (MAX_GRID_BYTES, DimensionGuardError,
                                ExtacticNotZeroError, ExtractionFailedError,
-                               LinearSystem, VacuousQueryError,
-                               _batch_inverse, _grid_determinants,
-                               _grid_plan, _grid_values,
-                               _interpolation_matrix, _inverse_blocks,
-                               _matmul_mod, _point_jet, det_fraction_free,
-                               det_modular, divides_extactic, extactic,
+                               LinearSystem, VacuousQueryError, _point_jet,
+                               det_fraction_free, det_modular,
+                               divides_extactic, extactic,
                                extactic_degree_bound, extract_first_integral,
                                jet_matrix, monomial_system)
-from extatica.foliation import (AFFINE, HOMOGENEOUS, VectorField,
-                                apply_derivation, radial_field)
+from extatica.foliation import (AFFINE, HOMOGENEOUS, DegenerateFieldError,
+                                VectorField, apply_derivation, radial_field)
 from extatica.linalg import det_mod
+from extatica.modular import (_batch_inverse, _grid_determinants, _grid_plan,
+                              _grid_values, _interpolation_matrix,
+                              _inverse_blocks, _matmul_mod)
 from extatica.polyring import (PRIMES_2_31, ContextError, PolyRing,
                                monomials_of_degree, monomials_up_to_degree,
                                proportional)
@@ -275,9 +275,15 @@ class TestDetModular:
 
     def test_jobs_bit_identical(self):
         m = random_polynomial_matrix(5, 2, 3, 777)
-        a = det_modular(m, jobs=1)
-        b = det_modular(m, jobs=4)
-        assert a == b and str(a) == str(b)
+        # coefficients near 10^12 need eight primes, so every thread's
+        # stripe of primes reuses its value tensor
+        wide = [[e.scale(10**12 + 7 * i + j) for j, e in enumerate(r)]
+                for i, r in enumerate(m)]
+        for matrix in (m, wide):
+            a = det_modular(matrix, jobs=1)
+            for jobs in (2, 4):
+                b = det_modular(matrix, jobs=jobs)
+                assert a == b and str(a) == str(b)
 
     def test_unlucky_prime_skipped(self):
         from extatica.polyring import PRIMES_2_31
@@ -626,6 +632,16 @@ def _spy(monkeypatch, name):
 
 
 class TestVanishingDecision:
+    @pytest.mark.parametrize("decide", [extactic, extract_first_integral])
+    def test_zero_field_is_refused_before_the_certificate(self, decide,
+                                                          monkeypatch):
+        probed = _spy(monkeypatch, "_certify_vanishing")
+        zero = RING_XY.zero()
+        with pytest.raises(DegenerateFieldError, match="zero field"):
+            decide(VectorField((zero, zero), AFFINE),
+                   monomial_system(2, 1, AFFINE))
+        assert probed == []
+
     def test_certificate_has_degree_at_most_k(self):
         h = X**3 - (X * Y).scale(2) + Y**2 + X
         field = hamiltonian(h).field
