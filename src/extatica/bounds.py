@@ -21,6 +21,7 @@ consumes, so that is the input exposed here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -81,36 +82,62 @@ class BoundInput:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Evaluated inequality: verdict is FORCES exactly when lhs > rhs."""
+    """An inequality lhs <= rhs evaluated by `report`.  `threshold` is the
+    formula's threshold on its own input (a divisor degree, k, a genus) or
+    None; lhs is None when its input was not given."""
 
-    lhs: Fraction
+    lhs: Optional[Fraction]
     rhs: Fraction
     inequality_holds: bool
     verdict: str
     formula: str
-
-    def __post_init__(self):
-        assert self.inequality_holds == (self.lhs <= self.rhs)
-        assert self.verdict == (CONSISTENT if self.inequality_holds
-                                else FORCES)
+    threshold: Optional[Fraction] = None
 
 
-def _report(lhs: Fraction, rhs: Fraction, formula: str) -> BoundReport:
-    holds = lhs <= rhs
+def report(lhs: Optional[Fraction], rhs: Fraction, formula: str,
+           threshold: Optional[Fraction] = None) -> BoundReport:
+    """The one verdict rule: FORCES exactly when lhs is given and exceeds
+    rhs, CONSISTENT otherwise."""
+    holds = lhs is None or lhs <= rhs
     return BoundReport(lhs, rhs, holds, CONSISTENT if holds else FORCES,
-                       formula)
+                       formula, threshold)
+
+
+def _refuse_unprintable(what: str, log_value) -> None:
+    """Refuse, before it is formed, a number of natural log `log_value()`
+    (OverflowError: beyond the float range) with more digits than
+    sys.get_int_max_str_digits(): no answer holding it could be printed."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        digits = log_value() / math.log(10)
+    except OverflowError:
+        digits = math.inf
+    if limit and digits >= limit:
+        raise ValueError(f"{what} would have more than {limit} digits")
+
+
+def _log_binomial(top: int, low: int) -> float:
+    """ln C(top, low) for 0 <= low <= top / 2, by lgamma while top is exact
+    in a float; beyond, the lower bound low * ln(top - low + 1) - ln(low!)."""
+    if top < 2 ** 53:
+        return (math.lgamma(top + 1) - math.lgamma(low + 1)
+                - math.lgamma(top - low + 1))
+    return low * math.log(top - low + 1) - math.lgamma(low + 1)
 
 
 def invariant_count_check(inp: BoundInput) -> BoundReport:
     """deg(D) * (N - h0)  <=  (deg F - deg X) * C(h0, 2).
 
     The master inequality: violated inputs force a rational first integral.
+    When N > h0 the threshold is `poincare_degree_bound`.
     """
     inp.require("deg_D", "h0", "n_invariant", "deg_foliation")
     lhs = Fraction(inp.deg_D * (inp.n_invariant - inp.h0))
     rhs = Fraction((inp.deg_foliation - inp.deg_variety)
                    * math.comb(inp.h0, 2))
-    return _report(lhs, rhs, "theorem1")
+    threshold = (poincare_degree_bound(inp) if inp.n_invariant > inp.h0
+                 else None)
+    return report(lhs, rhs, "theorem1", threshold)
 
 
 def poincare_degree_bound(inp: BoundInput) -> Fraction:
@@ -136,6 +163,9 @@ def pn_threshold(d: int, k: int, n: int, n_invariant: int) -> Fraction:
     """
     if d < 2:
         raise ValueError("need foliation degree d >= 2")
+    if k < 1 or n < 1:
+        raise ValueError("need k >= 1 and n >= 1")
+    _refuse_unprintable("C(n+k, k)", lambda: _log_binomial(n + k, min(n, k)))
     h0 = math.comb(n + k, k)
     if n_invariant <= h0:
         raise HypothesisNotMetError(
@@ -175,7 +205,7 @@ def surface_bound(inp: BoundInput) -> BoundReport:
            + Fraction(inp.k_self - 12 * inp.k_dot_d + inp.chi_top, 6)
            - 2 * inp.n_invariant)
     lhs = 2 - 2 * Fraction(inp.genus)
-    return _report(lhs, rhs, "cor")
+    return report(lhs, rhs, "cor")
 
 
 def plane_surface_input(d: int, k: int, n_invariant: int,
@@ -212,6 +242,9 @@ def abelian_bound(d_self_n: int, n: int, n_invariant: int,
     `d_self_n` is the top self-intersection number D^n; it must be divisible
     by n! so that h0 is an integer, and the invariant count must exceed h0.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    _refuse_unprintable("n!", lambda: math.lgamma(n + 1))
     fact = math.factorial(n)
     if d_self_n % fact != 0:
         raise ValueError(

@@ -22,11 +22,19 @@ table) exits 4, and an internal consistency check failed (the modular
 engine's re-check or rational reconstruction) exits 5, each with an
 {"error": ...} object on stderr.  The dimension guard (21) can be lifted
 with the EXTATICA_MAX_DIM environment variable.
+
+Each command parses, calls the library once and prints; the parser is built
+once per process.  Every `bound` verdict is `bounds.report`'s (forced
+exactly when lhs > rhs), and the bounds refuse unprintable binomials and
+factorials before computing them.  The `random:` and `planted:` corpus
+selectors obey MAX_DEGREE and MAX_TERMS.  `first-integral` has no
+`--engine` or `--jobs`: its answer depends on neither.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -34,10 +42,10 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bounds import (BoundInput, HypothesisNotMetError, MissingInputError,
-                     abelian_bound, genus_rhs, genus_threshold,
-                     invariant_count_check, pn_threshold,
-                     poincare_degree_bound, surface_bound, CONSISTENT, FORCES)
+from .bounds import (BoundInput, BoundReport, HypothesisNotMetError,
+                     MissingInputError, abelian_bound, genus_rhs,
+                     genus_threshold, invariant_count_check, pn_threshold,
+                     poincare_degree_bound, report, surface_bound)
 from .corpus import (CorpusEntry, hamiltonian, pencil_field,
                      planted_lines_field, random_field, slv)
 from .extactic import (DimensionGuardError, EngineDisagreementError,
@@ -282,7 +290,7 @@ def parse_vector_field(text: str, ring: PolyRing) -> list:
 
 def _split_vars(text: str) -> PolyRing:
     names = tuple(v.strip() for v in text.split(","))
-    if not names or any(not n.isidentifier() for n in names):
+    if any(not n.isidentifier() for n in names):
         raise ValueError(f"bad variable list {text!r}")
     return PolyRing(names)
 
@@ -291,13 +299,12 @@ def _corpus_entry(selector: str) -> CorpusEntry:
     kind, _, rest = selector.partition(":")
     if kind == "slv":
         return slv(int(rest))
-    if kind == "planted":
+    if kind in ("planted", "random"):
         n, d, seed = (int(v) for v in rest.split(","))
-        return planted_lines_field(n, d, seed)
-    if kind == "random":
-        n, d, seed = (int(v) for v in rest.split(","))
-        field = random_field(n, d, seed)
-        return CorpusEntry(selector, field, ())
+        _check_generated_size(n, d)
+        if kind == "planted":
+            return planted_lines_field(n, d, seed)
+        return CorpusEntry(selector, random_field(n, d, seed), ())
     if kind == "hamiltonian":
         ring = PolyRing(("x", "y"))
         return hamiltonian(parse_polynomial(rest, ring))
@@ -309,28 +316,37 @@ def _corpus_entry(selector: str) -> CorpusEntry:
     raise ValueError(f"unknown corpus selector {selector!r}")
 
 
+def _check_generated_size(n: int, d: int) -> None:
+    """Refuse, before it is built, a field of n dense components of degree
+    d that the parser would refuse: d above MAX_DEGREE, or C(n+d, d) terms
+    each, above MAX_TERMS in all.  The generators check negative sizes."""
+    if d > MAX_DEGREE:
+        raise ValueError(f"degree {d} exceeds the cap of {MAX_DEGREE}")
+    terms = n * math.comb(n + d, d) if min(n, d) >= 0 else 0
+    if terms > MAX_TERMS:
+        raise ValueError(f"a field of {n} components of degree {d} may have "
+                         f"{terms} terms, above the cap of {MAX_TERMS}")
+
+
 def _resolve_field(args) -> tuple:
     """(VectorField with mode applied, ring) from --field / --field-corpus."""
-    mode_flag = getattr(args, "mode", "auto")
-    if getattr(args, "field_corpus", None):
-        entry = _corpus_entry(args.field_corpus)
-        field = entry.field
-        if getattr(args, "vars", None):
-            ring = _split_vars(args.vars)
-            if ring != field.ring:
-                raise ValueError(
-                    f"--vars {args.vars!r} does not match corpus variables "
-                    f"{','.join(field.ring.names)!r}")
-        if mode_flag != "auto" and mode_flag != field.mode:
-            field = VectorField(field.components, mode_flag)
+    if args.field_corpus:
+        field = _corpus_entry(args.field_corpus).field
+        if args.vars and _split_vars(args.vars) != field.ring:
+            raise ValueError(
+                f"--vars {args.vars!r} does not match corpus variables "
+                f"{','.join(field.ring.names)!r}")
+        if args.mode not in ("auto", field.mode):
+            field = VectorField(field.components, args.mode)
         return field, field.ring
-    if not getattr(args, "field", None):
+    if not args.field:
         raise ValueError("one of --field / --field-corpus is required")
-    if not getattr(args, "vars", None):
+    if not args.vars:
         raise ValueError("--vars is required with --field")
     ring = _split_vars(args.vars)
     comps = parse_vector_field(args.field, ring)
-    if mode_flag == "auto":
+    mode = args.mode
+    if mode == "auto":
         # default to a projective reading only when it can present a
         # foliation (3+ variables) and the components allow it
         degs = {c.degree() for c in comps if not c.is_zero()}
@@ -339,9 +355,14 @@ def _resolve_field(args) -> tuple:
                  and all(c.is_homogeneous() for c in comps)
                  and not all(c.is_zero() for c in comps))
         mode = HOMOGENEOUS if homog else AFFINE
-    else:
-        mode = mode_flag
     return VectorField(tuple(comps), mode), ring
+
+
+def _field_and_system(args) -> tuple:
+    """(field, ring, complete monomial system of degree --k) for it."""
+    field, ring = _resolve_field(args)
+    system = monomial_system(ring.nvars, args.k, field.mode, names=ring.names)
+    return field, ring, system
 
 
 def _max_dim() -> Optional[int]:
@@ -374,24 +395,21 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_extactic(args) -> int:
-    field, ring = _resolve_field(args)
-    descriptor = HOMOGENEOUS if field.mode == HOMOGENEOUS else AFFINE
-    system = monomial_system(ring.nvars, args.k, descriptor,
-                             names=ring.names)
-    report = extactic(field, system, engine=args.engine, max_dim=_max_dim(),
-                      jobs=args.jobs)
+    field, ring, system = _field_and_system(args)
+    ext = extactic(field, system, engine=args.engine, max_dim=_max_dim(),
+                   jobs=args.jobs)
     return _emit({
         "command": "extactic",
         "vars": ",".join(ring.names),
         "field": str(field),
         "mode": field.mode,
         "k": args.k,
-        "m": report.dimension,
-        "engine": report.engine,
-        "extactic": str(report.extactic),
-        "degree": None if report.identically_zero else int(report.degree),
-        "degree_bound": report.degree_bound,
-        "identically_zero": report.identically_zero,
+        "m": ext.dimension,
+        "engine": ext.engine,
+        "extactic": str(ext.extactic),
+        "degree": None if ext.identically_zero else int(ext.degree),
+        "degree_bound": ext.degree_bound,
+        "identically_zero": ext.identically_zero,
     })
 
 
@@ -409,102 +427,64 @@ def _cmd_invariant_check(args) -> int:
 
 
 def _cmd_first_integral(args) -> int:
-    field, ring = _resolve_field(args)
-    descriptor = HOMOGENEOUS if field.mode == HOMOGENEOUS else AFFINE
-    system = monomial_system(ring.nvars, args.k, descriptor,
-                             names=ring.names)
-    payload = {
-        "command": "first-integral",
-        "status": None,
-        "numerator": None,
-        "denominator": None,
-        "rank": None,
-    }
+    field, _, system = _field_and_system(args)
+    fi, status = None, "extactic-nonzero"
     try:
-        fi = extract_first_integral(field, system, max_dim=_max_dim(),
-                                    engine=args.engine)
+        fi = extract_first_integral(field, system, max_dim=_max_dim())
+        status = "found"
     except ExtacticNotZeroError:
-        payload["status"] = "extactic-nonzero"
-        return _emit(payload)
+        pass
     except ExtractionFailedError:
         # no certificate: the determinant tells a nonzero E from a failure
-        report = extactic(field, system, engine=args.engine,
-                          max_dim=_max_dim(), jobs=args.jobs)
-        payload["status"] = ("failed" if report.identically_zero
-                             else "extactic-nonzero")
-        return _emit(payload)
-    payload.update({
-        "status": "found",
-        "numerator": str(fi.numerator),
-        "denominator": str(fi.denominator),
-        "rank": fi.rank,
+        if extactic(field, system, max_dim=_max_dim()).identically_zero:
+            status = "failed"
+    return _emit({
+        "command": "first-integral",
+        "status": status,
+        "numerator": None if fi is None else str(fi.numerator),
+        "denominator": None if fi is None else str(fi.denominator),
+        "rank": None if fi is None else fi.rank,
     })
-    return _emit(payload)
 
 
-def _bound_payload(formula, lhs, rhs, threshold, verdict) -> dict:
-    return {
-        "command": "bound",
-        "formula": formula,
-        "lhs": _frac_str(lhs),
-        "rhs": _frac_str(rhs),
-        "threshold": _frac_str(threshold),
-        "verdict": verdict,
-    }
-
-
-def _cmd_bound(args) -> int:
+def _bound_report(args) -> BoundReport:
+    """The library's report for one `bound` question."""
     formula = args.formula
-    if formula == "theorem1":
-        inp = BoundInput(deg_D=args.deg_d, h0=args.h0,
-                         n_invariant=args.count, deg_foliation=args.deg_f,
-                         deg_variety=args.deg_x)
-        rep = invariant_count_check(inp)
-        threshold = None
-        if args.count > args.h0:
-            threshold = poincare_degree_bound(inp)
-        return _emit(_bound_payload(formula, rep.lhs, rep.rhs, threshold,
-                                    rep.verdict))
-    if formula == "poin":
-        inp = BoundInput(deg_D=args.deg_d, h0=args.h0,
-                         n_invariant=args.count, deg_foliation=args.deg_f,
-                         deg_variety=args.deg_x)
-        bound = poincare_degree_bound(inp)
-        verdict = CONSISTENT if Fraction(args.deg_d) <= bound else FORCES
-        return _emit(_bound_payload(formula, Fraction(args.deg_d), bound,
-                                    bound, verdict))
     if formula == "pn":
         threshold = pn_threshold(args.d, args.k, args.n, args.count)
-        verdict = CONSISTENT if Fraction(args.k) <= threshold else FORCES
-        return _emit(_bound_payload(formula, Fraction(args.k), threshold,
-                                    threshold, verdict))
+        return report(Fraction(args.k), threshold, formula, threshold)
     if formula == "gen":
-        genus = Fraction(args.genus)
-        rhs = genus_rhs(args.d, args.k, args.count)
-        lhs = 2 - 2 * genus
-        threshold = genus_threshold(args.d, args.k, args.count)
-        verdict = CONSISTENT if lhs <= rhs else FORCES
-        return _emit(_bound_payload(formula, lhs, rhs, threshold, verdict))
-    if formula == "cor":
-        inp = BoundInput(deg_D=args.deg_d, h0=args.h0,
-                         n_invariant=args.count, deg_foliation=args.deg_f,
-                         deg_variety=args.deg_x, h1=args.h1,
-                         h0_k_minus_d=args.h0_k_minus_d, k_self=args.k_self,
-                         k_dot_d=args.k_dot_d, chi_top=args.chi,
-                         genus=Fraction(args.genus))
-        rep = surface_bound(inp)
-        return _emit(_bound_payload(formula, rep.lhs, rep.rhs, None,
-                                    rep.verdict))
+        return report(2 - 2 * Fraction(args.genus),
+                      genus_rhs(args.d, args.k, args.count), formula,
+                      genus_threshold(args.d, args.k, args.count))
     if formula == "abelian":
         bound = abelian_bound(args.dn, args.n, args.count, args.deg_f,
                               args.deg_x)
-        if args.deg_d is None:
-            return _emit(_bound_payload(formula, None, bound, bound,
-                                        CONSISTENT))
-        verdict = CONSISTENT if Fraction(args.deg_d) <= bound else FORCES
-        return _emit(_bound_payload(formula, Fraction(args.deg_d), bound,
-                                    bound, verdict))
-    raise ValueError(f"unknown formula {formula!r}")
+        degree = None if args.deg_d is None else Fraction(args.deg_d)
+        return report(degree, bound, formula, bound)
+    surface = {} if formula != "cor" else dict(
+        h1=args.h1, h0_k_minus_d=args.h0_k_minus_d, k_self=args.k_self,
+        k_dot_d=args.k_dot_d, chi_top=args.chi, genus=Fraction(args.genus))
+    inp = BoundInput(deg_D=args.deg_d, h0=args.h0, n_invariant=args.count,
+                     deg_foliation=args.deg_f, deg_variety=args.deg_x,
+                     **surface)
+    if formula == "poin":
+        bound = poincare_degree_bound(inp)
+        return report(Fraction(args.deg_d), bound, formula, bound)
+    return surface_bound(inp) if formula == "cor" else \
+        invariant_count_check(inp)
+
+
+def _cmd_bound(args) -> int:
+    rep = _bound_report(args)
+    return _emit({
+        "command": "bound",
+        "formula": rep.formula,
+        "lhs": _frac_str(rep.lhs),
+        "rhs": _frac_str(rep.rhs),
+        "threshold": _frac_str(rep.threshold),
+        "verdict": rep.verdict,
+    })
 
 
 def _cmd_corpus(args) -> int:
@@ -535,7 +515,9 @@ def _add_field_arguments(sub):
                      default="auto")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after."""
     parser = argparse.ArgumentParser(
         prog="extatica",
         description="exact extactic/invariant-curve/first-integral engine")
@@ -566,15 +548,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="extract a verified rational first integral")
     _add_field_arguments(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--engine",
-                   choices=["auto", "fraction-free", "modular"],
-                   default="auto")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=_cmd_first_integral)
 
     p = subs.add_parser("bound", help="evaluate a degree/genus inequality")
+    p.set_defaults(handler=_cmd_bound)
     bound_subs = p.add_subparsers(dest="formula", required=True)
-    for name in ("theorem1", "poin"):
+    for name in ("theorem1", "poin", "cor"):
         b = bound_subs.add_parser(name)
         b.add_argument("--deg-d", type=int, required=True)
         b.add_argument("--h0", type=int, required=True)
@@ -582,32 +561,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of invariant divisors in the system")
         b.add_argument("--deg-f", type=int, required=True)
         b.add_argument("--deg-x", type=int, default=1)
-        b.set_defaults(handler=_cmd_bound)
+    # the surface data of cor, the last of the three
+    for flag in ("--h1", "--h0-k-minus-d", "--k-self", "--k-dot-d", "--chi"):
+        b.add_argument(flag, type=int, required=True)
+    b.add_argument("--genus", required=True)
     b = bound_subs.add_parser("pn")
     b.add_argument("--d", type=int, required=True)
     b.add_argument("--k", type=int, required=True)
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--count", type=int, required=True)
-    b.set_defaults(handler=_cmd_bound)
     b = bound_subs.add_parser("gen")
     b.add_argument("--d", type=int, required=True)
     b.add_argument("--k", type=int, required=True)
     b.add_argument("--count", type=int, required=True)
     b.add_argument("--genus", required=True)
-    b.set_defaults(handler=_cmd_bound)
-    b = bound_subs.add_parser("cor")
-    b.add_argument("--deg-d", type=int, required=True)
-    b.add_argument("--h0", type=int, required=True)
-    b.add_argument("--count", type=int, required=True)
-    b.add_argument("--deg-f", type=int, required=True)
-    b.add_argument("--deg-x", type=int, default=1)
-    b.add_argument("--h1", type=int, required=True)
-    b.add_argument("--h0-k-minus-d", type=int, required=True)
-    b.add_argument("--k-self", type=int, required=True)
-    b.add_argument("--k-dot-d", type=int, required=True)
-    b.add_argument("--chi", type=int, required=True)
-    b.add_argument("--genus", required=True)
-    b.set_defaults(handler=_cmd_bound)
     b = bound_subs.add_parser("abelian")
     b.add_argument("--dn", type=int, required=True,
                    help="top self-intersection number of the divisor")
@@ -616,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--deg-f", type=int, required=True)
     b.add_argument("--deg-x", type=int, required=True)
     b.add_argument("--deg-d", type=int)
-    b.set_defaults(handler=_cmd_bound)
 
     p = subs.add_parser("corpus", help="print a corpus entry with its facts")
     p.add_argument("selector",

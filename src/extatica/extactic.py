@@ -372,8 +372,7 @@ def _rational_reconstruct(c: int, modulus: int, num_bound: int,
     return Fraction(n, d)
 
 
-def det_modular(matrix, primes: Optional[Sequence[int]] = None,
-                jobs: int = 1) -> Polynomial:
+def det_modular(matrix, jobs: int = 1) -> Polynomial:
     """Exact determinant by modular evaluation and interpolation.
 
     The matrix is evaluated on an integer grid large enough for the a-priori
@@ -408,7 +407,7 @@ def det_modular(matrix, primes: Optional[Sequence[int]] = None,
         if col_degs is not None:
             last = ring.names[-1]
             sub = [[e.dehomogenize(ring.nvars - 1) for e in r] for r in rows]
-            det_sub = det_modular(sub, primes=primes, jobs=jobs)
+            det_sub = det_modular(sub, jobs=jobs)
             if det_sub.is_zero():
                 return ring.zero()
             return det_sub.homogenize(last, sum(col_degs))
@@ -421,10 +420,9 @@ def det_modular(matrix, primes: Optional[Sequence[int]] = None,
             f"matrices need {grid_bytes} bytes, above the guard of "
             f"{MAX_GRID_BYTES}")
     target = 2 * num_bound * den_bound
-    table = tuple(primes) if primes is not None else PRIMES_2_31
     chosen = []
     prod = 1
-    for p in table:
+    for p in PRIMES_2_31:
         if den_bound % p == 0:
             continue  # unlucky prime: it divides a coefficient denominator
         chosen.append(p)
@@ -559,8 +557,11 @@ def extactic(field: VectorField, system: LinearSystem, engine: str = "auto",
     integral proves E = 0 without a determinant.  Otherwise E is computed by
     `engine`, "fraction-free", "modular" or "auto" (fraction-free up to 4x4,
     modular beyond).  Systems larger than the guard (21 by default) are
-    refused; pass `max_dim` to override.
+    refused; pass `max_dim` to override.  `jobs` (at least 1) threads the
+    modular engine's primes.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     m = system.dimension
     _check_dimension(m, max_dim)
     used = _engine_for(engine, m)
@@ -698,15 +699,15 @@ def _certify_vanishing(field: VectorField, system: LinearSystem,
 
 
 def extract_first_integral(field: VectorField, system: LinearSystem,
-                           seed: int = 0, max_dim: Optional[int] = None,
-                           engine: str = "auto") -> FirstIntegral:
+                           seed: int = 0,
+                           max_dim: Optional[int] = None) -> FirstIntegral:
     """A verified rational first integral, when the extactic vanishes.
 
     The kernel certificate of `_certify_vanishing` decides first: it raises
     ExtacticNotZeroError when a probe proves E != 0, and otherwise returns a
     pair of degree <= k when some pair of probe points certifies one.  Only
-    when none does is the Cramer-minor fallback run (`engine` computes its
-    minors).  Probe points are drawn from `seed`.
+    when none does is the Cramer-minor fallback run (its minors take the
+    engine "auto" picks by size).  Probe points are drawn from `seed`.
     """
     _check_dimension(system.dimension, max_dim)
     _check_pair(field, system)
@@ -715,7 +716,7 @@ def extract_first_integral(field: VectorField, system: LinearSystem,
     rng = Random(seed)
     fi = _certify_vanishing(field, system, rng)
     return fi if fi is not None else _cramer_first_integral(field, system,
-                                                            rng, engine)
+                                                            rng)
 
 
 def _minor(rows, row_idx, col_idx):
@@ -723,7 +724,7 @@ def _minor(rows, row_idx, col_idx):
 
 
 def _cramer_first_integral(field: VectorField, system: LinearSystem,
-                           rng: Random, engine: str) -> FirstIntegral:
+                           rng: Random) -> FirstIntegral:
     """The fallback: a first integral as a ratio of two signed minors.
 
     The generic rank r < m and a good row subset are found by evaluating the
@@ -765,7 +766,7 @@ def _cramer_first_integral(field: VectorField, system: LinearSystem,
     rows = jet_matrix(field, system).entries
 
     # B != 0 is certain: its evaluation at the probe point is nonzero.
-    denom = _det(_minor(rows, pivots, cols), engine)
+    denom = _det(_minor(rows, pivots, cols), "auto")
     denom_at = denom.evaluate(point)
     if denom_at == 0 or denom.is_zero():
         raise ExtractionFailedError("pivot minor vanished unexpectedly")
@@ -788,7 +789,7 @@ def _cramer_first_integral(field: VectorField, system: LinearSystem,
                 val2 = reduce_rational(_minor(mat2, row_idx, cols))[2]
                 if val1 * den2 == val2 * denom_at:
                     continue  # looks constant; try another replacement
-            numer = _det(_minor(rows, row_idx, cols), engine)
+            numer = _det(_minor(rows, row_idx, cols), "auto")
             if numer.is_zero() or proportional(numer, denom):
                 continue
             lhs = apply_derivation(field, numer) * denom

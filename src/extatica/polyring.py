@@ -160,12 +160,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial."""
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()), Fraction(0))
-
     def sorted_terms(self) -> list:
         """Terms as (exponents, coeff) pairs in descending graded-lex order."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]),

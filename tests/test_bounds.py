@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from extatica.bounds import (CONSISTENT, FORCES, BoundInput,
                              HypothesisNotMetError, MissingInputError,
                              abelian_bound, genus_rhs, genus_threshold,
                              invariant_count_check, plane_surface_input,
-                             pn_threshold, poincare_degree_bound,
+                             pn_threshold, poincare_degree_bound, report,
                              surface_bound, virtual_genus_plane)
 
 
@@ -34,6 +36,24 @@ class TestInvariantCountCheck:
     def test_missing_field(self):
         with pytest.raises(MissingInputError):
             invariant_count_check(BoundInput(deg_D=1, h0=3, n_invariant=4))
+
+    def test_threshold_is_the_poincare_bound(self):
+        inp = BoundInput(deg_D=100, h0=3, n_invariant=5, deg_foliation=2)
+        assert invariant_count_check(inp).threshold == Fraction(3, 2)
+        assert invariant_count_check(BoundInput(
+            deg_D=9, h0=4, n_invariant=4, deg_foliation=3)).threshold is None
+
+
+class TestReport:
+    def test_forces_exactly_above_rhs(self):
+        assert report(Fraction(3), Fraction(3), "f").verdict == CONSISTENT
+        rep = report(Fraction(7, 2), Fraction(3), "f", Fraction(3))
+        assert rep.verdict == FORCES and not rep.inequality_holds
+        assert (rep.formula, rep.threshold) == ("f", 3)
+
+    def test_missing_lhs_forces_nothing(self):
+        rep = report(None, Fraction(-5), "abelian", Fraction(-5))
+        assert rep.inequality_holds and rep.verdict == CONSISTENT
 
 
 class TestPoincareDegreeBound:
@@ -68,6 +88,29 @@ class TestPnThreshold:
     def test_degree_precondition(self):
         with pytest.raises(ValueError):
             pn_threshold(1, 2, 2, 99)
+
+    @pytest.mark.parametrize("k,n", [(0, 2), (2, 0), (-1, 2)])
+    def test_k_and_n_at_least_one(self, k, n):
+        with pytest.raises(ValueError, match="k >= 1 and n >= 1"):
+            pn_threshold(2, k, n, 99)
+
+    @pytest.mark.parametrize("k,n", [(3_000_000, 3_000_000), (8000, 8000),
+                                     (10 ** 400, 10 ** 400),
+                                     (10 ** 4000, 2)])
+    def test_unprintable_binomial_refused_before_the_work(self, k, n):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="would have more than"):
+            pn_threshold(2, k, n, 7)
+        assert time.perf_counter() - start < 1.0
+
+    def test_large_printable_binomial_accepted(self):
+        # C(10^400 + 1, 1) has 401 digits: beyond the float range, but
+        # printable; C(10000, 5000) has 3,009
+        n = 10 ** 400
+        assert pn_threshold(2, 1, n, n + 2) == math.comb(n + 1, 2)
+        assert len(str(math.comb(10_000, 5000))) < sys.get_int_max_str_digits()
+        with pytest.raises(HypothesisNotMetError):
+            pn_threshold(2, 5000, 5000, 7)
 
 
 class TestGenusRhs:
@@ -146,6 +189,18 @@ class TestAbelianBound:
     def test_non_integral_dimension(self):
         with pytest.raises(ValueError):
             abelian_bound(5, 2, 9, 2, 1)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_at_least_one(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            abelian_bound(4, n, 9, 2, 1)
+
+    @pytest.mark.parametrize("n", [10 ** 6, 10 ** 400])
+    def test_unprintable_factorial_refused_before_the_work(self, n):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="n! would have more than"):
+            abelian_bound(4, n, 9, 2, 1)
+        assert time.perf_counter() - start < 1.0
 
 
 @given(deg_d=st.integers(1, 60), h0=st.integers(1, 12),

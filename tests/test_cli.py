@@ -1,17 +1,23 @@
+import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import extatica
-from extatica.cli import MAX_DEGREE, MAX_TERMS, ParseError, main, \
-    parse_polynomial, parse_vector_field
+from extatica import bounds
+from extatica.cli import MAX_DEGREE, MAX_TERMS, ParseError, build_parser, \
+    main, parse_polynomial, parse_vector_field
 from extatica.corpus import random_polynomial
 from extatica.polyring import PolyRing
 
@@ -27,7 +33,7 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_python(args):
+def run_python(args, timeout=300):
     """A child interpreter on `args`, with this checkout's extatica first on
     its path."""
     src = str(pathlib.Path(extatica.__file__).resolve().parents[1])
@@ -35,13 +41,13 @@ def run_python(args):
     env = dict(os.environ,
                PYTHONPATH=src + (os.pathsep + path if path else ""))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=300)
+                          text=True, env=env, timeout=timeout)
 
 
-def run_process(argv):
+def run_process(argv, timeout=300):
     """`python -m extatica argv` in a child process, so that a traceback
     would show on stderr."""
-    return run_python(["-m", "extatica", *argv])
+    return run_python(["-m", "extatica", *argv], timeout=timeout)
 
 
 @pytest.mark.parametrize("name,argv", GOLDEN_CASES,
@@ -103,6 +109,112 @@ def test_first_integral_after_failed_extraction(argv, status, monkeypatch):
     assert json.loads(lines[0]) == {
         "command": "first-integral", "status": status, "numerator": None,
         "denominator": None, "rank": None}
+
+
+@pytest.mark.parametrize("flag", [["--engine", "modular"], ["--jobs", "2"]])
+def test_first_integral_takes_no_engine_or_jobs(flag):
+    # its answer does not depend on either: only `extactic` has them
+    with pytest.raises(SystemExit) as exc, \
+            contextlib.redirect_stderr(io.StringIO()):
+        main(["first-integral", "--vars", "x,y", "--field", "x, y", "--k",
+              "1"] + flag)
+    assert exc.value.code == 2
+
+
+def test_parser_is_built_once(monkeypatch):
+    build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _, argv in GOLDEN_CASES + GOLDEN_CASES:
+        assert run_cli(argv)[0] == 0
+    assert built.count("extatica") == 1
+
+
+def _flags(**values):
+    # "--genus=-1/2": a separate "-1/2" would read as an option
+    return [f"--{name.replace('_', '-')}={value}"
+            for name, value in values.items() if value is not None]
+
+
+def _bound_case(formula, draw):
+    """(flags, (lhs, rhs, threshold) from the library) for one in-range
+    `bound` question."""
+    small = st.integers(-20, 20)
+    if formula == "pn":
+        d, k, n = draw(st.integers(2, 6)), draw(st.integers(1, 6)), \
+            draw(st.integers(1, 3))
+        count = math.comb(n + k, k) + draw(st.integers(1, 40))
+        threshold = bounds.pn_threshold(d, k, n, count)
+        return _flags(d=d, k=k, n=n, count=count), (k, threshold, threshold)
+    if formula == "gen":
+        d, k, count = draw(st.integers(2, 6)), draw(st.integers(1, 8)), \
+            draw(st.integers(1, 60))
+        genus = draw(st.fractions(-20, 20, max_denominator=4))
+        return _flags(d=d, k=k, count=count, genus=genus), (
+            2 - 2 * genus, bounds.genus_rhs(d, k, count),
+            bounds.genus_threshold(d, k, count))
+    if formula == "abelian":
+        n, h0 = draw(st.integers(1, 4)), draw(st.integers(0, 20))
+        count, deg_f, deg_x = h0 + draw(st.integers(1, 20)), draw(small), \
+            draw(st.integers(1, 3))
+        deg_d = draw(st.none() | st.integers(0, 40))
+        bound = bounds.abelian_bound(h0 * math.factorial(n), n, count, deg_f,
+                                     deg_x)
+        return _flags(dn=h0 * math.factorial(n), n=n, count=count,
+                      deg_f=deg_f, deg_x=deg_x, deg_d=deg_d), (
+            deg_d, bound, bound)
+    h0 = draw(st.integers(1, 15))
+    count = h0 + draw(st.integers(0 if formula == "theorem1" else 1, 20))
+    shared = dict(deg_d=draw(st.integers(1, 30)), h0=h0, count=count,
+                  deg_f=draw(st.integers(0, 8)), deg_x=draw(st.integers(1, 3)))
+    inp = bounds.BoundInput(deg_D=shared["deg_d"], h0=h0, n_invariant=count,
+                            deg_foliation=shared["deg_f"],
+                            deg_variety=shared["deg_x"])
+    if formula == "theorem1":
+        rep = bounds.invariant_count_check(inp)
+        threshold = bounds.poincare_degree_bound(inp) if count > h0 else None
+        return _flags(**shared), (rep.lhs, rep.rhs, threshold)
+    if formula == "poin":
+        bound = bounds.poincare_degree_bound(inp)
+        return _flags(**shared), (shared["deg_d"], bound, bound)
+    surface = dict(h1=draw(small), h0_k_minus_d=draw(small),
+                   k_self=draw(small), k_dot_d=draw(small), chi=draw(small),
+                   genus=draw(st.fractions(-20, 20, max_denominator=4)))
+    rep = bounds.surface_bound(bounds.BoundInput(
+        deg_D=shared["deg_d"], h0=h0, n_invariant=count,
+        deg_foliation=shared["deg_f"], deg_variety=shared["deg_x"],
+        h1=surface["h1"], h0_k_minus_d=surface["h0_k_minus_d"],
+        k_self=surface["k_self"], k_dot_d=surface["k_dot_d"],
+        chi_top=surface["chi"], genus=surface["genus"]))
+    return _flags(**shared, **surface), (rep.lhs, rep.rhs, None)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_bound_verdict_is_lhs_above_rhs(data):
+    # for all six formulas: the payload holds the library's values, and
+    # the verdict forces a first integral exactly when lhs exceeds rhs
+    formula = data.draw(st.sampled_from(
+        ["theorem1", "poin", "pn", "gen", "cor", "abelian"]))
+    flags, values = _bound_case(formula, data.draw)
+    code, out, err = run_cli(["bound", formula] + flags)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert list(payload) == ["command", "formula", "lhs", "rhs", "threshold",
+                             "verdict"]
+    assert (payload["command"], payload["formula"]) == ("bound", formula)
+    assert [payload[key] for key in ("lhs", "rhs", "threshold")] == [
+        None if v is None else str(Fraction(v)) for v in values]
+    lhs, rhs = payload["lhs"], Fraction(payload["rhs"])
+    forces = lhs is not None and Fraction(lhs) > rhs
+    assert payload["verdict"] == ("forces-first-integral" if forces
+                                  else "consistent-with-no-first-integral")
 
 
 def test_first_integral_of_degree_above_k():
@@ -288,6 +400,41 @@ class TestExitCodes:
             errors.add(proc.stderr)
         assert [json.loads(e) for e in errors] == [
             {"error": "zero field presents no foliation"}]
+
+    @pytest.mark.parametrize("argv,error", [
+        (["corpus", "random:100,30,1"], "terms, above the cap"),
+        (["extactic", "--field-corpus", "random:9,9,1", "--k", "1"],
+         "terms, above the cap"),
+        (["corpus", "planted:9,9,1"], "terms, above the cap"),
+        (["corpus", "random:2,65,1"], "degree 65 exceeds the cap"),
+        (["bound", "pn", "--d", "2", "--k", "3000000", "--n", "3000000",
+          "--count", "7"], "C(n+k, k) would have more than"),
+        (["bound", "pn", "--d", "2", "--k", "0", "--n", "2", "--count", "7"],
+         "need k >= 1 and n >= 1"),
+        (["bound", "abelian", "--dn", "4", "--n", "-1", "--count", "9",
+          "--deg-f", "2", "--deg-x", "1"], "need n >= 1"),
+        (["bound", "abelian", "--dn", "4", "--n", "1000000", "--count", "9",
+          "--deg-f", "2", "--deg-x", "1"], "n! would have more than"),
+        (["extactic", "--field-corpus", "slv:1", "--k", "1", "--jobs", "0"],
+         "jobs must be at least 1"),
+    ], ids=["corpus-random", "extactic-random", "corpus-planted",
+            "corpus-degree", "pn-huge", "pn-k0", "abelian-n-negative",
+            "abelian-huge", "jobs-0"])
+    def test_oversized_or_invalid_input_is_2(self, argv, error):
+        # refused before the work: each of the first two ran for over 30 s
+        # when the selectors had no cap
+        proc = run_process(argv, timeout=10)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and error in json.loads(lines[0])["error"]
+
+    @pytest.mark.parametrize("selector", ["random:2,2,7", "random:3,2,1",
+                                          "planted:2,2,1"])
+    def test_small_generated_fields_are_accepted(self, selector):
+        code, out, err = run_cli(["corpus", selector])
+        assert code == 0 and err == ""
+        assert json.loads(out)["name"] == selector
 
     def test_hypothesis_not_met_is_3(self):
         code, _, err = run_cli(["bound", "pn", "--d", "2", "--k", "2",

@@ -293,11 +293,15 @@ class TestDetModular:
         assert det_modular(m) == det_fraction_free(m)
 
     def test_prime_table_exhaustion_is_fatal(self):
-        from extatica.polyring import BadPrimeError, PRIMES_2_31
-        m = random_polynomial_matrix(3, 2, 2, 556)
-        m[0][0] = m[0][0] + RING_XY.constant(Fraction(1, PRIMES_2_31[0]))
-        with pytest.raises(BadPrimeError):
-            det_modular(m, primes=(PRIMES_2_31[0],))
+        # coefficients near 2^800 give a height bound of 1,603 bits, more
+        # than the table's 48 primes cover (1,488 bits)
+        from extatica.polyring import BadPrimeError
+        c = 2 ** 800 + 1
+        one = RING_XY.constant(1)
+        m = [[X.scale(c) + one, RING_XY.constant(c)],
+             [RING_XY.constant(c), Y.scale(c) + one]]
+        with pytest.raises(BadPrimeError, match="1603 bits"):
+            det_modular(m)
 
 
 P31 = PRIMES_2_31[0]
