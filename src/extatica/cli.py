@@ -19,16 +19,19 @@ answer is produced (whatever the verdict); input and parse errors exit 2,
 unmet bound hypotheses exit 3, a size guard tripped (the dimension guard,
 the modular engine's grid memory guard, or a height bound beyond the prime
 table) exits 4, and an internal consistency check failed (the modular
-engine's re-check or rational reconstruction) exits 5, each with an
-{"error": ...} object on stderr.  The dimension guard (21) can be lifted
-with the EXTATICA_MAX_DIM environment variable.
+engine's re-check) exits 5, each with an {"error": ...} object on stderr.
+The dimension guard (21) can be lifted with the EXTATICA_MAX_DIM
+environment variable.
 
 Each command parses, calls the library once and prints; the parser is built
 once per process.  Every `bound` verdict is `bounds.report`'s (forced
 exactly when lhs > rhs), and the bounds refuse unprintable binomials and
-factorials before computing them.  The `random:` and `planted:` corpus
-selectors obey MAX_DEGREE and MAX_TERMS.  `first-integral` has no
-`--engine` or `--jobs`: its answer depends on neither.
+factorials before computing them; `--genus` is refused in exponent form or
+above MAX_NUMBER_CHARS before it is converted.  The dimension guard runs
+on C(n + k, k) before a monomial system is enumerated.  The `random:` and
+`planted:` corpus selectors obey MAX_DEGREE and MAX_TERMS.
+`first-integral` has no `--engine` or `--jobs`: its answer depends on
+neither.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -49,8 +53,9 @@ from .bounds import (BoundInput, BoundReport, HypothesisNotMetError,
 from .corpus import (CorpusEntry, hamiltonian, pencil_field,
                      planted_lines_field, random_field, slv)
 from .extactic import (DimensionGuardError, EngineDisagreementError,
-                       ExtacticNotZeroError, ExtractionFailedError, extactic,
-                       extract_first_integral, monomial_system)
+                       ExtacticNotZeroError, ExtractionFailedError,
+                       check_dimension, extactic, extract_first_integral,
+                       monomial_system, system_dimension)
 from .foliation import AFFINE, HOMOGENEOUS, VectorField, check_invariance
 from .polyring import BadPrimeError, ContextError, PolyRing, Polynomial
 
@@ -61,6 +66,13 @@ MAX_DEGREE = 64
 #: degree cap alone does not bound the work with 4 or more variables:
 #: (a+b+c+d+1)^32 has 58,905 terms.  (x+y+1)^64 has 2,145.
 MAX_TERMS = 10_000
+
+#: Longest `--genus` text accepted.  It is checked, with the form (an
+#: integer, p/q or a decimal, never an exponent), before the conversion:
+#: Fraction("1e10000000") would build 10^10000000 first.
+MAX_NUMBER_CHARS = 1000
+
+_RATIONAL = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+)")
 
 
 class ParseError(ValueError):
@@ -359,8 +371,11 @@ def _resolve_field(args) -> tuple:
 
 
 def _field_and_system(args) -> tuple:
-    """(field, ring, complete monomial system of degree --k) for it."""
+    """(field, ring, complete monomial system of degree --k) for it; the
+    dimension guard runs before the system's monomials are enumerated."""
     field, ring = _resolve_field(args)
+    check_dimension(system_dimension(ring.nvars, args.k, field.mode),
+                    _max_dim())
     system = monomial_system(ring.nvars, args.k, field.mode, names=ring.names)
     return field, ring, system
 
@@ -372,6 +387,16 @@ def _max_dim() -> Optional[int]:
 
 def _frac_str(value) -> Optional[str]:
     return None if value is None else str(Fraction(value))
+
+
+def _genus(text: str) -> Fraction:
+    """`--genus` as a Fraction: an integer, p/q or a decimal of at most
+    MAX_NUMBER_CHARS characters; anything else is a ValueError."""
+    if len(text) > MAX_NUMBER_CHARS or not _RATIONAL.fullmatch(text.strip()):
+        raise ValueError(
+            f"--genus must be an integer, p/q or a decimal of at most "
+            f"{MAX_NUMBER_CHARS} characters, not {text[:40]!r}")
+    return Fraction(text)
 
 
 def _emit(payload: dict) -> int:
@@ -454,7 +479,7 @@ def _bound_report(args) -> BoundReport:
         threshold = pn_threshold(args.d, args.k, args.n, args.count)
         return report(Fraction(args.k), threshold, formula, threshold)
     if formula == "gen":
-        return report(2 - 2 * Fraction(args.genus),
+        return report(2 - 2 * _genus(args.genus),
                       genus_rhs(args.d, args.k, args.count), formula,
                       genus_threshold(args.d, args.k, args.count))
     if formula == "abelian":
@@ -464,7 +489,7 @@ def _bound_report(args) -> BoundReport:
         return report(degree, bound, formula, bound)
     surface = {} if formula != "cor" else dict(
         h1=args.h1, h0_k_minus_d=args.h0_k_minus_d, k_self=args.k_self,
-        k_dot_d=args.k_dot_d, chi_top=args.chi, genus=Fraction(args.genus))
+        k_dot_d=args.k_dot_d, chi_top=args.chi, genus=_genus(args.genus))
     inp = BoundInput(deg_D=args.deg_d, h0=args.h0, n_invariant=args.count,
                      deg_foliation=args.deg_f, deg_variety=args.deg_x,
                      **surface)

@@ -9,15 +9,15 @@ system.
 
 Two exact determinant engines are provided:
 
-* `det_fraction_free` - Bareiss elimination over the polynomial ring, best
-  for small matrices.
+* `det_fraction_free` - Bareiss elimination over the polynomial ring, on
+  packed integer monomials (`polyring._Packing`), best for small matrices.
 * `det_modular` - evaluation/interpolation modulo word-size primes with
-  Chinese remaindering and rational reconstruction; best once degrees blow
-  up.  The bounds, the prime choice and the reconstruction run here; the
-  per-prime grid work (evaluation by per-axis Vandermonde contractions,
-  elimination at every grid point, interpolation) runs on numpy in
-  `extatica.modular`, which is imported on the first modular determinant,
-  so numpy loads only then.
+  Chinese remaindering into symmetric residues, after each column is scaled
+  to integers; best once degrees blow up.  The bounds, the prime choice and
+  the remaindering run here; the per-prime grid work (evaluation by
+  per-axis Vandermonde contractions, elimination at every grid point,
+  interpolation) runs on numpy in `extatica.modular`, which is imported on
+  the first modular determinant, so numpy loads only then.
 
 Both return identical canonical polynomials.  A determinant is computed
 only when E is nonzero: `_certify_vanishing` first probes J modulo a prime,
@@ -45,6 +45,7 @@ from .foliation import (AFFINE, HOMOGENEOUS, DegenerateFieldError,
                         VectorField, apply_derivation, foliation_degree)
 from .linalg import det_mod, kernel, reduce_rational
 from .polyring import (PRIMES_2_31, BadPrimeError, ContextError,
+                       _convolve, _divide_packed, _Packing,
                        PolyRing, Polynomial, monomials_of_degree,
                        monomials_up_to_degree, proportional)
 
@@ -130,27 +131,36 @@ class LinearSystem:
         return self.basis[0].ring
 
 
+def system_dimension(nvars: int, k: int, descriptor: str = AFFINE) -> int:
+    """Dimension of the complete monomial system, without building it:
+    C(n + k, k) affine on n variables, C(n - 1 + k, k) homogeneous."""
+    if nvars < 1 or k < 1:
+        raise ValueError("need nvars >= 1 and k >= 1")
+    if descriptor == HOMOGENEOUS:
+        return math.comb(nvars - 1 + k, nvars - 1)
+    if descriptor == AFFINE:
+        return math.comb(nvars + k, nvars)
+    raise ValueError(f"unknown descriptor {descriptor!r}")
+
+
 def monomial_system(nvars: int, k: int, descriptor: str = AFFINE,
                     names: Optional[Sequence[str]] = None) -> LinearSystem:
     """The complete monomial basis of degree <= k (affine) or == k
     (homogeneous), ordered by degree and graded-lex within each degree.
 
-    The affine system on n variables and the homogeneous system on n
-    variables both have dimension C(n + k, k) (with n one less than the
-    variable count in the homogeneous reading).
+    Its dimension is `system_dimension(nvars, k, descriptor)`; a caller
+    with a dimension guard checks that first (`check_dimension`), since
+    the basis is enumerated here in full.
     """
-    if nvars < 1 or k < 1:
-        raise ValueError("need nvars >= 1 and k >= 1")
+    system_dimension(nvars, k, descriptor)  # refuses bad arguments
     from .foliation import default_variable_names
     ring = PolyRing(tuple(names) if names else default_variable_names(nvars))
     if ring.nvars != nvars:
         raise ContextError(f"{ring.nvars} names for {nvars} variables")
     if descriptor == HOMOGENEOUS:
         exps = list(monomials_of_degree(nvars, k))
-    elif descriptor == AFFINE:
-        exps = list(monomials_up_to_degree(nvars, k))
     else:
-        raise ValueError(f"unknown descriptor {descriptor!r}")
+        exps = list(monomials_up_to_degree(nvars, k))
     exps.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
     basis = tuple(ring.monomial(e) for e in exps)
     return LinearSystem(basis, k, descriptor)
@@ -272,22 +282,36 @@ def _square_rows(matrix) -> tuple:
 def det_fraction_free(matrix) -> Polynomial:
     """Exact determinant by Bareiss elimination over the polynomial ring.
 
-    Every division performed is exact (Sylvester's identity), so no fraction
-    field is needed.
+    Each row's denominators are cleared once, so det = det(integer matrix)
+    / (product of the row scales), and the whole elimination runs on
+    packed integer term maps (`polyring._Packing`): products by
+    convolution, and every division exact over Z (Sylvester's identity),
+    so no fraction field is needed.  Pivots are the sparsest available in
+    their column.  Only the corner is unpacked.
     """
     rows, ring = _square_rows(matrix)
     m = len(rows)
     if m == 1:
         return rows[0][0]
+    # every Bareiss entry is a minor, of degree at most the sum of the
+    # columns' largest entry degrees; a product of two fits twice that
+    degree = sum(max(max(rows[i][j].degree() for i in range(m)), 0)
+                 for j in range(m))
+    packing = _Packing.of(ring.nvars, int(2 * degree))
+    scale = 1
+    for r in rows:
+        den = math.lcm(*(c.denominator for e in r for c in e.terms.values()))
+        scale *= den
+        r[:] = [packing.pack(e.terms, den) for e in r]
     sign = 1
-    prev = ring.one()
+    prev = {0: 1}
     for k in range(m - 1):
         pivot_row = None
         for i in range(k, m):
-            if not rows[i][k].is_zero():
+            if rows[i][k]:
                 # prefer the sparsest available pivot
-                if pivot_row is None or len(rows[i][k].terms) < len(
-                        rows[pivot_row][k].terms):
+                if pivot_row is None or len(rows[i][k]) < len(
+                        rows[pivot_row][k]):
                     pivot_row = i
         if pivot_row is None:
             return ring.zero()
@@ -296,39 +320,32 @@ def det_fraction_free(matrix) -> Polynomial:
             sign = -sign
         pivot = rows[k][k]
         for i in range(k + 1, m):
-            head = rows[i][k]
+            head = {x: -c for x, c in rows[i][k].items()}
             for j in range(k + 1, m):
-                num = pivot * rows[i][j] - head * rows[k][j]
-                q = num.divide_exact(prev)
+                num = _convolve(_convolve({}, pivot, rows[i][j]),
+                                head, rows[k][j])
+                q = _divide_packed(num, prev, packing.guards)
                 if q is None:
                     raise AssertionError("fraction-free division failed")
                 rows[i][j] = q
-            rows[i][k] = ring.zero()
+            rows[i][k] = {}
         prev = pivot
-    corner = rows[m - 1][m - 1]
-    return -corner if sign < 0 else corner
+    return packing.unpack(ring, rows[m - 1][m - 1], sign * scale)
 
 
 # ---------------------------------------------------------------------------
 # modular determinant
 # ---------------------------------------------------------------------------
 
-def _entry_norms(entry: Polynomial) -> tuple:
-    """(lcm of coefficient denominators, 1-norm of the integer image)."""
-    den = 1
-    for c in entry.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    norm = sum(abs(c.numerator) * (den // c.denominator)
-               for c in entry.terms.values())
-    return den, norm
-
-
 def _det_bounds(rows, ring):
-    """Per-variable degree bounds and coefficient bounds for the determinant.
+    """Per-variable degree bounds, column scales and a coefficient bound.
 
     Degree bound per variable: sum over columns (and over rows; the smaller
-    wins) of the largest entry degree in that variable.  Coefficient bounds
-    come from expanding the determinant as a sum of m! entry products.
+    wins) of the largest entry degree in that variable.  Column j is scaled
+    to integers by the lcm d_j of its own denominators; expanding the
+    determinant of the scaled matrix as a sum of m! entry products bounds
+    its integer coefficients by m! times the product of the columns'
+    largest 1-norms.
     """
     m = len(rows)
     nv = ring.nvars
@@ -339,53 +356,32 @@ def _det_bounds(rows, ring):
         row = sum(max(rows[i][j].degree_in(v) for j in range(m))
                   for i in range(m))
         var_bounds.append(min(col, row))
-    den_all = 1
-    col_norm = Fraction(1)
+    scales = []
+    height = math.factorial(m)
     for j in range(m):
-        best = Fraction(0)
-        for i in range(m):
-            den, norm = _entry_norms(rows[i][j])
-            den_all = den_all * den // math.gcd(den_all, den)
-            frac_norm = Fraction(norm, den)
-            if frac_norm > best:
-                best = frac_norm
-        col_norm *= best
-    den_bound = den_all ** m
-    num_bound = math.ceil(col_norm * math.factorial(m)) * den_bound
-    return var_bounds, max(num_bound, 1), max(den_bound, 1)
-
-
-def _rational_reconstruct(c: int, modulus: int, num_bound: int,
-                          den_bound: int) -> Fraction:
-    """Recover n/d from c mod modulus with |n| <= num_bound, 0 < d <= den_bound."""
-    r0, r1 = modulus, c % modulus
-    s0, s1 = 0, 1
-    while r1 > num_bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0:
-        raise EngineDisagreementError("rational reconstruction failed")
-    n, d = (r1, s1) if s1 > 0 else (-r1, -s1)
-    if d > den_bound or (n - c * d) % modulus != 0:
-        raise EngineDisagreementError("rational reconstruction failed")
-    return Fraction(n, d)
+        column = [rows[i][j].terms.values() for i in range(m)]
+        den = math.lcm(*(c.denominator for cs in column for c in cs))
+        scales.append(den)
+        height *= max(sum(abs(c.numerator) * (den // c.denominator)
+                          for c in cs) for cs in column)
+    return var_bounds, scales, height
 
 
 def det_modular(matrix, jobs: int = 1) -> Polynomial:
     """Exact determinant by modular evaluation and interpolation.
 
-    The matrix is evaluated on an integer grid large enough for the a-priori
-    degree bound, modulo enough primes for the a-priori coefficient-height
-    bound.  Per prime, `modular.prime_images` evaluates all entries at every
-    grid point, eliminates there with per-point pivoting, and interpolates
-    the determinants; the primes are combined by Chinese remaindering on a
-    fixed basis and finished with rational reconstruction.  The
-    contractions are float64 products whose partial sums stay below 2^53,
-    so every residue is exact.  Unlucky primes
-    (hitting a coefficient denominator) are skipped; the result is
-    bit-identical to `det_fraction_free`.  Grid arrays above MAX_GRID_BYTES
-    are refused with DimensionGuardError first.
+    Each column is first scaled to integers by the lcm of its own
+    denominators, so det = det(integer matrix) / (product of the scales).
+    The integer matrix is evaluated on an integer grid large enough for
+    the a-priori degree bound, modulo enough primes for the a-priori
+    coefficient-height bound.  Per prime, `modular.prime_images` evaluates
+    all entries at every grid point, eliminates there with per-point
+    pivoting, and interpolates the determinants; the primes are combined by
+    Chinese remaindering on a fixed basis into symmetric residues, which
+    are the integer coefficients.  The contractions are float64 products
+    whose partial sums stay below 2^53, so every residue is exact.  The
+    result is bit-identical to `det_fraction_free`.  Grid arrays above
+    MAX_GRID_BYTES are refused with DimensionGuardError first.
     """
     rows, ring = _square_rows(matrix)
     m = len(rows)
@@ -411,7 +407,7 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
             if det_sub.is_zero():
                 return ring.zero()
             return det_sub.homogenize(last, sum(col_degs))
-    var_bounds, num_bound, den_bound = _det_bounds(rows, ring)
+    var_bounds, scales, height = _det_bounds(rows, ring)
     grid_bytes = 8 * (m * m * math.prod(b + 1 for b in var_bounds)
                       + 2 * sum((b + 1) ** 2 for b in var_bounds))
     if grid_bytes > MAX_GRID_BYTES:
@@ -419,12 +415,12 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
             f"the grid value tensor and its Vandermonde and Lagrange "
             f"matrices need {grid_bytes} bytes, above the guard of "
             f"{MAX_GRID_BYTES}")
-    target = 2 * num_bound * den_bound
+    # symmetric residues recover every coefficient of absolute value at
+    # most height once the modulus exceeds twice it
+    target = 2 * height
     chosen = []
     prod = 1
     for p in PRIMES_2_31:
-        if den_bound % p == 0:
-            continue  # unlucky prime: it divides a coefficient denominator
         chosen.append(p)
         prod *= p
         if prod > target:
@@ -434,21 +430,22 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
             f"prime table exhausted: the height bound needs "
             f"{target.bit_length()} bits, the usable primes cover "
             f"{prod.bit_length()}")
+    ints = [[e.scale(d) if d != 1 else e for e, d in zip(r, scales)]
+            for r in rows]
     from . import modular  # the one module that imports numpy
     images = modular.prime_images(
-        rows, [tuple(range(1, b + 2)) for b in var_bounds], chosen, jobs)
+        ints, [tuple(range(1, b + 2)) for b in var_bounds], chosen, jobs)
     # Chinese remaindering on a fixed basis: basis_i is 1 mod p_i and 0 mod
     # every other chosen prime
-    modulus = math.prod(chosen)
-    basis = [modulus // p * pow(modulus // p, -1, p) for p in chosen]
+    basis = [prod // p * pow(prod // p, -1, p) for p in chosen]
+    half = prod // 2
     terms = {}
     for exps, rs in modular.nonzero_residues(images):
-        residue = sum(r * b for r, b in zip(rs, basis)) % modulus
-        terms[exps] = _rational_reconstruct(residue, modulus, num_bound,
-                                            den_bound)
+        residue = sum(r * b for r, b in zip(rs, basis)) % prod
+        terms[exps] = residue - prod if residue > half else residue
     det = Polynomial(ring, terms)  # drops zero coefficients
-    _self_check(rows, det, var_bounds, chosen[0])
-    return det
+    _self_check(ints, det, var_bounds, chosen[0])
+    return det.scale(Fraction(1, math.prod(scales)))
 
 
 def _column_homogeneous_degrees(rows, m):
@@ -479,7 +476,7 @@ def _det_mod_at(rows, point, p: int) -> int:
 
 
 def _self_check(rows, det, var_bounds, p):
-    """Re-check the reconstructed determinant at one fresh point mod p."""
+    """Re-check the interpolated determinant at one fresh point mod p."""
     point = [b + 2 + v for v, b in enumerate(var_bounds)]
     if det.evaluate_mod(point, p) != _det_mod_at(rows, point, p):
         raise EngineDisagreementError(
@@ -502,7 +499,9 @@ def _det(matrix, engine: str, jobs: int = 1) -> Polynomial:
     return det_modular(matrix, jobs=jobs)
 
 
-def _check_dimension(m: int, max_dim: Optional[int]) -> None:
+def check_dimension(m: int, max_dim: Optional[int] = None) -> None:
+    """Refuse a system of dimension m above the guard (DEFAULT_MAX_DIMENSION
+    unless `max_dim` is given) with DimensionGuardError."""
     limit = DEFAULT_MAX_DIMENSION if max_dim is None else max_dim
     if m > limit:
         raise DimensionGuardError(
@@ -563,7 +562,7 @@ def extactic(field: VectorField, system: LinearSystem, engine: str = "auto",
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     m = system.dimension
-    _check_dimension(m, max_dim)
+    check_dimension(m, max_dim)
     used = _engine_for(engine, m)
     _check_pair(field, system)
     d = foliation_degree(field).degree  # refuses the zero field
@@ -709,7 +708,7 @@ def extract_first_integral(field: VectorField, system: LinearSystem,
     when none does is the Cramer-minor fallback run (its minors take the
     engine "auto" picks by size).  Probe points are drawn from `seed`.
     """
-    _check_dimension(system.dimension, max_dim)
+    check_dimension(system.dimension, max_dim)
     _check_pair(field, system)
     if field.is_zero():
         raise DegenerateFieldError("zero field presents no foliation")

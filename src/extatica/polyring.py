@@ -6,14 +6,23 @@ identically.  The term order is graded lexicographic (total degree first,
 then exponent tuples with the first declared variable strongest); canonical
 text output lists terms in descending order of that key.
 
+Multiplication and exact division share one integer kernel: denominators
+are cleared once, each monomial is packed into one int (`_Packing`, field
+widths from the operands' degree bounds), and `_convolve` and
+`_divide_packed` work on {packed key: int} maps, where a monomial product
+is one integer addition and a divisibility test one guard-bit check.
+`extactic.det_fraction_free` runs its whole elimination on the same maps.
+
 Everything here is immutable after construction and safe to share between
 threads.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
@@ -54,11 +63,6 @@ class BadPrimeError(ArithmeticError):
 def grlex_key(exponents: Exponents) -> tuple:
     """Sort key realizing the graded-lex order (earlier variables stronger)."""
     return (sum(exponents), exponents)
-
-
-def _heap_key(exponents: Exponents) -> tuple:
-    """Min-heap entry that pops the graded-lex largest exponents first."""
-    return (-sum(exponents), tuple(-e for e in exponents)), exponents
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,7 @@ class Polynomial:
         """Total degree; NEG_INF for the zero polynomial."""
         if not self.terms:
             return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms))
 
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
@@ -233,23 +237,14 @@ class Polynomial:
             return NotImplemented
         if not self.terms or not other.terms:
             return Polynomial._raw(self.ring, {})
-        # Clear denominators once so the convolution runs on plain integers;
-        # one gcd per *result* term instead of one per term product.
-        fa, anum = _integer_image(self.terms)
-        fb, bnum = _integer_image(other.terms)
-        if len(anum) < len(bnum):
-            anum, bnum = bnum, anum
-        acc = {}
-        for eb, cb in bnum.items():
-            for ea, ca in anum.items():
-                key = tuple(map(sum, zip(ea, eb)))
-                acc[key] = acc.get(key, 0) + ca * cb
-        den = fa * fb
-        out = {}
-        for e, num in acc.items():
-            if num:
-                out[e] = Fraction(num, den)
-        return Polynomial._raw(self.ring, out)
+        # Clear denominators once so the convolution runs on plain integers
+        # and packed monomials; one gcd per *result* term.
+        fa, fb = _denominator(self.terms), _denominator(other.terms)
+        packing = _Packing.of(self.ring.nvars,
+                              int(self.degree() + other.degree()))
+        acc = _convolve({}, packing.pack(self.terms, fa),
+                        packing.pack(other.terms, fb))
+        return packing.unpack(self.ring, acc, fa * fb)
 
     __rmul__ = __mul__
 
@@ -291,41 +286,30 @@ class Polynomial:
     def divide_exact(self, g: "Polynomial"):
         """Return q with self == q*g, or None when no exact quotient exists.
 
-        Leading-term elimination in graded-lex order; because leading terms
-        are multiplicative, a failed leading-term division certifies
-        non-divisibility.  The remainder's exponents wait in a heap keyed by
-        the reversed order; an entry whose term has cancelled is skipped
-        when it is popped.
+        By Gauss's lemma the integer image of self is divided by the
+        primitive part of g's integer image over Z (`_divide_packed`); a
+        quotient over Q is then one over Z, and one rational scale turns it
+        into q.
         """
         g = self._coerce(g)
         if g.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return Polynomial._raw(self.ring, {})
-        g_exps, g_coeff = g.leading_term()
-        rem = dict(self.terms)
-        heap = [_heap_key(e) for e in rem]
-        heapq.heapify(heap)
-        quot = {}
-        while rem:
-            exps = heapq.heappop(heap)[1]
-            if exps not in rem:
-                continue
-            diff = tuple(a - b for a, b in zip(exps, g_exps))
-            if any(d < 0 for d in diff):
-                return None
-            c = rem[exps] / g_coeff
-            quot[diff] = c
-            for eg, cg in g.terms.items():
-                key = tuple(map(sum, zip(eg, diff)))
-                s = rem.get(key, 0) - cg * c
-                if s == 0:
-                    rem.pop(key, None)
-                else:
-                    if key not in rem:
-                        heapq.heappush(heap, _heap_key(key))
-                    rem[key] = s
-        return Polynomial._raw(self.ring, quot)
+        fden, gden = _denominator(self.terms), _denominator(g.terms)
+        packing = _Packing.of(self.ring.nvars,
+                              int(max(self.degree(), g.degree())))
+        divisor = packing.pack(g.terms, gden)
+        content = math.gcd(*divisor.values())
+        if content != 1:
+            divisor = {k: c // content for k, c in divisor.items()}
+        quot = _divide_packed(packing.pack(self.terms, fden), divisor,
+                              packing.guards)
+        if quot is None:
+            return None
+        if gden != 1:
+            quot = {k: c * gden for k, c in quot.items()}
+        return packing.unpack(self.ring, quot, fden * content)
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -459,15 +443,130 @@ class Polynomial:
         return h
 
 
+def _denominator(terms: Mapping[Exponents, Fraction]) -> int:
+    """The lcm of a term map's coefficient denominators."""
+    return math.lcm(*[c.denominator for c in terms.values()])
+
+
 def _integer_image(terms: Mapping[Exponents, Fraction]) -> tuple:
     """(common denominator, {exps: integer numerator}) for a term map."""
-    den = 1
-    for c in terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = _denominator(terms)
     if den == 1:
         return 1, {e: c.numerator for e, c in terms.items()}
     return den, {e: c.numerator * (den // c.denominator)
                  for e, c in terms.items()}
+
+
+# ---------------------------------------------------------------------------
+# the packed integer kernel
+# ---------------------------------------------------------------------------
+
+class _Packing:
+    """Monomials of total degree <= `degree` packed into one int each.
+
+    The fields, from the top, are deg | e_1 | ... | e_n: each is wide enough
+    for `degree` plus one guard bit above it.  Integer order on packed keys
+    is then graded-lex (total degree first, earlier variables stronger), a
+    product of monomials is the sum of their keys (no field passes
+    `degree`, so no carry reaches a guard bit), and m divides k exactly when
+    k - m sets no guard bit: the lowest field where m exceeds k borrows
+    from its own guard bit (Monagan and Pearce, "Polynomial division using
+    dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  The
+    widths follow `degree`, so every degree the library accepts fits.
+    """
+
+    __slots__ = ("shifts", "top", "mask", "guards")
+
+    @staticmethod
+    def of(nvars: int, degree: int) -> "_Packing":
+        """The layout for `nvars` variables and total degree <= `degree`."""
+        return _packing(nvars, max(degree, 1).bit_length())
+
+    def __init__(self, nvars: int, bits: int):
+        width = bits + 1
+        self.shifts = tuple(width * (nvars - 1 - v) for v in range(nvars))
+        self.top = width * nvars
+        self.mask = (1 << bits) - 1
+        self.guards = sum(1 << (width * f + bits) for f in range(nvars + 1))
+
+    def pack(self, terms: Mapping[Exponents, Fraction], den: int) -> dict:
+        """{key: integer coefficient} of den times a term map; den is a
+        multiple of every coefficient denominator."""
+        shifts, top = self.shifts, self.top
+        if den == 1:
+            return {sum(map(operator.lshift, e, shifts), sum(e) << top):
+                    c.numerator for e, c in terms.items()}
+        return {sum(map(operator.lshift, e, shifts), sum(e) << top):
+                c.numerator * (den // c.denominator)
+                for e, c in terms.items()}
+
+    def unpack(self, ring: PolyRing, terms: Mapping[int, int],
+               den: int = 1) -> "Polynomial":
+        """The polynomial sum of (c/den) x^key over the nonzero terms."""
+        shifts, mask = self.shifts, self.mask
+        return Polynomial._raw(ring, {
+            tuple([k >> s & mask for s in shifts]):
+            Fraction(c, den) if den != 1 else Fraction(c)  # skips a gcd
+            for k, c in terms.items() if c})
+
+
+@functools.lru_cache(maxsize=None)
+def _packing(nvars: int, bits: int) -> _Packing:
+    return _Packing(nvars, bits)
+
+
+def _convolve(acc: dict, a: Mapping[int, int], b: Mapping[int, int]) -> dict:
+    """acc += a*b on packed integer term maps; acc may keep zero sums."""
+    if len(a) < len(b):
+        a, b = b, a
+    get = acc.get
+    for kb, cb in b.items():
+        for ka, ca in a.items():
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    return acc
+
+
+def _divide_packed(f: Mapping[int, int], g: Mapping[int, int],
+                   guards: int):
+    """q over Z with f == q*g on packed integer term maps, or None.
+
+    Leading-term elimination: the largest key of the remainder is popped
+    from a heap of negated keys; a leading monomial of g that does not
+    divide it, or a coefficient that its leading coefficient does not
+    divide, certifies that no quotient over Z exists.  Every key pushed
+    after a pop is smaller than the popped one, so each key enters the
+    heap once and its remainder entry, zero or not, is read when popped.
+    """
+    lead = max(g)
+    lc = g[lead]
+    rest = [(k, c) for k, c in g.items() if k != lead]
+    rem = dict(f)
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    quot = {}
+    while heap:
+        k = -pop(heap)
+        c = rem.pop(k)
+        if not c:
+            continue
+        d = k - lead
+        if d & guards:
+            return None
+        qc, r = divmod(c, lc)
+        if r:
+            return None
+        quot[d] = qc
+        for kg, cg in rest:
+            key = kg + d
+            s = rem.get(key)
+            if s is None:
+                rem[key] = -cg * qc
+                push(heap, -key)
+            else:
+                rem[key] = s - cg * qc
+    return quot
 
 
 def proportional(f: Polynomial, g: Polynomial) -> bool:

@@ -499,6 +499,46 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1 and "re-check" in json.loads(lines[0])["error"]
 
+    @pytest.mark.parametrize("command", ["extactic", "first-integral"])
+    @pytest.mark.parametrize("k,m", [(1500, 1127251), (20000, 200030001)])
+    def test_dimension_guard_runs_before_the_system_is_built(self, command,
+                                                             k, m):
+        # C(2 + k, k) is checked before the monomials are enumerated: the
+        # first took 12 s to reach exit 4, the second ended in MemoryError
+        start = time.perf_counter()
+        proc = run_process([command, "--vars", "x,y", "--field", "x,y",
+                            "--k", str(k)], timeout=10)
+        assert time.perf_counter() - start < 2.0
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and f"dimension {m} exceeds" in json.loads(
+            lines[0])["error"]
+
+    @pytest.mark.parametrize("genus", ["1e10000000", "1E5", "2.5e1",
+                                       "1" * 1001])
+    def test_genus_in_exponent_form_or_too_long_is_2(self, genus):
+        # Fraction("1e10000000") built 10^10000000 for 10 s before exit 2
+        start = time.perf_counter()
+        proc = run_process(["bound", "gen", "--d", "2", "--k", "1",
+                            "--count", "1", "--genus", genus], timeout=10)
+        assert time.perf_counter() - start < 2.0
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "--genus must be" in json.loads(
+            lines[0])["error"]
+
+    @pytest.mark.parametrize("genus,lhs", [("3", "-4"), ("--genus=-1/2", "3"),
+                                           ("0.25", "3/2"), ("1" * 1000,
+                                                             None)])
+    def test_genus_forms_accepted(self, genus, lhs):
+        flag = [genus] if genus.startswith("--") else ["--genus", genus]
+        code, out, err = run_cli(["bound", "gen", "--d", "2", "--k", "1",
+                                  "--count", "1", *flag])
+        assert code == 0 and err == ""
+        assert lhs is None or json.loads(out)["lhs"] == lhs
+
     def test_env_override_lifts_guard(self, monkeypatch):
         monkeypatch.setenv("EXTATICA_MAX_DIM", "5")
         code, _, _ = run_cli(["extactic", "--vars", "x,y", "--field",

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from extatica.corpus import (hamiltonian, pencil_field, planted_lines_field,
@@ -29,6 +29,7 @@ from extatica.polyring import (PRIMES_2_31, ContextError, PolyRing,
                                monomials_of_degree, monomials_up_to_degree,
                                proportional)
 from conftest import RING_XY, RING_XYZ, polynomials
+import bareiss_oracle
 
 X, Y = RING_XY.variables()
 
@@ -241,6 +242,35 @@ class TestDetFractionFree:
         assert det_fraction_free(m).is_zero()
 
 
+@st.composite
+def polynomial_matrices(draw):
+    """Square matrices (m <= 5) over 1-3 variables with sparse rational
+    entries, about one in five of them zero, so pivots vanish and rows
+    swap."""
+    ring = PolyRing(("x", "y", "z")[:draw(st.integers(1, 3))])
+    m = draw(st.sampled_from((1, 2, 3, 4, 5)))
+    entry = st.tuples(
+        st.integers(0, 4),
+        polynomials(ring, max_degree=2, max_terms=3, nonzero=True),
+        st.fractions(-4, 4, max_denominator=6).filter(bool)).map(
+            lambda t: t[1].scale(t[2]) if t[0] else ring.zero())
+    return [[draw(entry) for _ in range(m)] for _ in range(m)]
+
+
+_ONE, _ZERO = RING_XY.one(), RING_XY.zero()
+
+
+@given(rows=polynomial_matrices())
+@example(rows=[[_ZERO, X], [Y, _ONE]])               # zero pivot: a swap
+@example(rows=[[X, Y, _ONE], [X, Y, X], [_ONE, _ONE, Y]])  # a later swap
+@example(rows=[[X, X], [Y, Y]])                      # singular
+@settings(max_examples=60, deadline=None)
+def test_det_fraction_free_matches_oracle_and_modular(rows):
+    det = det_fraction_free(rows)
+    assert det == bareiss_oracle.det_fraction_free(rows)
+    assert det == det_modular(rows)
+
+
 class TestDetModular:
     def test_matches_fraction_free_on_named_examples(self):
         one, zero = RING_XY.one(), RING_XY.zero()
@@ -288,9 +318,28 @@ class TestDetModular:
     def test_unlucky_prime_skipped(self):
         from extatica.polyring import PRIMES_2_31
         m = random_polynomial_matrix(3, 2, 2, 555)
-        # a denominator hitting the first table prime forces a skip
+        # a denominator equal to the first table prime: the columns are
+        # scaled to integers before any prime is used, so it is used too
         m[0][0] = m[0][0] + RING_XY.constant(Fraction(1, PRIMES_2_31[0]))
         assert det_modular(m) == det_fraction_free(m)
+
+    def test_scaled_columns_need_four_primes_for_slv4(self, monkeypatch):
+        # each column scaled by the lcm of its own denominators: the height
+        # bound of slv:4 at k=2 is 109 bits (4 primes); counting the
+        # common denominator twice asked 280 bits (10 primes)
+        modular = sys.modules["extatica.modular"]
+        seen = []
+        images = modular.prime_images
+
+        def spy(rows, nodes, primes, jobs=1):
+            seen.append(len(primes))
+            return images(rows, nodes, primes, jobs)
+
+        monkeypatch.setattr(modular, "prime_images", spy)
+        jet = jet_matrix(slv(4).field, monomial_system(3, 2, HOMOGENEOUS))
+        det = det_modular(jet.entries)
+        assert seen == [4]
+        assert det == det_fraction_free(jet.entries)
 
     def test_prime_table_exhaustion_is_fatal(self):
         # coefficients near 2^800 give a height bound of 1,603 bits, more

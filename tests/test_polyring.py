@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extatica.polyring import (NEG_INF, BadPrimeError, ContextError,
                                DegreeError, PolyRing, PRIMES_2_31)
 
 from conftest import (PRIMES_2_61, RING_XY, RING_XYZ, polynomials,
                       rational_points)
+import bareiss_oracle
 
 X, Y = RING_XY.variables()
 X3, Y3, Z3 = RING_XYZ.variables()
@@ -171,16 +173,57 @@ def test_canonical_form_commutes(f, g):
     assert (f - f).is_zero()
 
 
+WIDE = 2 ** 15
+
+
+def _shifted(p, shift):
+    """p times the monomial x^shift, built without multiplying."""
+    return p.ring.from_terms({tuple(a + b for a, b in zip(e, shift)): c
+                              for e, c in p.terms.items()})
+
+
 @given(f=polynomials(), g=polynomials(nonzero=True),
-       r=polynomials(max_degree=3))
-@settings(max_examples=150)
-def test_exactness_of_division(f, g, r):
-    assert (f * g).divide_exact(g) == f
+       r=polynomials(max_degree=3),
+       scale_f=st.fractions(-9, 9, max_denominator=8).filter(bool),
+       content=st.integers(2, 12), den=st.integers(1, 12),
+       wide=st.booleans(), shifts=st.tuples(*[st.integers(0, WIDE)] * 3))
+@settings(max_examples=150, deadline=None)
+def test_exactness_of_division(f, g, r, scale_f, content, den, wide, shifts):
+    # g has non-unit content and f a denominator; when wide, f, g and r
+    # carry x, y and z exponents of at least 2^15, so products pass 2^16
+    # and the packed field widths must follow the degrees
+    f = f.scale(scale_f)
+    g = g.scale(Fraction(content, den))
     # a nonzero remainder below the degree of g is never a multiple of g
     low = sum((r.homogeneous_part(d) for d in range(int(g.degree()))),
               RING_XYZ.zero())
+    if wide:
+        a, b, c = (WIDE + s for s in shifts)
+        f = _shifted(f, (a, 0, 0))
+        g = _shifted(g, (0, b, 0))
+        r = _shifted(r, (0, 0, c))
+    h = f * g
+    assert h == bareiss_oracle.multiply(f, g)
+    assert h.divide_exact(g) == f
     if not low.is_zero():
-        assert (f * g + low).divide_exact(g) is None
+        assert (h + low).divide_exact(g) is None
+    assert (h + r).divide_exact(g) == bareiss_oracle.divide_exact(h + r, g)
+
+
+@given(e=st.tuples(*[st.integers(0, 2 * WIDE)] * 3),
+       delta=st.tuples(*[st.integers(-2, 2)] * 3),
+       coeffs=st.tuples(*[st.integers(1, 9)] * 2))
+@settings(max_examples=150)
+def test_monomial_division_is_componentwise(e, delta, coeffs):
+    # the guard-bit test must see a smaller exponent in any one variable,
+    # also when the total degree of the dividend is the larger one
+    top = tuple(max(a + d, 0) for a, d in zip(e, delta))
+    a, b = coeffs
+    q = RING_XYZ.monomial(top, a * b).divide_exact(RING_XYZ.monomial(e, b))
+    if all(x >= y for x, y in zip(top, e)):
+        assert q == RING_XYZ.monomial([x - y for x, y in zip(top, e)], a)
+    else:
+        assert q is None
 
 
 def test_evaluation_homomorphism_100_points():
