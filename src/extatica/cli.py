@@ -41,7 +41,6 @@ import functools
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -67,12 +66,10 @@ MAX_DEGREE = 64
 #: (a+b+c+d+1)^32 has 58,905 terms.  (x+y+1)^64 has 2,145.
 MAX_TERMS = 10_000
 
-#: Longest `--genus` text accepted.  It is checked, with the form (an
-#: integer, p/q or a decimal, never an exponent), before the conversion:
-#: Fraction("1e10000000") would build 10^10000000 first.
+#: Longest `--genus` text accepted.  It is checked, and an exponent form
+#: refused, before the conversion: Fraction("1e10000000") would build
+#: 10^10000000 first.
 MAX_NUMBER_CHARS = 1000
-
-_RATIONAL = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+)")
 
 
 class ParseError(ValueError):
@@ -390,9 +387,10 @@ def _frac_str(value) -> Optional[str]:
 
 
 def _genus(text: str) -> Fraction:
-    """`--genus` as a Fraction: an integer, p/q or a decimal of at most
-    MAX_NUMBER_CHARS characters; anything else is a ValueError."""
-    if len(text) > MAX_NUMBER_CHARS or not _RATIONAL.fullmatch(text.strip()):
+    """`--genus` as a Fraction: any form `Fraction` reads but an exponent
+    (an integer, p/q or a decimal), of at most MAX_NUMBER_CHARS
+    characters; anything else is a ValueError."""
+    if len(text) > MAX_NUMBER_CHARS or "e" in text.lower():
         raise ValueError(
             f"--genus must be an integer, p/q or a decimal of at most "
             f"{MAX_NUMBER_CHARS} characters, not {text[:40]!r}")

@@ -10,7 +10,8 @@ system.
 Two exact determinant engines are provided:
 
 * `det_fraction_free` - Bareiss elimination over the polynomial ring, on
-  packed integer monomials (`polyring._Packing`), best for small matrices.
+  packed integer monomials (`polyring.bareiss_determinant`), best for
+  small matrices.
 * `det_modular` - evaluation/interpolation modulo word-size primes with
   Chinese remaindering into symmetric residues, after each column is scaled
   to integers; best once degrees blow up.  The bounds, the prime choice and
@@ -45,9 +46,9 @@ from .foliation import (AFFINE, HOMOGENEOUS, DegenerateFieldError,
                         VectorField, apply_derivation, foliation_degree)
 from .linalg import det_mod, kernel, reduce_rational
 from .polyring import (PRIMES_2_31, BadPrimeError, ContextError,
-                       _convolve, _divide_packed, _Packing,
-                       PolyRing, Polynomial, monomials_of_degree,
-                       monomials_up_to_degree, proportional)
+                       PolyRing, Polynomial, bareiss_determinant,
+                       monomials_of_degree, monomials_up_to_degree,
+                       proportional)
 
 #: Complete monomial systems above this dimension are refused unless the
 #: caller overrides: the determinant degree grows quadratically in the
@@ -282,55 +283,15 @@ def _square_rows(matrix) -> tuple:
 def det_fraction_free(matrix) -> Polynomial:
     """Exact determinant by Bareiss elimination over the polynomial ring.
 
-    Each row's denominators are cleared once, so det = det(integer matrix)
-    / (product of the row scales), and the whole elimination runs on
-    packed integer term maps (`polyring._Packing`): products by
-    convolution, and every division exact over Z (Sylvester's identity),
-    so no fraction field is needed.  Pivots are the sparsest available in
-    their column.  Only the corner is unpacked.
+    The elimination (`polyring.bareiss_determinant`) clears each row's
+    denominators once and runs on packed integer term maps, every division
+    exact over Z (Sylvester's identity), so no fraction field is needed.
+    Pivots are the sparsest available in their column.
     """
     rows, ring = _square_rows(matrix)
-    m = len(rows)
-    if m == 1:
+    if len(rows) == 1:
         return rows[0][0]
-    # every Bareiss entry is a minor, of degree at most the sum of the
-    # columns' largest entry degrees; a product of two fits twice that
-    degree = sum(max(max(rows[i][j].degree() for i in range(m)), 0)
-                 for j in range(m))
-    packing = _Packing.of(ring.nvars, int(2 * degree))
-    scale = 1
-    for r in rows:
-        den = math.lcm(*(c.denominator for e in r for c in e.terms.values()))
-        scale *= den
-        r[:] = [packing.pack(e.terms, den) for e in r]
-    sign = 1
-    prev = {0: 1}
-    for k in range(m - 1):
-        pivot_row = None
-        for i in range(k, m):
-            if rows[i][k]:
-                # prefer the sparsest available pivot
-                if pivot_row is None or len(rows[i][k]) < len(
-                        rows[pivot_row][k]):
-                    pivot_row = i
-        if pivot_row is None:
-            return ring.zero()
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        pivot = rows[k][k]
-        for i in range(k + 1, m):
-            head = {x: -c for x, c in rows[i][k].items()}
-            for j in range(k + 1, m):
-                num = _convolve(_convolve({}, pivot, rows[i][j]),
-                                head, rows[k][j])
-                q = _divide_packed(num, prev, packing.guards)
-                if q is None:
-                    raise AssertionError("fraction-free division failed")
-                rows[i][j] = q
-            rows[i][k] = {}
-        prev = pivot
-    return packing.unpack(ring, rows[m - 1][m - 1], sign * scale)
+    return bareiss_determinant(rows, ring)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,11 @@ Multiplication and exact division share one integer kernel: denominators
 are cleared once, each monomial is packed into one int (`_Packing`, field
 widths from the operands' degree bounds), and `_convolve` and
 `_divide_packed` work on {packed key: int} maps, where a monomial product
-is one integer addition and a divisibility test one guard-bit check.
-`extactic.det_fraction_free` runs its whole elimination on the same maps.
+is one integer addition and a divisibility test one guard-bit check.  A
+product with a one-term factor only shifts and scales, so it packs
+nothing.  `bareiss_determinant`, behind `extactic.det_fraction_free`, runs
+a whole Bareiss elimination on the same maps; the packed format is known
+to this module only.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -180,7 +183,7 @@ class Polynomial:
         """Total degree; NEG_INF for the zero polynomial."""
         if not self.terms:
             return NEG_INF
-        return max(map(sum, self.terms))
+        return max(sum(e) for e in self.terms)
 
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
@@ -237,6 +240,13 @@ class Polynomial:
             return NotImplemented
         if not self.terms or not other.terms:
             return Polynomial._raw(self.ring, {})
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            # a monomial times a polynomial: shift and scale, nothing to pack
+            (em, cm), = (self if len(self.terms) == 1 else other).terms.items()
+            terms = other.terms if len(self.terms) == 1 else self.terms
+            return Polynomial._raw(self.ring, {
+                tuple(map(operator.add, e, em)): c * cm
+                for e, c in terms.items()})
         # Clear denominators once so the convolution runs on plain integers
         # and packed monomials; one gcd per *result* term.
         fa, fb = _denominator(self.terms), _denominator(other.terms)
@@ -304,7 +314,7 @@ class Polynomial:
         if content != 1:
             divisor = {k: c // content for k, c in divisor.items()}
         quot = _divide_packed(packing.pack(self.terms, fden), divisor,
-                              packing.guards)
+                              packing)
         if quot is None:
             return None
         if gden != 1:
@@ -528,7 +538,7 @@ def _convolve(acc: dict, a: Mapping[int, int], b: Mapping[int, int]) -> dict:
 
 
 def _divide_packed(f: Mapping[int, int], g: Mapping[int, int],
-                   guards: int):
+                   packing: _Packing):
     """q over Z with f == q*g on packed integer term maps, or None.
 
     Leading-term elimination: the largest key of the remainder is popped
@@ -538,6 +548,7 @@ def _divide_packed(f: Mapping[int, int], g: Mapping[int, int],
     after a pop is smaller than the popped one, so each key enters the
     heap once and its remainder entry, zero or not, is read when popped.
     """
+    guards = packing.guards
     lead = max(g)
     lc = g[lead]
     rest = [(k, c) for k, c in g.items() if k != lead]
@@ -567,6 +578,57 @@ def _divide_packed(f: Mapping[int, int], g: Mapping[int, int],
             else:
                 rem[key] = s - cg * qc
     return quot
+
+
+def bareiss_determinant(rows: list, ring: PolyRing) -> Polynomial:
+    """Determinant of a square matrix (m >= 2) of polynomials in `ring` by
+    Bareiss elimination over Z on packed term maps.
+
+    Each row's denominators are cleared once, so det = det(integer matrix)
+    / (product of the row scales); every division is exact over Z
+    (Sylvester's identity), and a failed one raises AssertionError.
+    Pivots are the sparsest available in their column.  Only the corner is
+    unpacked.  `rows` is consumed.
+    """
+    m = len(rows)
+    # every Bareiss entry is a minor, of degree at most the sum of the
+    # columns' largest entry degrees; a product of two fits twice that
+    degree = sum(max(max(rows[i][j].degree() for i in range(m)), 0)
+                 for j in range(m))
+    packing = _Packing.of(ring.nvars, int(2 * degree))
+    scale = 1
+    for r in rows:
+        den = math.lcm(*(c.denominator for e in r for c in e.terms.values()))
+        scale *= den
+        r[:] = [packing.pack(e.terms, den) for e in r]
+    sign = 1
+    prev = packing.pack(ring.one().terms, 1)
+    for k in range(m - 1):
+        pivot_row = None
+        for i in range(k, m):
+            if rows[i][k]:
+                # prefer the sparsest available pivot
+                if pivot_row is None or len(rows[i][k]) < len(
+                        rows[pivot_row][k]):
+                    pivot_row = i
+        if pivot_row is None:
+            return ring.zero()
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        for i in range(k + 1, m):
+            head = {x: -c for x, c in rows[i][k].items()}
+            for j in range(k + 1, m):
+                num = _convolve(_convolve({}, pivot, rows[i][j]),
+                                head, rows[k][j])
+                q = _divide_packed(num, prev, packing)
+                if q is None:
+                    raise AssertionError("fraction-free division failed")
+                rows[i][j] = q
+            rows[i][k] = {}
+        prev = pivot
+    return packing.unpack(ring, rows[m - 1][m - 1], sign * scale)
 
 
 def proportional(f: Polynomial, g: Polynomial) -> bool:

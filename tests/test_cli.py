@@ -530,8 +530,9 @@ class TestExitCodes:
             lines[0])["error"]
 
     @pytest.mark.parametrize("genus,lhs", [("3", "-4"), ("--genus=-1/2", "3"),
-                                           ("0.25", "3/2"), ("1" * 1000,
-                                                             None)])
+                                           ("0.25", "3/2"), ("3.", "-4"),
+                                           (".5", "1"), ("1_000", "-1998"),
+                                           ("1" * 1000, None)])
     def test_genus_forms_accepted(self, genus, lhs):
         flag = [genus] if genus.startswith("--") else ["--genus", genus]
         code, out, err = run_cli(["bound", "gen", "--d", "2", "--k", "1",
