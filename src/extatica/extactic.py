@@ -14,11 +14,13 @@ Two exact determinant engines are provided:
   small matrices.
 * `det_modular` - evaluation/interpolation modulo word-size primes with
   Chinese remaindering into symmetric residues, after each column is scaled
-  to integers; best once degrees blow up.  The bounds, the prime choice and
-  the remaindering run here; the per-prime grid work (evaluation by
-  per-axis Vandermonde contractions, elimination at every grid point,
-  interpolation) runs on numpy in `extatica.modular`, which is imported on
-  the first modular determinant, so numpy loads only then.
+  to integers; best once degrees blow up.  The bounds (degree per variable
+  and total degree), the memory guard, the prime choice and the
+  remaindering run here; the per-prime work on the lower set of exponents
+  those bounds allow (evaluation by Vandermonde contractions, elimination
+  at every point, Newton interpolation) runs on numpy in
+  `extatica.modular`, which is imported on the first modular determinant,
+  so numpy loads only then.
 
 Both return identical canonical polynomials.  A determinant is computed
 only when E is nonzero: `_certify_vanishing` first probes J modulo a prime,
@@ -55,9 +57,9 @@ from .polyring import (PRIMES_2_31, BadPrimeError, ContextError,
 #: dimension and desk-scale runs must stay tractable.
 DEFAULT_MAX_DIMENSION = 21
 
-#: The modular engine refuses a grid whose arrays (m x m int64 values per
-#: point, a float64 Vandermonde and Lagrange matrix per axis) exceed this
-#: many bytes.
+#: The modular engine refuses a grid whose arrays (`_grid_bytes`: m x m
+#: int64 values per point of the lower set, the entries contracted along
+#: the leading axes, three square float64 matrices) exceed this many bytes.
 MAX_GRID_BYTES = 1 << 30
 
 _PROBE_RANGE = 10_000  # random integer probe points live in [-10^4, 10^4]
@@ -299,24 +301,26 @@ def det_fraction_free(matrix) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 def _det_bounds(rows, ring):
-    """Per-variable degree bounds, column scales and a coefficient bound.
+    """Per-variable degree bounds, a total degree bound, column scales and
+    a coefficient bound.
 
     Degree bound per variable: sum over columns (and over rows; the smaller
-    wins) of the largest entry degree in that variable.  Column j is scaled
-    to integers by the lcm d_j of its own denominators; expanding the
-    determinant of the scaled matrix as a sum of m! entry products bounds
-    its integer coefficients by m! times the product of the columns'
-    largest 1-norms.
+    wins) of the largest entry degree in that variable; the total degree
+    bound is the same with total degrees.  Column j is scaled to integers
+    by the lcm d_j of its own denominators; expanding the determinant of
+    the scaled matrix as a sum of m! entry products bounds its integer
+    coefficients by m! times the product of the columns' largest 1-norms.
     """
     m = len(rows)
     nv = ring.nvars
-    var_bounds = []
-    for v in range(nv):
-        col = sum(max(rows[i][j].degree_in(v) for i in range(m))
-                  for j in range(m))
-        row = sum(max(rows[i][j].degree_in(v) for j in range(m))
-                  for i in range(m))
-        var_bounds.append(min(col, row))
+    # per entry: its largest degree in each variable, then its total degree
+    degrees = [[tuple(map(max, zip(*e.terms))) + (max(map(sum, e.terms)),)
+                if e.terms else (0,) * (nv + 1) for e in r] for r in rows]
+    bounds = []
+    for k in range(nv + 1):
+        col = sum(max(degrees[i][j][k] for i in range(m)) for j in range(m))
+        row = sum(max(degrees[i][j][k] for j in range(m)) for i in range(m))
+        bounds.append(min(col, row))
     scales = []
     height = math.factorial(m)
     for j in range(m):
@@ -325,7 +329,34 @@ def _det_bounds(rows, ring):
         scales.append(den)
         height *= max(sum(abs(c.numerator) * (den // c.denominator)
                           for c in cs) for cs in column)
-    return var_bounds, scales, height
+    return bounds[:nv], bounds[nv], scales, height
+
+
+def _lower_set_size(bounds, degree: int) -> int:
+    """|{e : e_v <= bounds[v], sum(e) <= degree}|, counted by total degree
+    one axis at a time."""
+    count = [1] + [0] * degree  # count[s]: points of total degree s so far
+    for b in bounds:
+        prefix = [0]
+        for c in count:
+            prefix.append(prefix[-1] + c)
+        count = [prefix[s + 1] - prefix[max(0, s - b)]
+                 for s in range(degree + 1)]
+    return sum(count)
+
+
+def _grid_bytes(rows, var_bounds, total_bound) -> int:
+    """Bytes of the modular engine's largest arrays: m x m int64 values at
+    every point of the lower set, the entries after the contraction of the
+    leading axes (m x m values per leading grid point and coefficient of
+    the last variable), and the float64 Vandermonde, divided-difference
+    and Newton-to-monomial matrices on the longest axis."""
+    m = len(rows)
+    last = max(e.degree_in(len(var_bounds) - 1) for r in rows for e in r)
+    leading = math.prod(b + 1 for b in var_bounds[:-1])
+    size = max(var_bounds) + 1
+    return 8 * (m * m * (_lower_set_size(var_bounds, total_bound)
+                         + (last + 1) * leading) + 3 * size * size)
 
 
 def det_modular(matrix, jobs: int = 1) -> Polynomial:
@@ -333,11 +364,13 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
 
     Each column is first scaled to integers by the lcm of its own
     denominators, so det = det(integer matrix) / (product of the scales).
-    The integer matrix is evaluated on an integer grid large enough for
-    the a-priori degree bound, modulo enough primes for the a-priori
-    coefficient-height bound.  Per prime, `modular.prime_images` evaluates
-    all entries at every grid point, eliminates there with per-point
-    pivoting, and interpolates the determinants; the primes are combined by
+    The determinant has degree at most b_v in variable v and total degree
+    at most D (`_det_bounds`), so its coefficients live on the lower set
+    {e : e_v <= b_v, sum(e) <= D}, and its values at the points e + 1 of
+    that set determine them.  Modulo enough primes for the a-priori
+    coefficient-height bound, `modular.prime_images` evaluates all entries
+    at those points, eliminates there with per-point pivoting, and
+    Newton-interpolates the determinants; the primes are combined by
     Chinese remaindering on a fixed basis into symmetric residues, which
     are the integer coefficients.  The contractions are float64 products
     whose partial sums stay below 2^53, so every residue is exact.  The
@@ -368,14 +401,12 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
             if det_sub.is_zero():
                 return ring.zero()
             return det_sub.homogenize(last, sum(col_degs))
-    var_bounds, scales, height = _det_bounds(rows, ring)
-    grid_bytes = 8 * (m * m * math.prod(b + 1 for b in var_bounds)
-                      + 2 * sum((b + 1) ** 2 for b in var_bounds))
+    var_bounds, total_bound, scales, height = _det_bounds(rows, ring)
+    grid_bytes = _grid_bytes(rows, var_bounds, total_bound)
     if grid_bytes > MAX_GRID_BYTES:
         raise DimensionGuardError(
-            f"the grid value tensor and its Vandermonde and Lagrange "
-            f"matrices need {grid_bytes} bytes, above the guard of "
-            f"{MAX_GRID_BYTES}")
+            f"the grid arrays on the lower set of degree <= {total_bound} "
+            f"need {grid_bytes} bytes, above the guard of {MAX_GRID_BYTES}")
     # symmetric residues recover every coefficient of absolute value at
     # most height once the modulus exceeds twice it
     target = 2 * height
@@ -394,14 +425,13 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
     ints = [[e.scale(d) if d != 1 else e for e, d in zip(r, scales)]
             for r in rows]
     from . import modular  # the one module that imports numpy
-    images = modular.prime_images(
-        ints, [tuple(range(1, b + 2)) for b in var_bounds], chosen, jobs)
     # Chinese remaindering on a fixed basis: basis_i is 1 mod p_i and 0 mod
     # every other chosen prime
     basis = [prod // p * pow(prod // p, -1, p) for p in chosen]
     half = prod // 2
     terms = {}
-    for exps, rs in modular.nonzero_residues(images):
+    for exps, rs in modular.prime_images(ints, var_bounds, total_bound,
+                                         chosen, jobs):
         residue = sum(r * b for r, b in zip(rs, basis)) % prod
         terms[exps] = residue - prod if residue > half else residue
     det = Polynomial(ring, terms)  # drops zero coefficients

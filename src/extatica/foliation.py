@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .polyring import ContextError, PolyRing, Polynomial
+from .polyring import ContextError, PolyRing, Polynomial, derivation
 
 AFFINE = "affine"
 HOMOGENEOUS = "homogeneous"
@@ -106,17 +106,10 @@ class Cofactor:
 
 
 def apply_derivation(field: VectorField, f: Polynomial) -> Polynomial:
-    """X(f) = sum_i P_i * df/dx_i, exact."""
+    """X(f) = sum_i P_i * df/dx_i, exact (`polyring.derivation`)."""
     if f.ring != field.ring:
         raise ContextError("polynomial and field rings differ")
-    out = field.ring.zero()
-    for i, p in enumerate(field.components):
-        if p.is_zero():
-            continue
-        df = f.partial_derivative(i)
-        if not df.is_zero():
-            out = out + p * df
-    return out
+    return derivation(field.components, f)
 
 
 def _radial_multiple_of(parts: Sequence[Polynomial]) -> Optional[Polynomial]:

@@ -2,12 +2,15 @@
 
 The only module of extatica that imports numpy; `det_modular` imports it
 for its first grid, so a process that computes no modular determinant never
-loads numpy.  Per prime, the entries are evaluated on an (m, m, *grid)
-int64 tensor by per-axis Vandermonde contractions, eliminated at every
-point, and interpolated by the inverse contraction, all as exact float64
-BLAS products (`_matmul_mod`).
+loads numpy.  A determinant of degree at most b_v in variable v and of
+total degree at most D has its coefficients on the lower set Λ = {e : e_v
+<= b_v, sum(e) <= D}, and its values at the points e + 1 of Λ determine
+them.  Per prime, the entries are evaluated at those points only (one
+contraction per leading axis for the whole matrix, then the last axis per
+block of like columns), eliminated at every point, and Newton-interpolated
+axis by axis along the lines of Λ, all contractions exact float64 BLAS
+products (`_matmul_mod`).
 """
-
 from __future__ import annotations
 
 import math
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .extactic import DimensionGuardError
 
@@ -92,12 +96,14 @@ def _matmul_mod(a: np.ndarray, v: np.ndarray, p: int,
     """a @ v mod p for an int64 `a` and an int64 or float64 `v`, both with
     entries in [0, p), p < 2^31, written into `out` when given.
 
-    The left operand is split at 16 bits and both halves are multiplied by
-    `v` as float64 matrices, which run on BLAS.  The inner dimension is cut
-    into chunks of 64, so every partial sum stays below 64 * 2^16 * 2^31 =
-    2^53 and is exact in float64.  The chunks' products are added in int64
-    and reduced mod p once per half: an inner dimension below 2^15 (at most
-    2^9 chunks) keeps those sums below 2^62, and a longer one is refused.
+    The left operand is split at 16 bits, a = 2^16 * high + low, and
+    high @ (2^16 v mod p) + low @ v is computed as float64 matrix products,
+    which run on BLAS.  The inner dimension is cut into chunks of 64, so
+    every partial sum stays below 64 * 2^16 * 2^31 = 2^53 and is exact in
+    float64.  All products are added in int64 and reduced mod p once: an
+    inner dimension below 2^15 (at most 2^9 chunks of each half, the high
+    half below 2^15) keeps the sum below 2^61 + 2^62, and a longer one is
+    refused.
     """
     inner = a.shape[-1]
     if inner >= 1 << 15:
@@ -105,12 +111,16 @@ def _matmul_mod(a: np.ndarray, v: np.ndarray, p: int,
             f"inner dimension {inner} reaches 2^15: an entry degree is too "
             "large for exact evaluation")
     v = np.asarray(v, dtype=np.float64)
+    shifted = v.astype(np.int64)
+    shifted <<= 16
+    shifted %= p
     if out is None:
         out = np.empty(a.shape[:-1] + v.shape[-1:], dtype=np.int64)
     high, low = np.empty(a.shape), np.empty(a.shape)
     np.right_shift(a, 16, out=high, casting="unsafe")
     np.bitwise_and(a, 0xFFFF, out=low, casting="unsafe")
     high, low = high.reshape(-1, inner), low.reshape(-1, inner)
+    pairs = ((high, shifted.astype(np.float64)), (low, v))
     flat = out.reshape(len(high), -1)
     step = max(1, _BLOCK_VALUES // flat.shape[1])
     prod = np.empty((min(step, len(flat)), flat.shape[1]))
@@ -118,137 +128,244 @@ def _matmul_mod(a: np.ndarray, v: np.ndarray, p: int,
     for r in range(0, len(flat), step):
         target = flat[r:r + step]
         n = len(target)
-        target.fill(0)
-        for half in (high, low):  # (high mod p) * 2^16 + low, mod p
-            target <<= 16
+        for half, right in pairs:
             for c in range(0, inner, _CHUNK):
-                np.matmul(half[r:r + step, c:c + _CHUNK], v[c:c + _CHUNK],
-                          out=prod[:n])
-                np.copyto(part[:n], prod[:n], casting="unsafe")
-                target += part[:n]
-            target %= p
+                np.matmul(half[r:r + step, c:c + _CHUNK],
+                          right[c:c + _CHUNK], out=prod[:n])
+                if half is high and not c:  # the first product starts it
+                    np.copyto(target, prod[:n], casting="unsafe")
+                else:
+                    np.copyto(part[:n], prod[:n], casting="unsafe")
+                    target += part[:n]
+        target %= p
     return out
+
+
+#: A contraction call costs about as much fixed time as this many padded
+#: values (about 35 us against 20 ns per value on one core), so `_runs`
+#: pads rows of like length into one call while their padding stays below
+#: it.
+_PAD_VALUES = 1 << 11
+
+
+def _runs(lengths: np.ndarray, weight: int) -> list:
+    """Cut the non-increasing `lengths` into runs [start, stop), each
+    padded to its first length: rows of equal length always share a run,
+    and a run takes the next shorter rows while `weight` times its padding
+    stays within _PAD_VALUES."""
+    edges = [0] + (np.flatnonzero(np.diff(lengths)) + 1).tolist() \
+        + [len(lengths)]
+    runs, start, pad = [], 0, 0
+    for a, b in zip(edges[:-1], edges[1:]):  # rows a..b-1 share a length
+        pad += weight * (b - a) * int(lengths[start] - lengths[a])
+        if pad > _PAD_VALUES:
+            runs.append((start, a))
+            start, pad = a, 0
+    runs.append((start, len(lengths)))
+    return runs
 
 
 @dataclass(frozen=True)
 class _GridPlan:
-    """The prime-independent layout of a matrix's coefficient tensors.
+    """The prime-independent layout of one determinant's grid work.
 
-    Row i becomes one dense tensor of shape `shapes[i]`, (m, d_1+1, ...,
-    d_n+1) with d_v the row's largest degree in variable v, stored in
-    `flat[offsets[i]:offsets[i + 1]]` of one flat array.  Term t of the
-    matrix (row by row, entry by entry) sits at `positions[t]` with
-    coefficient `numerators[t] / denominators[t]`; `denominators` is None
-    when all are 1, and both are object arrays when a value exceeds int64.
+    Coefficients: term t of the matrix sits at `positions[t]` of one dense
+    (m, m, c_1, ..., c_n) tensor of shape `shape`, c_v - 1 the matrix's
+    largest degree in variable v, with coefficient `numerators[t] /
+    denominators[t]`; `denominators` is None when all are 1, and both are
+    object arrays when a value exceeds int64.
+
+    Points: the lower set Λ = {e : e_v <= bounds[v], sum(e) <= degree},
+    one point per row of `exponents`, stored leading point by leading point
+    (e_1..e_(n-1)), longest column of last coordinates first, each column
+    0..l-1 in a row.  The point of e is (e_1 + 1, ..., e_n + 1).
+    `columns` cuts the storage into (first, stop, leading points, width,
+    source) blocks: block values come from one contraction of the last axis
+    at `width` nodes for the leading points (flat indices into the leading
+    grid), and `source` (None without padding) picks the stored ones.
+    `lines[v]` holds one (lines, width) index array per run of lines along
+    axis v, each line padded with the index len(exponents).
     """
 
-    shapes: tuple
-    offsets: tuple
+    shape: tuple
     positions: np.ndarray
     numerators: np.ndarray
     denominators: Optional[np.ndarray]
+    bounds: tuple
+    exponents: np.ndarray
+    columns: tuple
+    lines: tuple
 
 
-def _grid_plan(rows) -> _GridPlan:
-    """One pass over the terms of every entry, made once per determinant."""
+def _grid_plan(rows, bounds, degree: int) -> _GridPlan:
+    """One pass over the terms of every entry and the index plan of Λ,
+    made once per determinant."""
     m = len(rows)
-    nv = rows[0][0].ring.nvars
-    shapes, offsets, positions, nums, dens = [], [0], [], [], []
-    for row in rows:
-        index = np.array([(j,) + exps for j, e in enumerate(row)
-                          for exps in e.terms],
-                         dtype=np.int64).reshape(-1, nv + 1)
-        shape = (m,) + tuple((index[:, 1:].max(axis=0, initial=0)
-                              + 1).tolist())
-        positions.append(offsets[-1] + np.ravel_multi_index(index.T, shape))
-        offsets.append(offsets[-1] + math.prod(shape))
-        shapes.append(shape)
-        for e in row:
-            for c in e.terms.values():
-                nums.append(c.numerator)
-                dens.append(c.denominator)
+    nv = len(bounds)
+    index = np.array([(i, j) + exps for i, row in enumerate(rows)
+                      for j, e in enumerate(row) for exps in e.terms],
+                     dtype=np.int64).reshape(-1, nv + 2)
+    shape = (m, m) + tuple((index[:, 2:].max(axis=0, initial=0)
+                            + 1).tolist())
+    nums = [c.numerator for r in rows for e in r for c in e.terms.values()]
+    dens = [c.denominator for r in rows for e in r for c in e.terms.values()]
     top = max(max(map(abs, nums), default=0), max(dens, default=1))
     dtype = np.int64 if top < 1 << 63 else object
-    return _GridPlan(tuple(shapes), tuple(offsets),
-                     np.concatenate(positions), np.array(nums, dtype=dtype),
+
+    # the columns: leading points by descending column length
+    lead = tuple(b + 1 for b in bounds[:-1])
+    coords = np.indices(lead).reshape(len(lead), math.prod(lead))
+    length = np.minimum(bounds[-1], degree - coords.sum(axis=0)) + 1
+    order = np.argsort(-length, kind="stable")
+    order = order[length[order] > 0]
+    length = length[order]
+    owner = np.repeat(np.arange(len(order)), length)
+    first = np.concatenate(([0], np.cumsum(length)))
+    last = np.arange(first[-1]) - first[owner]
+    exponents = np.column_stack([coords[:, order[owner]].T, last])
+    columns = []
+    for a, b in _runs(length, m * m):
+        width = int(length[a])
+        lo, hi = int(first[a]), int(first[b])
+        source = None if length[b - 1] == width else \
+            (owner[lo:hi] - a) * width + last[lo:hi]
+        columns.append((lo, hi, order[a:b], width, source))
+
+    # the lines along each axis, longest first
+    size = len(exponents)
+    lines = []
+    for v in range(nv):
+        dims = [b + 1 for u, b in enumerate(bounds) if u != v]
+        key = np.delete(exponents, v, axis=1) @ np.array(
+            [math.prod(dims[k + 1:]) for k in range(nv - 1)], dtype=np.int64)
+        along = np.lexsort((exponents[:, v], key))
+        starts = np.flatnonzero(exponents[along, v] == 0)
+        lens = np.diff(np.append(starts, size))
+        by_length = np.argsort(-lens, kind="stable")
+        starts, lens = starts[by_length], lens[by_length]
+        runs = []
+        for a, b in _runs(lens, 1):
+            steps = np.arange(lens[a])
+            at = starts[a:b, None] + steps
+            runs.append(np.where(steps < lens[a:b, None],
+                                 along[np.minimum(at, size - 1)], size))
+        lines.append(tuple(runs))
+    return _GridPlan(shape, np.ravel_multi_index(index.T, shape),
+                     np.array(nums, dtype=dtype),
                      None if all(d == 1 for d in dens)
-                     else np.array(dens, dtype=dtype))
+                     else np.array(dens, dtype=dtype),
+                     tuple(bounds), exponents, tuple(columns), tuple(lines))
 
 
-def _grid_values(plan: _GridPlan, nodes, p: int,
+def _vandermonde(rows: int, size: int, p: int) -> np.ndarray:
+    """float64 (rows, size) matrix mod p with entry (d, t) = (t + 1)^d:
+    the powers of the nodes 1..size, the operand type of _matmul_mod."""
+    x = np.arange(1, size + 1, dtype=np.int64) % p
+    vander = np.empty((rows, size))
+    power = np.ones_like(x)
+    vander[0] = power
+    for d in range(1, rows):  # built row by row in int64
+        power *= x
+        power %= p
+        vander[d] = power
+    return vander
+
+
+def _grid_values(plan: _GridPlan, p: int,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Values mod p of every matrix entry at every grid point, written into
-    the (m, m, *grid) int64 tensor `out` when given.
+    """Values mod p of every matrix entry at every point of Λ, as the
+    (m, m, |Λ|) int64 tensor `out` when given.
 
-    The coefficients reduced mod p are written into the row tensors of
-    `plan` with one scatter, and each row tensor is contracted axis by axis
-    with the leading rows of that axis's one Vandermonde matrix mod p,
-    giving (m, m, *grid).
+    The coefficients reduced mod p go into the matrix's coefficient tensor
+    with one scatter; each leading axis is contracted for the whole matrix
+    with the powers of its nodes, and the last axis once per block of
+    `plan.columns`, at that block's nodes only.
     """
-    m = len(plan.shapes)
-    nv = len(nodes)
+    m = plan.shape[0]
+    nv = len(plan.bounds)
     coeff = (plan.numerators % p).astype(np.int64, copy=False)
     if plan.denominators is not None:
         coeff *= _batch_inverse(
             (plan.denominators % p).astype(np.int64, copy=False), p)
         coeff %= p
-    flat = np.zeros(plan.offsets[-1], dtype=np.int64)
-    flat[plan.positions] = coeff
-    vanders = []
-    for v, axis_nodes in enumerate(nodes):
-        # built row by row into float64, the operand type of _matmul_mod
-        x = np.array(axis_nodes, dtype=np.int64) % p
-        vander = np.empty((max(s[v + 1] for s in plan.shapes), len(x)))
-        power = np.ones_like(x)
-        vander[0] = power
-        for d in range(1, len(vander)):
-            power *= x
-            power %= p
-            vander[d] = power
-        vanders.append(vander)
+    tensor = np.zeros(math.prod(plan.shape), dtype=np.int64)
+    tensor[plan.positions] = coeff
+    tensor = tensor.reshape(plan.shape)
+    vander = _vandermonde(max(plan.shape[2:]), max(plan.bounds) + 1, p)
+    # contracting axis 2 moves its grid axis to the end: the last
+    # variable's coefficients end up on axis 2, before the leading grid
+    for v in range(nv - 1):
+        tensor = _matmul_mod(np.moveaxis(tensor, 2, -1),
+                             vander[:plan.shape[v + 2], :plan.bounds[v] + 1],
+                             p)
+    tensor = tensor.reshape(m, m, plan.shape[-1], -1)
     values = out if out is not None else np.empty(
-        (m, m) + tuple(len(t) for t in nodes), dtype=np.int64)
-    for i, shape in enumerate(plan.shapes):
-        coeffs = flat[plan.offsets[i]:plan.offsets[i + 1]].reshape(shape)
-        # contracting axis 1 moves its grid axis to the end, so after nv
-        # steps the axes are back in variable order
-        for v in range(nv):
-            coeffs = _matmul_mod(np.moveaxis(coeffs, 1, -1),
-                                 vanders[v][:shape[v + 1]], p,
-                                 out=values[i] if v == nv - 1 else None)
+        (m, m, len(plan.exponents)), dtype=np.int64)
+    for lo, hi, leading, width, source in plan.columns:
+        block = _matmul_mod(np.moveaxis(tensor[:, :, :, leading], 2, -1),
+                            vander[:plan.shape[-1], :width], p)
+        block = block.reshape(m, m, -1)
+        values[:, :, lo:hi] = block if source is None else block[:, :, source]
     return values
 
 
-def _interpolation_matrix(nodes, p: int) -> np.ndarray:
-    """W with values @ W = coefficients mod p, for values at distinct nodes.
+def _newton_matrices(size: int, p: int) -> tuple:
+    """float64 (size, size) matrices mod p on the nodes 1..size: the
+    transposed divided differences, and Newton to monomial coefficients.
 
-    Row t is the Lagrange basis polynomial M(x) / ((x - x_t) M'(x_t)) of
-    node t, M = prod(x - x_i): one synthetic division gives every quotient
-    degree by degree, and a fused Horner step evaluates it at its node.
+    With unit steps, the divided difference of order a is
+    sum_i (-1)^(a-i) C(a, i) f(i + 1) / a!, so entry (i, a) of the first is
+    (-1)^(a-i) / (i! (a-i)!) for i <= a.  Row a of the second holds the
+    coefficients of (x - 1)(x - 2)...(x - a), by the recurrence that
+    multiplies by the next factor.
     """
-    x = np.array(nodes, dtype=np.int64) % p
-    n = len(x)
-    master = np.zeros(n + 1, dtype=np.int64)  # leading coefficient first
-    master[0] = 1
-    for k, xk in enumerate(x.tolist()):
-        master[1:k + 2] = (master[1:k + 2] - xk * master[:k + 1]) % p
-    # W transposed, in float64 (the operand type of _matmul_mod); the
-    # quotient rows are computed in int64 and stored one by one
-    by_degree = np.empty((n, n))
-    quotient = np.ones(n, dtype=np.int64)
-    by_degree[n - 1] = quotient
-    at_node = np.ones(n, dtype=np.int64)
-    for d in range(n - 1, 0, -1):
-        quotient = (quotient * x + master[n - d]) % p
-        by_degree[d - 1] = quotient
-        at_node = (at_node * x + quotient) % p
-    inv = _batch_inverse(at_node, p)
-    for start in range(0, n, 64):  # scaled in int64, a block of rows at once
-        block = by_degree[start:start + 64].astype(np.int64)
-        block *= inv
-        block %= p
-        by_degree[start:start + 64] = block
-    return by_degree.T
+    inv_fact = [1] * size
+    fact = 1
+    for k in range(1, size):
+        fact = fact * k % p
+    inv = pow(fact, -1, p)
+    for k in range(size - 1, 0, -1):
+        inv_fact[k] = inv
+        inv = inv * k % p
+    inv_fact = np.array(inv_fact, dtype=np.int64)
+    signed = np.where(np.arange(size) % 2, p - inv_fact, inv_fact)
+    # row i of the Toeplitz view holds signed[a - i] at a >= i, 0 before
+    padded = np.concatenate((np.zeros(size - 1, dtype=np.int64), signed))
+    toeplitz = sliding_window_view(padded, size)[::-1]
+    lower = (toeplitz * inv_fact[:, None] % p).astype(np.float64)
+    # built row by row in int64 (row[0] stays 0, row[1:] is the current
+    # product) and stored in float64, the operand type of _matmul_mod
+    newton = np.zeros((size, size))
+    newton[0, 0] = 1
+    row = np.zeros(size + 1, dtype=np.int64)
+    row[1] = 1
+    for k in range(1, size):  # times (x - k)
+        row[1:k + 2] = (row[:k + 1] - k * row[1:k + 2]) % p
+        newton[k, :k + 1] = row[1:k + 2]
+    return lower, newton
+
+
+def _interpolate(plan: _GridPlan, values: np.ndarray, p: int) -> np.ndarray:
+    """Monomial coefficients mod p of the polynomial supported on Λ that
+    takes `values` at its points, in the order of `plan.exponents`.
+
+    Newton's form, axis by axis (de Boor and Ron 1990; Gasca and Sauer
+    2000): divided differences along every axis give the Newton
+    coefficients, then a change of basis along every axis gives the
+    monomial ones.  Both act along the lines of Λ only: a divided difference
+    reads no later node of its line, and a Newton coefficient outside Λ is
+    zero, which is what the padding slot holds during the change of basis.
+    """
+    lower, newton = _newton_matrices(max(plan.bounds) + 1, p)
+    coeffs = np.append(values, 0)  # the last slot pads short lines
+    for matrix in (lower, newton):
+        coeffs[-1] = 0
+        for runs in plan.lines:
+            for at in runs:
+                width = at.shape[1]
+                coeffs[at] = _matmul_mod(coeffs[at], matrix[:width, :width],
+                                         p)
+    return coeffs[:-1]
 
 
 def _grid_determinants(values: np.ndarray, p: int) -> np.ndarray:
@@ -290,43 +407,38 @@ def _grid_determinants(values: np.ndarray, p: int) -> np.ndarray:
     return det.reshape(values.shape[2:])
 
 
-def prime_images(rows, nodes, primes: Sequence[int],
+def prime_images(rows, bounds, degree: int, primes: Sequence[int],
                  jobs: int = 1) -> list:
-    """The determinant's coefficient tensor modulo each prime, in order.
+    """The determinant's coefficients modulo each prime: (exponents,
+    residues) for every coefficient that is nonzero modulo some prime, as
+    Python ints, the input of Chinese remaindering.
 
-    `nodes` holds one more node per variable than the degree bound.  Per
-    prime: `_grid_values`, `_grid_determinants`, then one Lagrange
-    contraction per axis.  The primes run in `jobs` threads, each thread
-    reusing one value tensor for its stripe of primes.
+    The determinant has degree at most `bounds[v]` in variable v and total
+    degree at most `degree`, so it is determined on the lower set Λ of
+    `_grid_plan`.  Per prime: `_grid_values`, `_grid_determinants`, then
+    `_interpolate`.  The primes run in `jobs` threads, each thread reusing
+    one value tensor for its stripe of primes.
     """
-    plan = _grid_plan(rows)
-    shape = (len(rows), len(rows)) + tuple(len(t) for t in nodes)
+    plan = _grid_plan(rows, bounds, degree)
+    shape = (len(rows), len(rows), len(plan.exponents))
 
     def run(stripe) -> list:
         values, images = np.empty(shape, dtype=np.int64), []
         for p in stripe:
-            coeffs = _grid_determinants(
-                _grid_values(plan, nodes, p, out=values), p)
-            lagrange = {t: _interpolation_matrix(t, p) for t in set(nodes)}
-            for axis_nodes in nodes:  # each contraction moves its axis last
-                coeffs = _matmul_mod(np.moveaxis(coeffs, 0, -1),
-                                     lagrange[axis_nodes], p)
-            images.append(coeffs)
+            det = _grid_determinants(_grid_values(plan, p, out=values), p)
+            images.append(_interpolate(plan, det, p))
         return images
 
     workers = max(1, min(jobs, len(primes)))
     if workers == 1:
-        return run(primes)
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        done = list(pool.map(run, [primes[w::workers]
-                                   for w in range(workers)]))
-    return [done[i % workers][i // workers] for i in range(len(primes))]
-
-
-def nonzero_residues(images) -> list:
-    """(exponents, residues) for every coefficient that is nonzero modulo
-    some prime, as Python ints: the input of Chinese remaindering."""
-    support = np.nonzero(sum(t != 0 for t in images))
+        images = run(primes)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(run, [primes[w::workers]
+                                       for w in range(workers)]))
+        images = [done[i % workers][i // workers]
+                  for i in range(len(primes))]
+    support = np.flatnonzero(sum(t != 0 for t in images))
     residues = zip(*(t[support].tolist() for t in images))
-    return list(zip(zip(*(s.tolist() for s in support)), residues))
+    return list(zip(map(tuple, plan.exponents[support].tolist()), residues))

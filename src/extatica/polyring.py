@@ -12,9 +12,11 @@ widths from the operands' degree bounds), and `_convolve` and
 `_divide_packed` work on {packed key: int} maps, where a monomial product
 is one integer addition and a divisibility test one guard-bit check.  A
 product with a one-term factor only shifts and scales, so it packs
-nothing.  `bareiss_determinant`, behind `extactic.det_fraction_free`, runs
-a whole Bareiss elimination on the same maps; the packed format is known
-to this module only.
+nothing.  `derivation`, behind `foliation.apply_derivation`, sums the
+products P_v * df/dx_v of a vector field on one packed accumulator, and
+`bareiss_determinant`, behind `extactic.det_fraction_free`, runs a whole
+Bareiss elimination on the same maps; the packed format is known to this
+module only.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -578,6 +580,35 @@ def _divide_packed(f: Mapping[int, int], g: Mapping[int, int],
             else:
                 rem[key] = s - cg * qc
     return quot
+
+
+def derivation(components: Sequence[Polynomial], f: Polynomial) -> Polynomial:
+    """sum_v components[v] * df/dx_v, on one packed accumulator.
+
+    The components are packed over one common denominator and f over its
+    own; the derivative of a packed term is one subtraction (of its
+    variable's unit and of the degree field's), so every product lands in
+    the same accumulator and the sum is unpacked once.
+    """
+    ring = f.ring
+    active = [(v, c) for v, c in enumerate(components)
+              if c.terms and any(e[v] for e in f.terms)]
+    if not active:
+        return Polynomial._raw(ring, {})
+    fa = math.lcm(*(_denominator(c.terms) for _, c in active))
+    fb = _denominator(f.terms)
+    packing = _Packing.of(ring.nvars, int(
+        max(c.degree() for _, c in active) + f.degree()))
+    packed = packing.pack(f.terms, fb)
+    mask, degree_unit = packing.mask, 1 << packing.top
+    acc = {}
+    for v, c in active:
+        shift = packing.shifts[v]
+        unit = degree_unit + (1 << shift)
+        partial = {k - unit: n * (k >> shift & mask)
+                   for k, n in packed.items() if k >> shift & mask}
+        _convolve(acc, packing.pack(c.terms, fa), partial)
+    return packing.unpack(ring, acc, fa * fb)
 
 
 def bareiss_determinant(rows: list, ring: PolyRing) -> Polynomial:

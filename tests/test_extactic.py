@@ -14,8 +14,9 @@ from extatica.corpus import (hamiltonian, pencil_field, planted_lines_field,
                              slv1_invariant_conic)
 from extatica.extactic import (MAX_GRID_BYTES, DimensionGuardError,
                                ExtacticNotZeroError, ExtractionFailedError,
-                               LinearSystem, VacuousQueryError, _point_jet,
-                               det_fraction_free, det_modular,
+                               LinearSystem, VacuousQueryError,
+                               _column_homogeneous_degrees, _det_bounds,
+                               _point_jet, det_fraction_free, det_modular,
                                divides_extactic, extactic,
                                extactic_degree_bound, extract_first_integral,
                                jet_matrix, monomial_system)
@@ -23,8 +24,8 @@ from extatica.foliation import (AFFINE, HOMOGENEOUS, DegenerateFieldError,
                                 VectorField, apply_derivation, radial_field)
 from extatica.linalg import det_mod
 from extatica.modular import (_batch_inverse, _grid_determinants, _grid_plan,
-                              _grid_values, _interpolation_matrix,
-                              _inverse_blocks, _matmul_mod)
+                              _grid_values, _interpolate, _inverse_blocks,
+                              _matmul_mod, _newton_matrices)
 from extatica.polyring import (PRIMES_2_31, ContextError, PolyRing,
                                monomials_of_degree, monomials_up_to_degree,
                                proportional)
@@ -271,6 +272,21 @@ def test_det_fraction_free_matches_oracle_and_modular(rows):
     assert det == det_modular(rows)
 
 
+@st.composite
+def lower_set_matrices(draw):
+    """Square matrices (m <= 4) over x, y, z whose determinant bounds have
+    D < b_x + b_y + b_z, so the lower set is smaller than the box, and
+    that are not column-homogeneous, so they are not dehomogenized."""
+    m = draw(st.integers(2, 4))
+    entry = st.one_of(st.just(RING_XYZ.zero()), polynomials(
+        RING_XYZ, max_degree=2, max_terms=3, nonzero=True))
+    rows = [[draw(entry) for _ in range(m)] for _ in range(m)]
+    var_bounds, total_bound, _, _ = _det_bounds(rows, RING_XYZ)
+    assume(total_bound < sum(var_bounds))
+    assume(_column_homogeneous_degrees(rows, m) is None)
+    return rows
+
+
 class TestDetModular:
     def test_matches_fraction_free_on_named_examples(self):
         one, zero = RING_XY.one(), RING_XY.zero()
@@ -315,13 +331,29 @@ class TestDetModular:
                 b = det_modular(matrix, jobs=jobs)
                 assert a == b and str(a) == str(b)
 
-    def test_unlucky_prime_skipped(self):
+    def test_denominator_equal_to_the_first_table_prime(self):
         from extatica.polyring import PRIMES_2_31
         m = random_polynomial_matrix(3, 2, 2, 555)
         # a denominator equal to the first table prime: the columns are
         # scaled to integers before any prime is used, so it is used too
         m[0][0] = m[0][0] + RING_XY.constant(Fraction(1, PRIMES_2_31[0]))
         assert det_modular(m) == det_fraction_free(m)
+
+    @given(rows=lower_set_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_lower_set_matches_fraction_free(self, rows):
+        assert det_modular(rows) == det_fraction_free(rows)
+
+    @given(rows=lower_set_matrices(), at=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_lower_set_with_a_coefficient_beyond_int64(self, rows, at):
+        # a scaled entry above 2^63 keeps the coefficients in object arrays
+        cells = [(i, j) for i, r in enumerate(rows) for j, e in enumerate(r)
+                 if e.terms]
+        assume(cells)
+        i, j = at.draw(st.sampled_from(cells))
+        rows[i][j] = rows[i][j].scale(2**64 + 13)
+        assert det_modular(rows) == det_fraction_free(rows)
 
     def test_scaled_columns_need_four_primes_for_slv4(self, monkeypatch):
         # each column scaled by the lcm of its own denominators: the height
@@ -331,9 +363,9 @@ class TestDetModular:
         seen = []
         images = modular.prime_images
 
-        def spy(rows, nodes, primes, jobs=1):
+        def spy(rows, bounds, degree, primes, jobs=1):
             seen.append(len(primes))
-            return images(rows, nodes, primes, jobs)
+            return images(rows, bounds, degree, primes, jobs)
 
         monkeypatch.setattr(modular, "prime_images", spy)
         jet = jet_matrix(slv(4).field, monomial_system(3, 2, HOMOGENEOUS))
@@ -429,16 +461,20 @@ class TestModularKernels:
                 ring.from_terms))
         rows = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
                                   min_size=m, max_size=m))
-        nodes = data.draw(st.lists(
-            st.lists(st.integers(-40, 40), min_size=1, max_size=4),
-            min_size=nvars, max_size=nvars))
-        values = _grid_values(_grid_plan(rows), nodes, P31)
-        assert values.shape == (m, m) + tuple(len(t) for t in nodes)
-        for idx in np.ndindex(*values.shape[2:]):
-            point = [nodes[v][i] for v, i in enumerate(idx)]
+        bounds = data.draw(st.lists(st.integers(0, 4), min_size=nvars,
+                                    max_size=nvars))
+        degree = data.draw(st.integers(max(bounds), sum(bounds)))
+        plan = _grid_plan(rows, bounds, degree)
+        assert sorted(map(tuple, plan.exponents.tolist())) == [
+            e for e in itertools.product(*(range(b + 1) for b in bounds))
+            if sum(e) <= degree]
+        values = _grid_values(plan, P31)
+        assert values.shape == (m, m, len(plan.exponents))
+        for t, e in enumerate(plan.exponents.tolist()):
+            point = [k + 1 for k in e]
             for i in range(m):
                 for j in range(m):
-                    assert values[(i, j) + idx] == \
+                    assert values[i, j, t] == \
                         rows[i][j].evaluate_mod(point, P31)
 
     def test_matmul_mod_at_the_top_of_the_range(self):
@@ -461,12 +497,11 @@ class TestModularKernels:
         wide = Fraction(2**70 + 1, 3**45)
         rows = [[x.scale(wide) + y, RING_XY.constant(-wide)],
                 [y ** 3, x * y.scale(Fraction(-(2**64), 7))]]
-        nodes = [[-3, 0, 5], [2, 9]]
-        values = _grid_values(_grid_plan(rows), nodes, P31)
-        for a, u in enumerate(nodes[0]):
-            for b, w in enumerate(nodes[1]):
-                assert values[:, :, a, b].tolist() == [
-                    [e.evaluate_mod([u, w], P31) for e in r] for r in rows]
+        plan = _grid_plan(rows, (3, 4), 4)
+        values = _grid_values(plan, P31)
+        for t, (a, b) in enumerate(plan.exponents.tolist()):
+            assert values[:, :, t].tolist() == [
+                [e.evaluate_mod([a + 1, b + 1], P31) for e in r] for r in rows]
 
     @given(n=st.integers(1, 3000), seed=st.integers(0, 2**32),
            fill=st.sampled_from(["random", "with_zeros", "zeros", "top"]))
@@ -515,63 +550,92 @@ class TestModularKernels:
             _matmul_mod(a, v, P31)
 
     @staticmethod
-    def _vandermonde(nodes, p):
-        """n x n Vandermonde mod p, entry (d, t) = nodes[t]^d, by Python
-        integers."""
-        return np.array([[pow(x, d, p) for x in nodes]
-                         for d in range(len(nodes))], dtype=np.int64)
+    def _vandermonde(size, p):
+        """size x size Vandermonde mod p on the nodes 1..size, entry (d, t)
+        = (t + 1)^d, by Python integers."""
+        return np.array([[pow(x, d, p) for x in range(1, size + 1)]
+                         for d in range(size)], dtype=np.int64)
 
-    @given(nodes=st.lists(st.integers(-10**6, 10**6), min_size=1,
-                          max_size=40, unique=True))
-    @settings(max_examples=60, deadline=None)
-    def test_interpolation_matrix_inverts_vandermonde(self, nodes):
-        w = _interpolation_matrix(nodes, P31)
-        assert w.shape == (len(nodes), len(nodes))
-        product = _matmul_mod(self._vandermonde(nodes, P31), w, P31)
-        assert (product == np.eye(len(nodes), dtype=np.int64)).all()
+    @staticmethod
+    def _lower_set_matrix(coefficients):
+        """A 1 x 1 matrix whose entry has the given {exponents: residue}
+        coefficients."""
+        nvars = len(next(iter(coefficients)))
+        ring = PolyRing(("x", "y", "z")[:nvars])
+        return [[ring.from_terms(coefficients)]]
+
+    @given(size=st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_interpolation_matrix_inverts_vandermonde(self, size):
+        # values -> Newton coefficients -> monomial coefficients
+        lower, newton = _newton_matrices(size, P31)
+        assert lower.shape == newton.shape == (size, size)
+        product = _matmul_mod(_matmul_mod(self._vandermonde(size, P31),
+                                          lower, P31), newton, P31)
+        assert (product == np.eye(size, dtype=np.int64)).all()
 
     @given(data=st.data(), nvars=st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_evaluate_then_interpolate_round_trip(self, data, nvars):
-        shape = tuple(data.draw(st.lists(st.integers(1, 7), min_size=nvars,
-                                         max_size=nvars)))
-        nodes = [data.draw(st.lists(st.integers(-50, 50), min_size=n,
-                                    max_size=n, unique=True)) for n in shape]
-        seed = data.draw(st.integers(0, 2**32))
-        coeffs = np.random.default_rng(seed).integers(0, P31, size=shape)
-        values = coeffs
-        for axis_nodes in nodes:
-            values = _matmul_mod(np.moveaxis(values, 0, -1),
-                                 self._vandermonde(axis_nodes, P31), P31)
-        back = values
-        for axis_nodes in nodes:
-            back = _matmul_mod(np.moveaxis(back, 0, -1),
-                               _interpolation_matrix(axis_nodes, P31), P31)
-        assert back.shape == shape and (back == coeffs).all()
+        # random residues on a random lower set, evaluated there and
+        # Newton-interpolated back
+        bounds = data.draw(st.lists(st.integers(0, 7), min_size=nvars,
+                                    max_size=nvars))
+        degree = data.draw(st.integers(max(bounds), sum(bounds)))
+        lower_set = [e for e in itertools.product(
+            *(range(b + 1) for b in bounds)) if sum(e) <= degree]
+        residues = data.draw(st.lists(
+            st.one_of(st.integers(0, P31 - 1), st.just(P31 - 1),
+                      st.just(0)),
+            min_size=len(lower_set), max_size=len(lower_set)))
+        coefficients = dict(zip(lower_set, residues))
+        assume(any(residues))
+        plan = _grid_plan(self._lower_set_matrix(coefficients), bounds,
+                          degree)
+        values = _grid_values(plan, P31)[0, 0]
+        back = _interpolate(plan, values, P31)
+        assert back.tolist() == [coefficients[e] for e in
+                                 map(tuple, plan.exponents.tolist())]
 
     def test_interpolation_at_the_top_of_the_range(self):
-        nodes = list(range(1, 301))
-        w = _interpolation_matrix(nodes, P31)
+        size = 300
+        one_axis = _grid_plan(self._lower_set_matrix({(size - 1,): 1}),
+                              (size - 1,), size - 1)
+        assert one_axis.exponents[:, 0].tolist() == list(range(size))
         # every value p - 1 = -1 interpolates to the constant -1
-        values = np.full(len(nodes), P31 - 1, dtype=np.int64)
-        expected = np.zeros(len(nodes), dtype=np.int64)
+        values = np.full(size, P31 - 1, dtype=np.int64)
+        expected = np.zeros(size, dtype=np.int64)
         expected[0] = P31 - 1
-        assert (_matmul_mod(values, w, P31) == expected).all()
-        # nodes near p and values near p - 1, against the Vandermonde
-        nodes = [P31 - 1 - t for t in range(200)]
+        assert (_interpolate(one_axis, values, P31) == expected).all()
+        # coefficients near p - 1, against the Vandermonde
         rng = np.random.default_rng(11)
-        coeffs = rng.integers(P31 - 3, P31, size=len(nodes))
-        values = _matmul_mod(coeffs, self._vandermonde(nodes, P31), P31)
-        assert (_matmul_mod(values, _interpolation_matrix(nodes, P31), P31)
-                == coeffs).all()
+        coeffs = rng.integers(P31 - 3, P31, size=size)
+        values = _matmul_mod(coeffs, self._vandermonde(size, P31), P31)
+        assert (_interpolate(one_axis, values, P31) == coeffs).all()
 
-    def test_grid_memory_guard_counts_the_lagrange_matrices(self):
+    def test_grid_memory_guard_counts_the_newton_matrices(self):
         # a 2 x 2 value tensor on 9001 nodes is small, but the Vandermonde
-        # and Lagrange matrices on those nodes need about 1.3 GB
+        # and Newton matrices on those nodes need about 1.9 GB
         x = PolyRing(("x",)).variables()[0]
         one = x.ring.one()
         with pytest.raises(DimensionGuardError, match="bytes"):
             det_modular([[x ** 4500, one], [one, x ** 4500]])
+
+    def test_grid_memory_guard_counts_the_lower_set(self):
+        # b = (2a, 2a) but D = 2a: the values live on the (2a+1)(2a+2)/2
+        # points of total degree <= 2a, plus the entries contracted along x
+        # (a + 1 coefficients in y at 2a + 1 nodes), plus three square
+        # matrices of side 2a + 1
+        a = 3000
+        x, y = RING_XY.variables()
+        entry, one = x ** a + y ** a, RING_XY.one()
+        points = sum(2 * a - e + 1 for e in range(2 * a + 1))
+        assert points == (2 * a + 1) * (2 * a + 2) // 2
+        expected = 8 * (4 * (points + (a + 1) * (2 * a + 1))
+                        + 3 * (2 * a + 1) ** 2)
+        with pytest.raises(DimensionGuardError,
+                           match=f"need {expected} bytes"):
+            det_modular([[entry, one], [one, entry]])
 
     def test_grid_memory_guard(self):
         x, y, z = RING_XYZ.variables()

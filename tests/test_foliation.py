@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extatica.foliation import (AFFINE, HOMOGENEOUS, DegenerateFieldError,
                                 InvalidDivisorError, VectorField,
@@ -140,6 +141,23 @@ def test_leibniz_rule(f, g, p, q):
     lhs = apply_derivation(field, f * g)
     rhs = f * apply_derivation(field, g) + g * apply_derivation(field, f)
     assert lhs == rhs
+
+
+@given(components=st.lists(polynomials(ring=RING_XYZ, max_degree=3),
+                           min_size=3, max_size=3),
+       f=polynomials(ring=RING_XYZ, max_degree=4),
+       scales=st.lists(st.fractions(-5, 5, max_denominator=7).filter(bool),
+                       min_size=4, max_size=4))
+@settings(max_examples=100)
+def test_derivation_is_the_sum_of_products(components, f, scales):
+    # one accumulator for all components, over denominators that differ
+    # from component to component
+    comps = [c.scale(s) for c, s in zip(components, scales)]
+    f = f.scale(scales[3])
+    expected = sum((c * f.partial_derivative(v) for v, c in enumerate(comps)),
+                   RING_XYZ.zero())
+    got = apply_derivation(VectorField(tuple(comps), AFFINE), f)
+    assert got == expected and str(got) == str(expected)
 
 
 def test_cofactor_soundness_and_multiplicativity():
