@@ -58,8 +58,9 @@ from .polyring import (PRIMES_2_31, BadPrimeError, ContextError,
 DEFAULT_MAX_DIMENSION = 21
 
 #: The modular engine refuses a grid whose arrays (`_grid_bytes`: m x m
-#: int64 values per point of the lower set, the entries contracted along
-#: the leading axes, three square float64 matrices) exceed this many bytes.
+#: int64 values and the plan's indices per point of the lower set, the
+#: entries contracted along the leading axes, three square float64
+#: matrices) exceed this many bytes.
 MAX_GRID_BYTES = 1 << 30
 
 _PROBE_RANGE = 10_000  # random integer probe points live in [-10^4, 10^4]
@@ -346,17 +347,19 @@ def _lower_set_size(bounds, degree: int) -> int:
 
 
 def _grid_bytes(rows, var_bounds, total_bound) -> int:
-    """Bytes of the modular engine's largest arrays: m x m int64 values at
-    every point of the lower set, the entries after the contraction of the
-    leading axes (m x m values per leading grid point and coefficient of
-    the last variable), and the float64 Vandermonde, divided-difference
-    and Newton-to-monomial matrices on the longest axis."""
-    m = len(rows)
-    last = max(e.degree_in(len(var_bounds) - 1) for r in rows for e in r)
+    """Bytes of the modular engine's largest arrays: at every point of the
+    lower set m x m int64 values and 2n + 1 indices of its plan (exponents
+    and lines), the entries after the contraction of the leading axes
+    (m x m values per leading grid point and coefficient of the last
+    variable), and the float64 Vandermonde, divided-difference and
+    Newton-to-monomial matrices on the longest axis."""
+    m, nv = len(rows), len(var_bounds)
+    last = max(e.degree_in(nv - 1) for r in rows for e in r)
     leading = math.prod(b + 1 for b in var_bounds[:-1])
     size = max(var_bounds) + 1
-    return 8 * (m * m * (_lower_set_size(var_bounds, total_bound)
-                         + (last + 1) * leading) + 3 * size * size)
+    points = _lower_set_size(var_bounds, total_bound)
+    return 8 * ((m * m + 2 * nv + 1) * points + m * m * (last + 1) * leading
+                + 3 * size * size)
 
 
 def det_modular(matrix, jobs: int = 1) -> Polynomial:

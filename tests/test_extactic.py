@@ -622,16 +622,16 @@ class TestModularKernels:
             det_modular([[x ** 4500, one], [one, x ** 4500]])
 
     def test_grid_memory_guard_counts_the_lower_set(self):
-        # b = (2a, 2a) but D = 2a: the values live on the (2a+1)(2a+2)/2
-        # points of total degree <= 2a, plus the entries contracted along x
-        # (a + 1 coefficients in y at 2a + 1 nodes), plus three square
-        # matrices of side 2a + 1
+        # b = (2a, 2a) but D = 2a: 2 x 2 values and 5 plan indices live
+        # on each of the (2a+1)(2a+2)/2 points of total degree <= 2a, plus
+        # the entries contracted along x (a + 1 coefficients in y at 2a + 1
+        # nodes), plus three square matrices of side 2a + 1
         a = 3000
         x, y = RING_XY.variables()
         entry, one = x ** a + y ** a, RING_XY.one()
         points = sum(2 * a - e + 1 for e in range(2 * a + 1))
         assert points == (2 * a + 1) * (2 * a + 2) // 2
-        expected = 8 * (4 * (points + (a + 1) * (2 * a + 1))
+        expected = 8 * ((4 + 5) * points + 4 * (a + 1) * (2 * a + 1)
                         + 3 * (2 * a + 1) ** 2)
         with pytest.raises(DimensionGuardError,
                            match=f"need {expected} bytes"):
