@@ -112,16 +112,14 @@ def _matmul_mod(a: np.ndarray, v: np.ndarray, p: int,
             f"inner dimension {inner} reaches 2^15: an entry degree is too "
             "large for exact evaluation")
     v = np.asarray(v, dtype=np.float64)
-    shifted = v.astype(np.int64)
-    shifted <<= 16
-    shifted %= p
+    shifted = ((v.astype(np.int64) << 16) % p).astype(np.float64)
     if out is None:
         out = np.empty(a.shape[:-1] + v.shape[-1:], dtype=np.int64)
     high, low = np.empty(a.shape), np.empty(a.shape)
     np.right_shift(a, 16, out=high, casting="unsafe")
     np.bitwise_and(a, 0xFFFF, out=low, casting="unsafe")
     high, low = high.reshape(-1, inner), low.reshape(-1, inner)
-    pairs = ((high, shifted.astype(np.float64)), (low, v))
+    pairs = ((high, shifted), (low, v))
     flat = out.reshape(len(high), -1)
     step = max(1, _BLOCK_VALUES // flat.shape[1])
     prod = np.empty((min(step, len(flat)), flat.shape[1]))
