@@ -57,10 +57,11 @@ from .polyring import (PRIMES_2_31, BadPrimeError, ContextError,
 #: dimension and desk-scale runs must stay tractable.
 DEFAULT_MAX_DIMENSION = 21
 
-#: The modular engine refuses a grid whose arrays (`_grid_bytes`: m x m
-#: int64 values and the plan's indices per point of the lower set, the
-#: entries contracted along the leading axes, three square float64
-#: matrices) exceed this many bytes.
+#: The modular engine refuses a grid whose arrays (`_grid_bytes`: the
+#: plan's indices per point of the lower set, and per worker thread m x m
+#: int64 values and m elimination scratch values per point, the entries
+#: contracted along the leading axes and three square float64 matrices)
+#: exceed this many bytes.
 MAX_GRID_BYTES = 1 << 30
 
 _PROBE_RANGE = 10_000  # random integer probe points live in [-10^4, 10^4]
@@ -346,20 +347,24 @@ def _lower_set_size(bounds, degree: int) -> int:
     return sum(count)
 
 
-def _grid_bytes(rows, var_bounds, total_bound) -> int:
-    """Bytes of the modular engine's largest arrays: at every point of the
-    lower set m x m int64 values and 2n + 1 indices of its plan (exponents
-    and lines), the entries after the contraction of the leading axes
-    (m x m values per leading grid point and coefficient of the last
-    variable), and the float64 Vandermonde, divided-difference and
-    Newton-to-monomial matrices on the longest axis."""
+def _grid_bytes(rows, var_bounds, total_bound, workers: int) -> int:
+    """Bytes of the modular engine's largest arrays.  Shared by all
+    workers: 2n + 1 indices of the plan (exponents and lines) at every
+    point of the lower set.  Held by each of the `workers` threads of
+    `modular.prime_images`: m x m int64 values and the elimination's m
+    scratch values at every point of the lower set, the entries after the
+    contraction of the leading axes (m x m values per leading grid point
+    and coefficient of the last variable), and the float64 Vandermonde,
+    divided-difference and Newton-to-monomial matrices on the longest
+    axis."""
     m, nv = len(rows), len(var_bounds)
     last = max(e.degree_in(nv - 1) for r in rows for e in r)
     leading = math.prod(b + 1 for b in var_bounds[:-1])
     size = max(var_bounds) + 1
     points = _lower_set_size(var_bounds, total_bound)
-    return 8 * ((m * m + 2 * nv + 1) * points + m * m * (last + 1) * leading
-                + 3 * size * size)
+    per_worker = ((m * m + m) * points + m * m * (last + 1) * leading
+                  + 3 * size * size)
+    return 8 * ((2 * nv + 1) * points + workers * per_worker)
 
 
 def det_modular(matrix, jobs: int = 1) -> Polynomial:
@@ -372,13 +377,16 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
     {e : e_v <= b_v, sum(e) <= D}, and its values at the points e + 1 of
     that set determine them.  Modulo enough primes for the a-priori
     coefficient-height bound, `modular.prime_images` evaluates all entries
-    at those points, eliminates there with per-point pivoting, and
-    Newton-interpolates the determinants; the primes are combined by
-    Chinese remaindering on a fixed basis into symmetric residues, which
-    are the integer coefficients.  The contractions are float64 products
-    whose partial sums stay below 2^53, so every residue is exact.  The
-    result is bit-identical to `det_fraction_free`.  Grid arrays above
-    MAX_GRID_BYTES are refused with DimensionGuardError first.
+    at those points, eliminates there with per-point pivoting and no
+    division but one batch inversion per prime, and Newton-interpolates
+    the determinants; the primes are combined by Chinese remaindering on a
+    fixed basis into symmetric residues, which are the integer
+    coefficients.  The contractions are float64 products whose partial
+    sums stay below 2^53, so every residue is exact.  The result is
+    bit-identical to `det_fraction_free`.  Grid arrays above
+    MAX_GRID_BYTES, counted once per worker thread of `jobs`, are refused
+    with DimensionGuardError first, before an exhausted prime table
+    (BadPrimeError).
     """
     rows, ring = _square_rows(matrix)
     m = len(rows)
@@ -405,11 +413,6 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
                 return ring.zero()
             return det_sub.homogenize(last, sum(col_degs))
     var_bounds, total_bound, scales, height = _det_bounds(rows, ring)
-    grid_bytes = _grid_bytes(rows, var_bounds, total_bound)
-    if grid_bytes > MAX_GRID_BYTES:
-        raise DimensionGuardError(
-            f"the grid arrays on the lower set of degree <= {total_bound} "
-            f"need {grid_bytes} bytes, above the guard of {MAX_GRID_BYTES}")
     # symmetric residues recover every coefficient of absolute value at
     # most height once the modulus exceeds twice it
     target = 2 * height
@@ -420,7 +423,15 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
         prod *= p
         if prod > target:
             break
-    else:
+    # the memory guard speaks first: an input that trips both is refused
+    # for its bytes
+    workers = max(1, min(jobs, len(chosen)))
+    grid_bytes = _grid_bytes(rows, var_bounds, total_bound, workers)
+    if grid_bytes > MAX_GRID_BYTES:
+        raise DimensionGuardError(
+            f"the grid arrays on the lower set of degree <= {total_bound} "
+            f"need {grid_bytes} bytes, above the guard of {MAX_GRID_BYTES}")
+    if prod <= target:
         raise BadPrimeError(
             f"prime table exhausted: the height bound needs "
             f"{target.bit_length()} bits, the usable primes cover "
@@ -436,10 +447,12 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
     for exps, rs in modular.prime_images(ints, var_bounds, total_bound,
                                          chosen, jobs):
         residue = sum(r * b for r, b in zip(rs, basis)) % prod
-        terms[exps] = residue - prod if residue > half else residue
-    det = Polynomial(ring, terms)  # drops zero coefficients
+        # nonzero modulo some prime, so never 0
+        terms[exps] = Fraction(residue - prod if residue > half else residue)
+    det = Polynomial._raw(ring, terms)
     _self_check(ints, det, var_bounds, chosen[0])
-    return det.scale(Fraction(1, math.prod(scales)))
+    scale = math.prod(scales)
+    return det if scale == 1 else det.scale(Fraction(1, scale))
 
 
 def _column_homogeneous_degrees(rows, m):

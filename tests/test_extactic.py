@@ -23,9 +23,10 @@ from extatica.extactic import (MAX_GRID_BYTES, DimensionGuardError,
 from extatica.foliation import (AFFINE, HOMOGENEOUS, DegenerateFieldError,
                                 VectorField, apply_derivation, radial_field)
 from extatica.linalg import det_mod
+from extatica import modular
 from extatica.modular import (_batch_inverse, _grid_determinants, _grid_plan,
                               _grid_values, _interpolate, _inverse_blocks,
-                              _matmul_mod, _newton_matrices)
+                              _matmul_mod, _newton_matrices, _reduce)
 from extatica.polyring import (PRIMES_2_31, ContextError, PolyRing,
                                monomials_of_degree, monomials_up_to_degree,
                                proportional)
@@ -400,6 +401,10 @@ def _planted_point(rng, m, kind, k, small, p):
         mat = mat[rng.permutation(m)]
     elif kind == "zero_column":
         mat[:, k] = 0
+    elif kind == "top":
+        # the first division-free row update multiplies p - 1 by p - 1
+        # everywhere, the largest int64 product it can form
+        mat[:] = p - 1
     elif kind == "singular" and m > 1:
         # row k is a combination of the others
         coef = rng.integers(0, high, size=m)
@@ -416,19 +421,61 @@ def _grid_of(m, kinds, seed, small, p=P31):
 
 
 _KINDS = st.tuples(st.sampled_from(["random", "permuted", "zero_column",
-                                    "singular"]), st.integers(0, 5))
+                                    "singular", "top"]), st.integers(0, 9))
+#: the smallest and the largest prime of the table
+_END_PRIMES = (min(PRIMES_2_31), max(PRIMES_2_31))
 
 
 class TestModularKernels:
-    @given(m=st.integers(1, 6), kinds=st.lists(_KINDS, min_size=1,
-                                               max_size=8),
-           seed=st.integers(0, 2**32), small=st.booleans())
+    @given(m=st.integers(1, 10), kinds=st.lists(_KINDS, min_size=1,
+                                                max_size=8),
+           seed=st.integers(0, 2**32), small=st.booleans(),
+           p=st.sampled_from(_END_PRIMES))
     @settings(max_examples=200, deadline=None)
-    def test_grid_determinants_match_det_mod(self, m, kinds, seed, small):
-        values = _grid_of(m, kinds, seed, small)
+    def test_grid_determinants_match_det_mod(self, m, kinds, seed, small, p):
+        values = _grid_of(m, kinds, seed, small, p)
+        expected = [det_mod(values[:, :, t].tolist(), p)
+                    for t in range(values.shape[2])]
+        assert _grid_determinants(values.copy(), p).tolist() == expected
+
+    @pytest.mark.parametrize("p", _END_PRIMES)
+    def test_grid_determinants_at_the_top_of_the_range(self, p):
+        # all entries p - 1 (rank one), and p - 1 on and above the diagonal
+        # with rows permuted, whose determinant is a power of -1
+        m = 10
+        top = np.full((m, m), p - 1, dtype=np.int64)
+        upper = np.triu(top)[np.random.default_rng(m).permutation(m)]
+        values = np.stack([top, upper, top.T, upper.T], axis=-1)
+        expected = [det_mod(values[:, :, t].tolist(), p) for t in range(4)]
+        assert expected[0] == expected[2] == 0 and expected[1] != 0
+        assert _grid_determinants(values.copy(), p).tolist() == expected
+
+    @given(x=st.lists(st.integers(-(2**62) + 1, 2**62 - 1), min_size=1,
+                      max_size=40),
+           p=st.sampled_from(PRIMES_2_31))
+    @settings(max_examples=150, deadline=None)
+    def test_reduce_matches_remainder(self, x, p):
+        x = np.array(x, dtype=np.int64)
+        expected = np.remainder(x, p)
+        scratch = np.empty_like(x)
+        assert (_reduce(x, p, scratch) == expected).all()
+        assert (x == expected).all()  # in place
+
+    def test_one_batch_inversion_per_grid(self, monkeypatch):
+        calls = []
+
+        def spy(a, p):
+            calls.append(a.size)
+            return _batch_inverse(a, p)
+
+        monkeypatch.setattr(modular, "_batch_inverse", spy)
+        values = _grid_of(8, [("random", t) for t in range(30)]
+                          + [("permuted", t) for t in range(30)], 3,
+                          small=False)
         expected = [det_mod(values[:, :, t].tolist(), P31)
                     for t in range(values.shape[2])]
         assert _grid_determinants(values.copy(), P31).tolist() == expected
+        assert calls == [60]
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_all_singular_grid(self, m):
@@ -622,20 +669,46 @@ class TestModularKernels:
             det_modular([[x ** 4500, one], [one, x ** 4500]])
 
     def test_grid_memory_guard_counts_the_lower_set(self):
-        # b = (2a, 2a) but D = 2a: 2 x 2 values and 5 plan indices live
-        # on each of the (2a+1)(2a+2)/2 points of total degree <= 2a, plus
-        # the entries contracted along x (a + 1 coefficients in y at 2a + 1
-        # nodes), plus three square matrices of side 2a + 1
+        # b = (2a, 2a) but D = 2a: 2 x 2 values, 2 elimination scratch
+        # values and 5 plan indices live on each of the (2a+1)(2a+2)/2
+        # points of total degree <= 2a, plus the entries contracted along x
+        # (a + 1 coefficients in y at 2a + 1 nodes), plus three square
+        # matrices of side 2a + 1
         a = 3000
         x, y = RING_XY.variables()
         entry, one = x ** a + y ** a, RING_XY.one()
         points = sum(2 * a - e + 1 for e in range(2 * a + 1))
         assert points == (2 * a + 1) * (2 * a + 2) // 2
-        expected = 8 * ((4 + 5) * points + 4 * (a + 1) * (2 * a + 1)
+        expected = 8 * ((4 + 2 + 5) * points + 4 * (a + 1) * (2 * a + 1)
                         + 3 * (2 * a + 1) ** 2)
         with pytest.raises(DimensionGuardError,
                            match=f"need {expected} bytes"):
             det_modular([[entry, one], [one, entry]])
+
+    def test_grid_memory_guard_counts_each_worker(self, monkeypatch):
+        # coefficients near 2^40 need three primes, so jobs=2 runs two
+        # threads, each with its own value tensor and scratch
+        extactic_module = sys.modules["extatica.extactic"]
+        x, y = RING_XY.variables()
+        big = RING_XY.constant(2 ** 40 + 1)
+        rows = [[x ** 3 + y.scale(2 ** 40), big], [big, x * y ** 2 + x]]
+        bounds, degree, _, _ = _det_bounds(rows, RING_XY)
+        one = extactic_module._grid_bytes(rows, bounds, degree, 1)
+        two = extactic_module._grid_bytes(rows, bounds, degree, 2)
+        shared = 8 * 5 * extactic_module._lower_set_size(bounds, degree)
+        assert two - shared == 2 * (one - shared)
+        monkeypatch.setattr(extactic_module, "MAX_GRID_BYTES", one)
+        assert det_modular(rows, jobs=1) == det_fraction_free(rows)
+        with pytest.raises(DimensionGuardError, match=f"need {two} bytes"):
+            det_modular(rows, jobs=2)
+
+    def test_grid_memory_guard_speaks_before_the_prime_table(self):
+        # constants near 2^800 exhaust the prime table (1,603 bits), and
+        # x^4500 needs about 1.9 GB of Newton matrices: bytes are reported
+        x = PolyRing(("x",)).variables()[0]
+        const = x.ring.constant(2 ** 800 + 1)
+        with pytest.raises(DimensionGuardError, match="bytes"):
+            det_modular([[x ** 4500, const], [const, x ** 4500]])
 
     def test_grid_memory_guard(self):
         x, y, z = RING_XYZ.variables()
