@@ -9,9 +9,8 @@ arithmetic.
 
 from .bounds import (BoundInput, BoundReport, HypothesisNotMetError,
                      abelian_bound, genus_rhs, genus_threshold,
-                     invariant_count_check, plane_surface_input, pn_threshold,
-                     poincare_degree_bound, surface_bound,
-                     virtual_genus_plane)
+                     invariant_count_check, pn_threshold,
+                     poincare_degree_bound, surface_bound)
 from .corpus import (CorpusEntry, Fact, hamiltonian, invariant_curve_search,
                      pencil_field, planted_lines_field, random_field, slv,
                      slv1_invariant_conic)
@@ -20,8 +19,7 @@ from .extactic import (ExtacticReport, FirstIntegral, JetMatrix, LinearSystem,
                        extactic, extactic_degree_bound,
                        extract_first_integral, jet_matrix, monomial_system)
 from .foliation import (AFFINE, HOMOGENEOUS, Cofactor, VectorField,
-                        apply_derivation, check_invariance, cotangent_degree,
-                        foliation_degree, radial_field)
+                        apply_derivation, check_invariance, foliation_degree)
 from .polyring import (NEG_INF, BadPrimeError, ContextError, PolyRing,
                        Polynomial)
 

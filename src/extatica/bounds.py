@@ -208,32 +208,6 @@ def surface_bound(inp: BoundInput) -> BoundReport:
     return report(lhs, rhs, "cor")
 
 
-def plane_surface_input(d: int, k: int, n_invariant: int,
-                        genus) -> BoundInput:
-    """BoundInput for the projective plane: h0 = C(k+2, 2), h1 = 0,
-    h^0(K-D) = 0, K.K = 9, K.D = -3k, chi = 3."""
-    return BoundInput(
-        deg_D=k,
-        h0=math.comb(k + 2, 2),
-        n_invariant=n_invariant,
-        deg_foliation=d,
-        deg_variety=1,
-        h1=0,
-        h0_k_minus_d=0,
-        k_self=9,
-        k_dot_d=-3 * k,
-        chi_top=3,
-        genus=Fraction(genus),
-    )
-
-
-def virtual_genus_plane(k: int) -> int:
-    """(k-1)(k-2)/2, the virtual genus of a degree-k plane curve."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    return (k - 1) * (k - 2) // 2
-
-
 def abelian_bound(d_self_n: int, n: int, n_invariant: int,
                   deg_foliation: int, deg_variety: int) -> Fraction:
     """Degree bound when the ambient has trivial higher cohomology and

@@ -1,4 +1,12 @@
-"""Built-in vector fields with known behavior, for tests and demos.
+"""Built-in vector fields with known behavior.
+
+The CLI's corpus selectors (`slv:`, `random:`, `planted:`, `hamiltonian:`,
+`pencil:`) and the benchmark workloads draw their fields from here: the
+`slv` family with the frozen conic of `slv(1)`, Hamiltonian and pencil
+fields (positive controls for first integrals), planted invariant
+hyperplanes and dense random fields.  `invariant_curve_search` and
+`conic_is_irreducible` back `scripts/slv_survey.py` and re-derive the
+frozen conic in the tests.
 
 Every entry's machine-checkable claims (cofactors, cross identities, the
 planted first integral) are re-verified at construction time; construction
@@ -44,7 +52,6 @@ class CorpusEntry:
     name: str
     field: VectorField
     facts: tuple
-    note: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -76,22 +83,6 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
-def random_polynomial(nvars: int, degree: int, seed: int,
-                      homogeneous: bool = False, coeff_bound: int = 9,
-                      names: Optional[Sequence[str]] = None) -> Polynomial:
-    """Dense random polynomial with integer coefficients in [-bound, bound],
-    not identically zero, deterministic in the seed."""
-    ring = PolyRing(tuple(names) if names else default_variable_names(nvars))
-    rng = SplitMix64(seed)
-    exps = list(monomials_of_degree(nvars, degree) if homogeneous
-                else monomials_up_to_degree(nvars, degree))
-    exps.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
-    while True:
-        terms = {e: rng.int_in(-coeff_bound, coeff_bound) for e in exps}
-        if any(terms.values()):
-            return ring.from_terms(terms)
-
-
 def random_field(nvars: int, degree: int, seed: int,
                  homogeneous: bool = False,
                  names: Optional[Sequence[str]] = None) -> VectorField:
@@ -103,7 +94,6 @@ def random_field(nvars: int, degree: int, seed: int,
     ring = PolyRing(tuple(names) if names else default_variable_names(nvars))
     exps = list(monomials_of_degree(nvars, degree) if homogeneous
                 else monomials_up_to_degree(nvars, degree))
-    exps.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
     while True:
         comps = []
         for _ in range(nvars):
@@ -112,25 +102,6 @@ def random_field(nvars: int, degree: int, seed: int,
         if not all(c.is_zero() for c in comps):
             return VectorField(tuple(comps),
                                HOMOGENEOUS if homogeneous else AFFINE)
-
-
-def random_polynomial_matrix(size: int, nvars: int, degree: int, seed: int,
-                             max_terms: int = 6, coeff_bound: int = 9):
-    """Square matrix of sparse random polynomials (determinant-engine food)."""
-    rng = SplitMix64(seed)
-    ring = PolyRing(default_variable_names(nvars))
-    exps = list(monomials_up_to_degree(nvars, degree))
-    rows = []
-    for _ in range(size):
-        row = []
-        for _ in range(size):
-            terms = {}
-            for _ in range(rng.int_in(1, max_terms)):
-                e = exps[rng.int_in(0, len(exps) - 1)]
-                terms[e] = rng.int_in(-coeff_bound, coeff_bound)
-            row.append(ring.from_terms(terms))
-        rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +151,7 @@ def slv(ell: int) -> CorpusEntry:
         f"irreducible algebraic solution of degree {2 * ell} (reported; "
         "the l=1 conic is re-derived by the bilinear search oracle)",
         False, {"degree": 2 * ell}))
-    return CorpusEntry(f"slv:{ell}", field, tuple(facts),
-                       note="quadratic Lotka-Volterra family")
+    return CorpusEntry(f"slv:{ell}", field, tuple(facts))
 
 
 def slv1_invariant_conic() -> tuple:
@@ -260,7 +230,6 @@ def planted_lines_field(n: int, d: int, seed: int) -> CorpusEntry:
     rng = SplitMix64(seed)
     ring = PolyRing(default_variable_names(n))
     exps = list(monomials_up_to_degree(n, d - 1))
-    exps.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
     top = [e for e in exps if sum(e) == d - 1]
     comps = []
     facts = []
@@ -300,10 +269,8 @@ def invariant_curve_search(field: VectorField, curve_degree: int,
     scale only: the candidate grid is exponential in the cofactor dimension.
     """
     ring = field.ring
-    curve_exps = sorted(monomials_of_degree(ring.nvars, curve_degree),
-                        key=lambda e: (sum(e), tuple(-x for x in e)))
-    cof_exps = sorted(monomials_of_degree(ring.nvars, cofactor_degree),
-                      key=lambda e: (sum(e), tuple(-x for x in e)))
+    curve_exps = list(monomials_of_degree(ring.nvars, curve_degree))
+    cof_exps = list(monomials_of_degree(ring.nvars, cofactor_degree))
     curve_mons = [ring.monomial(e) for e in curve_exps]
     derived = [apply_derivation(field, s) for s in curve_mons]
     seen = set()

@@ -166,7 +166,6 @@ def monomial_system(nvars: int, k: int, descriptor: str = AFFINE,
         exps = list(monomials_of_degree(nvars, k))
     else:
         exps = list(monomials_up_to_degree(nvars, k))
-    exps.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
     basis = tuple(ring.monomial(e) for e in exps)
     return LinearSystem(basis, k, descriptor)
 
@@ -633,6 +632,33 @@ def _probe_point(rng: Random, nvars: int, bound: int) -> list:
     return [rng.randint(-bound, bound) for _ in range(nvars)]
 
 
+def _element(system: LinearSystem, coefficients) -> Polynomial:
+    """The element sum c_i s_i of the system."""
+    return sum((s.scale(c) for s, c in zip(system.basis, coefficients) if c),
+               system.ring.zero())
+
+
+def _polynomial_integral(field: VectorField, system: LinearSystem,
+                         columns, rank: int) -> Optional[FirstIntegral]:
+    """A polynomial first integral (F, 1) of the system, of least degree,
+    from the jet columns X^j(s) (j >= 1) at a pair of points, or None.
+
+    The system holds a constant, so F - F(P) lies in the left kernel K_P of
+    J(P) exactly when X^j(F) vanishes at P for every j >= 1: the left kernel
+    of the columns j >= 1 is K_P + <1>.  A polynomial integral lies in it at
+    every point, so the integrals of degree <= k lie in the left kernel of
+    both points' columns together, the intersection of K_P + <1> and
+    K_Q + <1>.  Its reduced rows, constants aside, are checked by X(F) = 0;
+    the least degree wins, ties in reduced-row order.
+    """
+    reduced, pivots, _ = reduce_rational(kernel(columns, system.dimension))
+    candidates = [_element(system, reduced[i]) for i, _ in pivots]
+    for f in sorted(candidates, key=Polynomial.degree):  # stable on ties
+        if not f.is_constant() and apply_derivation(field, f).is_zero():
+            return FirstIntegral(f, system.ring.one(), rank)
+    return None
+
+
 def _certify_vanishing(field: VectorField, system: LinearSystem,
                        rng: Random) -> Optional[FirstIntegral]:
     """Decide E = 0 by a probe, then certify it by a first integral.
@@ -645,10 +671,16 @@ def _certify_vanishing(field: VectorField, system: LinearSystem,
     The kernel vector of a free column is an element F = sum c_i s_i of the
     system whose jets vanish at the point, so F vanishes along the leaf; for
     the first free column it lies on the shortest basis prefix that has one.
-    Taking the points' kernel basis vectors in turn (the first with the
-    first, and so on: those of one free column when the two points have the
-    same rank, as generic points do), the reduced row echelon form of the
-    two vectors gives a denominator D (first row) and numerator N (second).
+
+    When the system holds a constant and a kernel of the pair has dimension
+    >= 2 (as with several independent polynomial integrals, where no two
+    kernel vectors need span a pencil), `_polynomial_integral` looks for a
+    polynomial integral of degree <= k first, by one more kernel; the
+    one-dimensional kernels of the planar pencils skip it.  Then the points'
+    kernel basis vectors are taken in turn (the first with the first, and
+    so on: those of one free column when the two points have the same rank,
+    as generic points do), and the reduced row echelon form of the two
+    vectors gives a denominator D (first row) and numerator N (second).
     If they are not proportional and X(N)*D = N*X(D), then h = N/D is a
     first integral and coeffs(N) - h*coeffs(D) is a nonzero vector
     annihilating every column X^j(s) over the field of first integrals, so
@@ -667,6 +699,7 @@ def _certify_vanishing(field: VectorField, system: LinearSystem,
     """
     m = system.dimension
     nv = field.ring.nvars
+    has_constant = any(s.is_constant() for s in system.basis)
     denominators = {c.denominator for f in field.components + system.basis
                     for c in f.terms.values()}
     prime = next((p for p in PRIMES_2_31
@@ -679,25 +712,27 @@ def _certify_vanishing(field: VectorField, system: LinearSystem,
             "the extactic polynomial is not identically zero "
             f"(nonzero modulo {prime} at {tuple(point)})")
     for _ in range(_PAIRS):
-        kernels = []
+        kernels, derived = [], []
         for _ in range(2):
             point = _probe_point(rng, nv, _PROBE_RANGE)
-            left_kernel = kernel(
-                list(zip(*_point_jet(field, system, point))), m)
+            columns = list(zip(*_point_jet(field, system, point)))
+            left_kernel = kernel(columns, m)
             if not left_kernel:
                 raise ExtacticNotZeroError(
                     "the extactic polynomial is not identically zero "
                     f"(full rank at {tuple(point)})")
             kernels.append(left_kernel)
+            derived += columns[1:]
         rank = m - min(map(len, kernels))
+        if has_constant and max(map(len, kernels)) >= 2:
+            fi = _polynomial_integral(field, system, derived, rank)
+            if fi is not None:
+                return fi
         for vectors in zip(*kernels):
             reduced, pivots, _ = reduce_rational(vectors)
             if len(pivots) < 2:
                 continue  # proportional: no pencil
-            den, num = (sum((s.scale(c) for s, c in zip(system.basis,
-                                                        reduced[i]) if c),
-                            system.ring.zero())
-                        for i, _ in pivots)
+            den, num = (_element(system, reduced[i]) for i, _ in pivots)
             if (apply_derivation(field, num) * den
                     == num * apply_derivation(field, den)):
                 return FirstIntegral(num, den, rank)
@@ -705,7 +740,6 @@ def _certify_vanishing(field: VectorField, system: LinearSystem,
 
 
 def extract_first_integral(field: VectorField, system: LinearSystem,
-                           seed: int = 0,
                            max_dim: Optional[int] = None) -> FirstIntegral:
     """A verified rational first integral, when the extactic vanishes.
 
@@ -713,13 +747,14 @@ def extract_first_integral(field: VectorField, system: LinearSystem,
     ExtacticNotZeroError when a probe proves E != 0, and otherwise returns a
     pair of degree <= k when some pair of probe points certifies one.  Only
     when none does is the Cramer-minor fallback run (its minors take the
-    engine "auto" picks by size).  Probe points are drawn from `seed`.
+    engine "auto" picks by size).  Probe points are drawn from Random(0),
+    as in `extactic`.
     """
     check_dimension(system.dimension, max_dim)
     _check_pair(field, system)
     if field.is_zero():
         raise DegenerateFieldError("zero field presents no foliation")
-    rng = Random(seed)
+    rng = Random(0)
     fi = _certify_vanishing(field, system, rng)
     return fi if fi is not None else _cramer_first_integral(field, system,
                                                             rng)

@@ -10,7 +10,7 @@ radial field).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .polyring import ContextError, PolyRing, Polynomial, derivation
 
@@ -74,13 +74,6 @@ class VectorField:
 
     def __str__(self) -> str:
         return ", ".join(str(c) for c in self.components)
-
-
-class CotangentDegree(NamedTuple):
-    """deg(field) - deg(ambient variety), with a positivity warning flag."""
-
-    value: int
-    nonpositive: bool
 
 
 @dataclass(frozen=True)
@@ -150,12 +143,6 @@ def foliation_degree(field: VectorField) -> FoliationDegree:
     return FoliationDegree(d, radial, AFFINE)
 
 
-def cotangent_degree(deg_foliation: int, deg_variety: int) -> CotangentDegree:
-    """deg(foliation) - deg(variety), flagged when not positive."""
-    value = deg_foliation - deg_variety
-    return CotangentDegree(value, value <= 0)
-
-
 def check_invariance(field: VectorField, f: Polynomial) -> Optional[Cofactor]:
     """Certify X(f) = K*f by exact division, or return None.
 
@@ -176,13 +163,3 @@ def check_invariance(field: VectorField, f: Polynomial) -> Optional[Cofactor]:
     if k * f != xf:
         raise AssertionError("cofactor re-verification failed")
     return Cofactor(k)
-
-
-def radial_field(n: int, names: Optional[Sequence[str]] = None) -> VectorField:
-    """R = sum x_i d/dx_i, homogeneous of degree 1."""
-    if n < 2:
-        raise ValueError("radial field needs at least 2 variables")
-    ring = PolyRing(tuple(names) if names else default_variable_names(n))
-    if ring.nvars != n:
-        raise ContextError(f"{len(ring.names)} names for {n} variables")
-    return VectorField(ring.variables(), mode=HOMOGENEOUS)

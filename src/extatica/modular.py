@@ -2,12 +2,13 @@
 
 The only module of extatica that imports numpy; `det_modular` imports it
 for its first grid, so a process that computes no modular determinant never
-loads numpy.  A determinant of degree at most b_v in variable v and of
-total degree at most D has its coefficients on the lower set Λ = {e : e_v
-<= b_v, sum(e) <= D}, and its values at the points e + 1 of Λ determine
-them.  Per prime, the entries are evaluated at those points only (one
-contraction per leading axis for the whole matrix, then the last axis per
-block of like columns), eliminated at every point without division and
+loads numpy.  The matrices are integer, since `det_modular` scales each
+column to integers first.  A determinant of degree at most b_v in variable
+v and of total degree at most D has its coefficients on the lower set Λ =
+{e : e_v <= b_v, sum(e) <= D}, and its values at the points e + 1 of Λ
+determine them.  Per prime, the entries are evaluated at those points only
+(one contraction per leading axis for the whole matrix, then the last axis
+per block of like columns), eliminated at every point without division and
 with one batch inversion per prime, and Newton-interpolated axis by axis
 along the lines of Λ, all contractions exact float64 BLAS products
 (`_matmul_mod`).  The large int64 reductions mod p are one helper,
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -106,10 +107,9 @@ _CHUNK = 64
 _BLOCK_VALUES = 1 << 15
 
 
-def _matmul_mod(a: np.ndarray, v: np.ndarray, p: int,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
+def _matmul_mod(a: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     """a @ v mod p for an int64 `a` and an int64 or float64 `v`, both with
-    entries in [0, p), p < 2^31, written into `out` when given.
+    entries in [0, p), p < 2^31.
 
     The left operand is split at 16 bits, a = 2^16 * high + low, and
     high @ (2^16 v mod p) + low @ v is computed as float64 matrix products,
@@ -127,8 +127,7 @@ def _matmul_mod(a: np.ndarray, v: np.ndarray, p: int,
             "large for exact evaluation")
     v = np.asarray(v, dtype=np.float64)
     shifted = ((v.astype(np.int64) << 16) % p).astype(np.float64)
-    if out is None:
-        out = np.empty(a.shape[:-1] + v.shape[-1:], dtype=np.int64)
+    out = np.empty(a.shape[:-1] + v.shape[-1:], dtype=np.int64)
     high, low = np.empty(a.shape), np.empty(a.shape)
     np.right_shift(a, 16, out=high, casting="unsafe")
     np.bitwise_and(a, 0xFFFF, out=low, casting="unsafe")
@@ -182,11 +181,10 @@ def _runs(lengths: np.ndarray, weight: int) -> list:
 class _GridPlan:
     """The prime-independent layout of one determinant's grid work.
 
-    Coefficients: term t of the matrix sits at `positions[t]` of one dense
-    (m, m, c_1, ..., c_n) tensor of shape `shape`, c_v - 1 the matrix's
-    largest degree in variable v, with coefficient `numerators[t] /
-    denominators[t]`; `denominators` is None when all are 1, and both are
-    object arrays when a value exceeds int64.
+    Coefficients: term t of the integer matrix sits at `positions[t]` of
+    one dense (m, m, c_1, ..., c_n) tensor of shape `shape`, c_v - 1 the
+    matrix's largest degree in variable v, with coefficient
+    `coefficients[t]`, an object array when a value exceeds int64.
 
     Points: the lower set Λ = {e : e_v <= bounds[v], sum(e) <= degree},
     one point per row of `exponents`, stored leading point by leading point
@@ -202,8 +200,7 @@ class _GridPlan:
 
     shape: tuple
     positions: np.ndarray
-    numerators: np.ndarray
-    denominators: Optional[np.ndarray]
+    coefficients: np.ndarray
     bounds: tuple
     exponents: np.ndarray
     columns: tuple
@@ -211,8 +208,8 @@ class _GridPlan:
 
 
 def _grid_plan(rows, bounds, degree: int) -> _GridPlan:
-    """One pass over the terms of every entry and the index plan of Λ,
-    made once per determinant."""
+    """One pass over the terms of every entry of the integer matrix `rows`
+    and the index plan of Λ, made once per determinant."""
     m = len(rows)
     nv = len(bounds)
     index = np.array([(i, j) + exps for i, row in enumerate(rows)
@@ -220,10 +217,9 @@ def _grid_plan(rows, bounds, degree: int) -> _GridPlan:
                      dtype=np.int64).reshape(-1, nv + 2)
     shape = (m, m) + tuple((index[:, 2:].max(axis=0, initial=0)
                             + 1).tolist())
-    nums = [c.numerator for r in rows for e in r for c in e.terms.values()]
-    dens = [c.denominator for r in rows for e in r for c in e.terms.values()]
-    top = max(max(map(abs, nums), default=0), max(dens, default=1))
-    dtype = np.int64 if top < 1 << 63 else object
+    coeffs = [c.numerator for r in rows for e in r for c in e.terms.values()]
+    dtype = np.int64 if max(map(abs, coeffs), default=0) < 1 << 63 \
+        else object
 
     # the columns: leading points by descending column length
     lead = tuple(b + 1 for b in bounds[:-1])
@@ -264,10 +260,8 @@ def _grid_plan(rows, bounds, degree: int) -> _GridPlan:
                                  along[np.minimum(at, size - 1)], size))
         lines.append(tuple(runs))
     return _GridPlan(shape, np.ravel_multi_index(index.T, shape),
-                     np.array(nums, dtype=dtype),
-                     None if all(d == 1 for d in dens)
-                     else np.array(dens, dtype=dtype),
-                     tuple(bounds), exponents, tuple(columns), tuple(lines))
+                     np.array(coeffs, dtype=dtype), tuple(bounds),
+                     exponents, tuple(columns), tuple(lines))
 
 
 def _vandermonde(rows: int, size: int, p: int) -> np.ndarray:
@@ -284,10 +278,9 @@ def _vandermonde(rows: int, size: int, p: int) -> np.ndarray:
     return vander
 
 
-def _grid_values(plan: _GridPlan, p: int,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Values mod p of every matrix entry at every point of Λ, as the
-    (m, m, |Λ|) int64 tensor `out` when given.
+def _grid_values(plan: _GridPlan, p: int, out: np.ndarray) -> np.ndarray:
+    """Values mod p of every matrix entry at every point of Λ, written into
+    the (m, m, |Λ|) int64 tensor `out`.
 
     The coefficients reduced mod p go into the matrix's coefficient tensor
     with one scatter; each leading axis is contracted for the whole matrix
@@ -296,13 +289,8 @@ def _grid_values(plan: _GridPlan, p: int,
     """
     m = plan.shape[0]
     nv = len(plan.bounds)
-    coeff = (plan.numerators % p).astype(np.int64, copy=False)
-    if plan.denominators is not None:
-        coeff *= _batch_inverse(
-            (plan.denominators % p).astype(np.int64, copy=False), p)
-        coeff %= p
     tensor = np.zeros(math.prod(plan.shape), dtype=np.int64)
-    tensor[plan.positions] = coeff
+    tensor[plan.positions] = plan.coefficients % p
     tensor = tensor.reshape(plan.shape)
     vander = _vandermonde(max(plan.shape[2:]), max(plan.bounds) + 1, p)
     # contracting axis 2 moves its grid axis to the end: the last
@@ -312,14 +300,12 @@ def _grid_values(plan: _GridPlan, p: int,
                              vander[:plan.shape[v + 2], :plan.bounds[v] + 1],
                              p)
     tensor = tensor.reshape(m, m, plan.shape[-1], -1)
-    values = out if out is not None else np.empty(
-        (m, m, len(plan.exponents)), dtype=np.int64)
     for lo, hi, leading, width, source in plan.columns:
         block = _matmul_mod(np.moveaxis(tensor[:, :, :, leading], 2, -1),
                             vander[:plan.shape[-1], :width], p)
         block = block.reshape(m, m, -1)
-        values[:, :, lo:hi] = block if source is None else block[:, :, source]
-    return values
+        out[:, :, lo:hi] = block if source is None else block[:, :, source]
+    return out
 
 
 def _newton_matrices(size: int, p: int) -> tuple:

@@ -673,7 +673,8 @@ def proportional(f: Polynomial, g: Polynomial) -> bool:
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponents]:
-    """All exponent vectors of exact total degree, in no particular order."""
+    """All exponent vectors of exact total degree, in graded-lex order:
+    lexicographically descending, so x^2 > xy > xz > y^2 > yz > z^2."""
     if nvars == 1:
         yield (degree,)
         return
@@ -683,5 +684,7 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponents]:
 
 
 def monomials_up_to_degree(nvars: int, degree: int) -> Iterator[Exponents]:
+    """All exponent vectors of total degree <= `degree`, by ascending degree
+    and in graded-lex order within each degree (`monomials_of_degree`)."""
     for d in range(degree + 1):
         yield from monomials_of_degree(nvars, d)

@@ -12,22 +12,21 @@ import time
 from fractions import Fraction
 
 from extatica.bounds import (BoundInput, genus_rhs, genus_threshold,
-                             invariant_count_check, plane_surface_input,
-                             pn_threshold, poincare_degree_bound,
-                             surface_bound, CONSISTENT)
+                             invariant_count_check, pn_threshold,
+                             poincare_degree_bound, surface_bound, CONSISTENT)
 from extatica.corpus import (SplitMix64, hamiltonian, pencil_field,
-                             planted_lines_field, random_field,
-                             random_polynomial, random_polynomial_matrix, slv)
+                             planted_lines_field, random_field, slv)
 from extatica.extactic import (LinearSystem, det_fraction_free, det_modular,
                                divides_extactic, extactic,
                                extract_first_integral, monomial_system)
 from extatica.foliation import (AFFINE, HOMOGENEOUS, VectorField,
-                                apply_derivation, check_invariance,
-                                radial_field)
+                                apply_derivation, check_invariance)
 from extatica.cli import parse_polynomial, parse_vector_field
 from extatica.polyring import PolyRing
 
 from golden_cases import GOLDEN_CASES
+from seeded_inputs import (plane_surface_input, random_polynomial,
+                           random_polynomial_matrix)
 from test_cli import run_cli
 
 RING3 = PolyRing(("x", "y", "z"))
@@ -158,7 +157,7 @@ def test_criterion_4_degree_law():
 def test_criterion_5_symmetries():
     system = monomial_system(3, 1, HOMOGENEOUS)
     m = system.dimension
-    r = radial_field(3)
+    r = VectorField(RING3.variables(), HOMOGENEOUS)
     for s in range(20):
         field = random_field(3, 2, 61000 + s, homogeneous=True)
         base = extactic(field, system).extactic

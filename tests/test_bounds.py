@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from extatica.bounds import (CONSISTENT, FORCES, BoundInput,
                              HypothesisNotMetError, MissingInputError,
                              abelian_bound, genus_rhs, genus_threshold,
-                             invariant_count_check, plane_surface_input,
-                             pn_threshold, poincare_degree_bound, report,
-                             surface_bound, virtual_genus_plane)
+                             invariant_count_check, pn_threshold,
+                             poincare_degree_bound, report, surface_bound)
+
+from seeded_inputs import plane_surface_input
 
 
 class TestInvariantCountCheck:
@@ -165,14 +166,6 @@ class TestSurfaceBound:
         with pytest.raises(MissingInputError):
             surface_bound(BoundInput(deg_D=1, h0=3, n_invariant=4,
                                      deg_foliation=2))
-
-
-class TestVirtualGenusPlane:
-    def test_values(self):
-        assert virtual_genus_plane(1) == 0
-        assert virtual_genus_plane(2) == 0
-        assert virtual_genus_plane(3) == 1
-        assert virtual_genus_plane(4) == 3
 
 
 class TestAbelianBound:

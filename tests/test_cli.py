@@ -18,10 +18,10 @@ import extatica
 from extatica import bounds
 from extatica.cli import MAX_DEGREE, MAX_TERMS, ParseError, build_parser, \
     main, parse_polynomial, parse_vector_field
-from extatica.corpus import random_polynomial
 from extatica.polyring import PolyRing
 
 from golden_cases import GOLDEN_CASES
+from seeded_inputs import random_polynomial
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
@@ -88,14 +88,14 @@ def test_first_integral_computes_no_determinant(name, monkeypatch):
 
 
 @pytest.mark.parametrize("argv,status", [
-    (["--vars", "x,y", "--field", "x, -y", "--k", "2"], "failed"),
+    (["--vars", "x,y", "--field", "x, y", "--k", "2"], "failed"),
     (["--field-corpus", "planted:2,2,1", "--k", "1"], "extactic-nonzero"),
-], ids=["fiber-of-xy", "planted-line"])
+], ids=["leaf-of-y-over-x", "planted-line"])
 def test_first_integral_after_failed_extraction(argv, status, monkeypatch):
-    # every probe on x = 0: a reducible fiber of h = xy, where neither a
-    # pair of points nor the Cramer fallback certifies although E = 0, and
-    # an invariant line of a planted field, where J is singular although
-    # E != 0; the determinant decides
+    # every probe on x = 0: a leaf of the radial field (integral y/x, no
+    # polynomial one), where neither a pair of points nor the Cramer
+    # fallback certifies although E = 0, and an invariant line of a planted
+    # field, where J is singular although E != 0; the determinant decides
     ext = sys.modules["extatica.extactic"]
 
     def on_line(rng, nvars, bound):

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from extatica.corpus import (hamiltonian, pencil_field, planted_lines_field,
-                             random_field, random_polynomial,
-                             random_polynomial_matrix, slv,
-                             slv1_invariant_conic)
+                             random_field, slv, slv1_invariant_conic)
 from extatica.extactic import (MAX_GRID_BYTES, DimensionGuardError,
                                ExtacticNotZeroError, ExtractionFailedError,
                                LinearSystem, VacuousQueryError,
@@ -21,7 +20,7 @@ from extatica.extactic import (MAX_GRID_BYTES, DimensionGuardError,
                                extactic_degree_bound, extract_first_integral,
                                jet_matrix, monomial_system)
 from extatica.foliation import (AFFINE, HOMOGENEOUS, DegenerateFieldError,
-                                VectorField, apply_derivation, radial_field)
+                                VectorField, apply_derivation)
 from extatica.linalg import det_mod
 from extatica import modular
 from extatica.modular import (_batch_inverse, _grid_determinants, _grid_plan,
@@ -31,6 +30,7 @@ from extatica.polyring import (PRIMES_2_31, ContextError, PolyRing,
                                monomials_of_degree, monomials_up_to_degree,
                                proportional)
 from conftest import RING_XY, RING_XYZ, polynomials
+from seeded_inputs import random_polynomial, random_polynomial_matrix
 import bareiss_oracle
 
 X, Y = RING_XY.variables()
@@ -426,6 +426,13 @@ _KINDS = st.tuples(st.sampled_from(["random", "permuted", "zero_column",
 _END_PRIMES = (min(PRIMES_2_31), max(PRIMES_2_31))
 
 
+def _grid_values_of(plan, p):
+    """`_grid_values` into a fresh value tensor."""
+    m = plan.shape[0]
+    return _grid_values(plan, p, np.empty((m, m, len(plan.exponents)),
+                                          dtype=np.int64))
+
+
 class TestModularKernels:
     @given(m=st.integers(1, 10), kinds=st.lists(_KINDS, min_size=1,
                                                 max_size=8),
@@ -497,10 +504,10 @@ class TestModularKernels:
     @given(data=st.data(), nvars=st.integers(1, 3), m=st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_grid_values_match_evaluate_mod(self, data, nvars, m):
+        # integer matrices, as det_modular passes after scaling its columns
         ring = PolyRing(("x", "y", "z")[:nvars])
         exps = list(monomials_up_to_degree(nvars, 3))
-        coeff = st.fractions(min_value=Fraction(-50), max_value=Fraction(50),
-                             max_denominator=9)
+        coeff = st.integers(-50, 50)
         entry = st.one_of(
             st.just(ring.zero()),
             coeff.map(ring.constant),
@@ -515,8 +522,7 @@ class TestModularKernels:
         assert sorted(map(tuple, plan.exponents.tolist())) == [
             e for e in itertools.product(*(range(b + 1) for b in bounds))
             if sum(e) <= degree]
-        values = _grid_values(plan, P31)
-        assert values.shape == (m, m, len(plan.exponents))
+        values = _grid_values_of(plan, P31)
         for t, e in enumerate(plan.exponents.tolist()):
             point = [k + 1 for k in e]
             for i in range(m):
@@ -541,11 +547,11 @@ class TestModularKernels:
 
     def test_grid_values_with_coefficients_beyond_int64(self):
         x, y = RING_XY.variables()
-        wide = Fraction(2**70 + 1, 3**45)
+        wide = 2**70 + 1
         rows = [[x.scale(wide) + y, RING_XY.constant(-wide)],
-                [y ** 3, x * y.scale(Fraction(-(2**64), 7))]]
+                [y ** 3, x * y.scale(-(2**64) - 7)]]
         plan = _grid_plan(rows, (3, 4), 4)
-        values = _grid_values(plan, P31)
+        values = _grid_values_of(plan, P31)
         for t, (a, b) in enumerate(plan.exponents.tolist()):
             assert values[:, :, t].tolist() == [
                 [e.evaluate_mod([a + 1, b + 1], P31) for e in r] for r in rows]
@@ -639,7 +645,7 @@ class TestModularKernels:
         assume(any(residues))
         plan = _grid_plan(self._lower_set_matrix(coefficients), bounds,
                           degree)
-        values = _grid_values(plan, P31)[0, 0]
+        values = _grid_values_of(plan, P31)[0, 0]
         back = _interpolate(plan, values, P31)
         assert back.tolist() == [coefficients[e] for e in
                                  map(tuple, plan.exponents.tolist())]
@@ -839,12 +845,26 @@ class TestVanishingDecision:
         assert (str(fi.numerator), str(fi.denominator)) == (str(h), "1")
         assert fi.rank == 9
 
-    def test_pair_does_not_depend_on_the_seed(self):
+    def test_pair_does_not_depend_on_the_seed(self, monkeypatch):
+        # probe points drawn from four seeds in place of Random(0)
         field = pencil_field(X**2 + 1, Y).field
         system = monomial_system(2, 2, AFFINE)
-        pairs = {(str(fi.numerator), str(fi.denominator)) for fi in (
-            extract_first_integral(field, system, seed=s) for s in range(4))}
+        pairs, first_points = set(), set()
+        for seed in range(4):
+            rng = Random(seed)
+            drawn = []
+
+            def probe(_, nvars, bound):
+                drawn.append(tuple(rng.randint(-bound, bound)
+                                   for _ in range(nvars)))
+                return list(drawn[-1])
+
+            monkeypatch.setattr(EXT, "_probe_point", probe)
+            fi = extract_first_integral(field, system)
+            pairs.add((str(fi.numerator), str(fi.denominator)))
+            first_points.add(drawn[0])
         assert pairs == {("y", "x^2 + 1")}
+        assert len(first_points) == 4
 
     @pytest.mark.parametrize("lines", [(0, 0, 0), (0, 0, 1)],
                              ids=["proportional", "cross-identity-fails"])
@@ -869,9 +889,10 @@ class TestVanishingDecision:
         assert all("full rank" in str(d) for d in decided)
 
     def test_proportional_first_pair_is_retried(self, monkeypatch):
-        # x = 0 is a reducible fiber of h = xy: both probes of the first
-        # pair find the same kernel, spanned by x, x^2 and xy
-        field = hamiltonian(X * Y).field
+        # x = 0 is a leaf of the radial field, which has the integral y/x
+        # and no polynomial one: both probes of the first pair find the
+        # same kernel, spanned by x, x^2 and xy
+        field = VectorField((X, Y), AFFINE)
         k = 2
         system = monomial_system(2, k, AFFINE)
         decided = _spy(monkeypatch, "_certify_vanishing")
@@ -900,6 +921,27 @@ class TestVanishingDecision:
             assert (str(fi.numerator), str(fi.denominator)) == ("z", "1")
             assert len(drawn) == 3
 
+    @pytest.mark.parametrize("components,k,integral", [
+        # integrals 1, xz + z^2 and yz - z^2 + x: every kernel has
+        # dimension 3, and no two kernel vectors span a pencil
+        (lambda x, y, z: (-x * z - (z * z).scale(2),
+                          -y * z + (z * z).scale(2) + x + z.scale(2),
+                          z * z), 2, "y*z - z^2 + x"),
+        # integrals x + y - z and y/z
+        (lambda x, y, z: (y - z, -y, -z), 1, "x + y - z"),
+    ], ids=["three-polynomial-integrals", "linear-field"])
+    def test_a_polynomial_integral_certifies_from_the_first_pair(
+            self, monkeypatch, components, k, integral):
+        field = VectorField(components(*RING_XYZ.variables()), AFFINE)
+        system = monomial_system(3, k, AFFINE)
+        drawn = _probes_on(monkeypatch, ())
+        fallback = _spy(monkeypatch, "_cramer_first_integral")
+        fi = extract_first_integral(field, system)
+        assert (str(fi.numerator), str(fi.denominator)) == (integral, "1")
+        assert len(drawn) == 3 and fallback == []
+        assert apply_derivation(field, fi.numerator).is_zero()
+        assert extactic(field, system).identically_zero
+
     def test_no_integral_of_degree_k_reaches_the_fallback(self,
                                                           monkeypatch):
         # the leaves of X = (1 + x^2, z + xy, xz - y) are the lines meeting
@@ -922,9 +964,10 @@ class TestVanishingDecision:
         assert _cross_identity(field, fi.numerator, fi.denominator)
 
     def test_every_pair_and_the_fallback_failing_raise(self, monkeypatch):
-        # on x = 0, a reducible fiber of h = xy, no pair certifies and the
-        # minors at the rank seen there give no first integral either
-        field = hamiltonian(X * Y).field
+        # on x = 0, a leaf of the radial field (integral y/x, no polynomial
+        # one), no pair certifies and the minors at the rank seen there give
+        # no first integral either
+        field = VectorField((X, Y), AFFINE)
         system = monomial_system(2, 2, AFFINE)
         decided = _spy(monkeypatch, "_certify_vanishing")
         drawn = _probes_on(monkeypatch, itertools.repeat(0))
@@ -1058,7 +1101,7 @@ def test_known_first_integrals_never_reach_the_fallback(monkeypatch):
 class TestSymmetries:
     def test_radial_invariance(self):
         system = monomial_system(3, 1, HOMOGENEOUS)
-        r = radial_field(3)
+        r = VectorField(RING_XYZ.variables(), HOMOGENEOUS)
         for seed in range(5):
             field = random_field(3, 2, 6000 + seed, homogeneous=True)
             g = random_polynomial(3, 1, 6100 + seed, homogeneous=True)

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from extatica.foliation import (AFFINE, HOMOGENEOUS, DegenerateFieldError,
                                 InvalidDivisorError, VectorField,
                                 apply_derivation, check_invariance,
-                                cotangent_degree, foliation_degree,
-                                radial_field)
-from extatica.corpus import slv, random_polynomial
+                                foliation_degree)
+from extatica.corpus import slv
 from extatica.polyring import ContextError
 
 from conftest import RING_XY, RING_XYZ, polynomials
+from seeded_inputs import random_polynomial
 
 X, Y = RING_XY.variables()
 
@@ -69,20 +69,6 @@ class TestFoliationDegree:
             VectorField((X, Y**2), HOMOGENEOUS)
 
 
-class TestCotangentDegree:
-    def test_projective_space(self):
-        for d in (2, 3, 7):
-            assert cotangent_degree(d, 1) == (d - 1, False)
-
-    def test_boundary_warns(self):
-        value, warn = cotangent_degree(5, 5)
-        assert value == 0 and warn
-
-    def test_generator_multiple(self):
-        for deg_x in (1, 2, 5):
-            assert cotangent_degree(2 * deg_x, deg_x).value == deg_x
-
-
 class TestCheckInvariance:
     def test_coordinate_axis(self):
         cof = check_invariance(weighted_field(), X)
@@ -117,18 +103,10 @@ class TestCheckInvariance:
 
 
 class TestRadialField:
-    def test_components(self):
-        assert radial_field(2).components == (X, Y)
-        assert radial_field(3).components == RING_XYZ.variables()
-
     def test_euler_identity_example(self):
-        r = radial_field(3)
+        r = VectorField(RING_XYZ.variables(), HOMOGENEOUS)
         f = RING_XYZ.variable(0) * RING_XYZ.variable(1) * RING_XYZ.variable(2)
         assert apply_derivation(r, f) == f.scale(3)
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            radial_field(1)
 
 
 @given(f=polynomials(ring=RING_XY, max_degree=3),
@@ -176,7 +154,7 @@ def test_cofactor_soundness_and_multiplicativity():
 
 
 def test_euler_identity_random_homogeneous():
-    r = radial_field(3)
+    r = VectorField(RING_XYZ.variables(), HOMOGENEOUS)
     for trial in range(20):
         for deg in (1, 2, 3):
             f = random_polynomial(3, deg, 5000 + 10 * trial + deg,

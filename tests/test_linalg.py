@@ -138,7 +138,7 @@ def test_kernel_equals_the_fraction_oracle(mat):
 
 #: The four Hamiltonians of the benchmark's vanishing workload (k = 3) and
 #: two conic/line pencils f/g (k = 2), each with the first integral that
-#: extract_first_integral(seed=0) returns: (numerator, denominator, rank).
+#: extract_first_integral returns: (numerator, denominator, rank).
 POINT_JET_CASES = [
     ({(3, 0): 1, (0, 2): -1}, None, 3,
      ("-x^3 + y^2", "1", 9)),

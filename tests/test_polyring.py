@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extatica.polyring import (NEG_INF, BadPrimeError, ContextError,
-                               DegreeError, PolyRing, PRIMES_2_31)
+                               DegreeError, PolyRing, PRIMES_2_31,
+                               monomials_up_to_degree)
 
 from conftest import (PRIMES_2_61, RING_XY, RING_XYZ, polynomials,
                       rational_points)
@@ -227,7 +229,8 @@ def test_monomial_division_is_componentwise(e, delta, coeffs):
 
 
 def test_evaluation_homomorphism_100_points():
-    from extatica.corpus import SplitMix64, random_polynomial
+    from extatica.corpus import SplitMix64
+    from seeded_inputs import random_polynomial
     rng = SplitMix64(2024)
     p = PRIMES_2_61[0]
     for trial in range(100):
@@ -240,7 +243,7 @@ def test_evaluation_homomorphism_100_points():
 
 
 def test_homogenization_round_trip_100():
-    from extatica.corpus import random_polynomial
+    from seeded_inputs import random_polynomial
     for trial in range(100):
         f = random_polynomial(2, 4, 3000 + trial)
         deg = int(f.degree())
@@ -254,3 +257,16 @@ def test_homogenization_round_trip_100():
 def test_evaluation_homomorphism_rational_points(f, g, pt):
     assert (f * g).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt)
     assert (f + g).evaluate(pt) == f.evaluate(pt) + g.evaluate(pt)
+
+
+def test_monomials_come_by_degree_then_graded_lex():
+    # the order of every complete monomial system and of the corpus's
+    # random coefficients: x^2 > xy > xz > y^2 > yz > z^2 within a degree
+    for nvars in range(1, 6):
+        for degree in range(7):
+            expected = sorted(
+                (e for e in itertools.product(range(degree + 1),
+                                              repeat=nvars)
+                 if sum(e) <= degree),
+                key=lambda e: (sum(e), tuple(-x for x in e)))
+            assert list(monomials_up_to_degree(nvars, degree)) == expected
