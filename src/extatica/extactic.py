@@ -14,17 +14,19 @@ Two exact determinant engines are provided:
   small matrices.
 * `det_modular` - evaluation/interpolation modulo word-size primes with
   Chinese remaindering into symmetric residues, after each column is scaled
-  to integers; best once degrees blow up.  The bounds (degree per variable
-  and total degree), the memory guard, the prime choice and the
-  remaindering run here; the per-prime work on the lower set of exponents
-  those bounds allow (evaluation by Vandermonde contractions, elimination
-  at every point, Newton interpolation) runs on numpy in
-  `extatica.modular`, which is imported on the first modular determinant,
-  so numpy loads only then.
+  to integers; best once degrees blow up.  The bounds (degree per
+  variable and total degree, from the best single permutation), the
+  memory guard, the prime choice and the remaindering run here; the
+  per-prime work on the lower set of exponents those bounds allow
+  (evaluation by Vandermonde contractions, elimination at every point,
+  Newton interpolation) runs on numpy in `extatica.modular`, which is
+  imported on the first modular determinant, so numpy loads only then.
 
-Both return identical canonical polynomials.  A determinant is computed
-only when E is nonzero: `_certify_vanishing` first probes J modulo a prime,
-then certifies E = 0 by a first integral of degree <= k read off the left
+Both first expand along every row or column whose only nonzero entry is a
+constant (`_expand_units`), and both return identical canonical
+polynomials.  A determinant is computed only when E is nonzero:
+`_certify_vanishing` first probes J modulo a prime, then certifies E = 0
+by a first integral of degree <= k read off the left
 kernels of J at a pair of points, retried at a few fresh pairs.  Without a
 certified pair (off the plane, E = 0 does not force an integral of degree
 <= k), `extactic` computes the full determinant and `extract_first_integral`
@@ -46,11 +48,11 @@ from typing import Optional, Sequence
 
 from .foliation import (AFFINE, HOMOGENEOUS, DegenerateFieldError,
                         VectorField, apply_derivation, foliation_degree)
-from .linalg import det_mod, kernel, reduce_rational
+from .linalg import det_mod, kernel, max_assignment, reduce_rational
 from .polyring import (PRIMES_2_31, BadPrimeError, ContextError,
                        PolyRing, Polynomial, bareiss_determinant,
-                       monomials_of_degree, monomials_up_to_degree,
-                       proportional)
+                       derivation_chains, monomials_of_degree,
+                       monomials_up_to_degree, proportional)
 
 #: Complete monomial systems above this dimension are refused unless the
 #: caller overrides: the determinant degree grows quadratically in the
@@ -193,14 +195,13 @@ def _check_pair(field: VectorField, system: LinearSystem) -> None:
 
 
 def jet_matrix(field: VectorField, system: LinearSystem) -> JetMatrix:
-    """Columns built by iterated derivation: column j+1 applies X to column j."""
+    """Rows built by iterated derivation: entry (i, j + 1) applies X to
+    entry (i, j), each row's chain on one packed map
+    (`polyring.derivation_chains`)."""
     _check_pair(field, system)
-    m = system.dimension
-    columns = [list(system.basis)]
-    for _ in range(m - 1):
-        columns.append([apply_derivation(field, f) for f in columns[-1]])
-    rows = tuple(tuple(columns[j][i] for j in range(m)) for i in range(m))
-    return JetMatrix(rows, field, system)
+    chains = derivation_chains(field.components, system.basis,
+                               system.dimension)
+    return JetMatrix(tuple(map(tuple, chains)), field, system)
 
 
 def _point_jet(field: VectorField, system: LinearSystem, point,
@@ -283,18 +284,70 @@ def _square_rows(matrix) -> tuple:
     return rows, ring
 
 
+def _expand_units(rows) -> tuple:
+    """(c, minor) with det(rows) = c * det(minor).
+
+    A row or column whose only nonzero entry is a constant c is expanded
+    along, det = (-1)^(i+j) c * minor, and so on in the minor until none is
+    left; the expansion only drops indices, and c collects the constants
+    and signs.  The first row of an affine jet, (1, 0, ..., 0), is such a
+    row.  The minor may be empty, with determinant 1.
+    """
+    # per entry: 0 zero, 1 nonzero constant, 2 otherwise
+    kinds = [[0 if not e.terms else 1 if e.is_constant() else 2 for e in r]
+             for r in rows]
+    live_rows, live_cols = list(range(len(rows))), list(range(len(rows)))
+    factor = Fraction(1)
+    while True:
+        for a, i in enumerate(live_rows):
+            nonzero = [b for b, j in enumerate(live_cols) if kinds[i][j]]
+            if len(nonzero) == 1 and kinds[i][live_cols[nonzero[0]]] == 1:
+                b = nonzero[0]
+                break
+        else:
+            for b, j in enumerate(live_cols):
+                nonzero = [a for a, i in enumerate(live_rows) if kinds[i][j]]
+                if len(nonzero) == 1 and kinds[live_rows[nonzero[0]]][j] == 1:
+                    a = nonzero[0]
+                    break
+            else:
+                break
+        (c,) = rows[live_rows[a]][live_cols[b]].terms.values()
+        factor *= -c if (a + b) % 2 else c
+        del live_rows[a], live_cols[b]
+    return factor, [[rows[i][j] for j in live_cols] for i in live_rows]
+
+
+def _times(det: Polynomial, c: Fraction) -> Polynomial:
+    """c * det, with no coefficient touched for c = 1 and a sign flip for
+    c = -1."""
+    if c == 1:
+        return det
+    return -det if c == -1 else det.scale(c)
+
+
+def _fraction_free(rows, ring) -> Polynomial:
+    """The determinant of a square matrix of any size by Bareiss
+    elimination; the empty matrix has determinant 1.  `rows` is consumed."""
+    if not rows:
+        return ring.one()
+    if len(rows) == 1:
+        return rows[0][0]
+    return bareiss_determinant(rows, ring)
+
+
 def det_fraction_free(matrix) -> Polynomial:
     """Exact determinant by Bareiss elimination over the polynomial ring.
 
-    The elimination (`polyring.bareiss_determinant`) clears each row's
+    Unit rows and columns are expanded along first (`_expand_units`).  The
+    elimination (`polyring.bareiss_determinant`) clears each row's
     denominators once and runs on packed integer term maps, every division
     exact over Z (Sylvester's identity), so no fraction field is needed.
     Pivots are the sparsest available in their column.
     """
     rows, ring = _square_rows(matrix)
-    if len(rows) == 1:
-        return rows[0][0]
-    return bareiss_determinant(rows, ring)
+    factor, rows = _expand_units(rows)
+    return _times(_fraction_free(rows, ring), factor)
 
 
 # ---------------------------------------------------------------------------
@@ -305,32 +358,49 @@ def _det_bounds(rows, ring):
     """Per-variable degree bounds, a total degree bound, column scales and
     a coefficient bound.
 
-    Degree bound per variable: sum over columns (and over rows; the smaller
-    wins) of the largest entry degree in that variable; the total degree
-    bound is the same with total degrees.  Column j is scaled to integers
-    by the lcm d_j of its own denominators; expanding the determinant of
-    the scaled matrix as a sum of m! entry products bounds its integer
-    coefficients by m! times the product of the columns' largest 1-norms.
+    A term of the expansion, the product of the entries a_(i, s(i)) of a
+    permutation s, has degree in variable v at most the sum of those
+    entries' degrees in v, so b_v is the largest such sum over the
+    permutations that avoid zero entries (`linalg.max_assignment`), and
+    the total degree bound D is the same with total degrees.  Each is at
+    most the smaller of the sums over rows and over columns of the largest
+    entry degrees; b_v and D may come from different permutations, and an
+    entry may exceed b_v.  When every permutation meets a zero entry,
+    every term of the expansion has a zero factor and the degree bounds
+    are -1, the degree of the zero determinant.  Column j is scaled to
+    integers by the lcm d_j of its own denominators.  The integer
+    coefficients of the scaled determinant are bounded twice, and the
+    smaller bound is kept: by m! times the product of the columns' largest
+    1-norms (the m! entry products), and by prod_j (sum_i |a_ij|_1^2)^(1/2)
+    (Goldstein and Graham, SIAM Review 16, 1974: a coefficient is at most
+    the largest value on the unit torus, which Hadamard's inequality
+    bounds).
     """
     m = len(rows)
     nv = ring.nvars
     # per entry: its largest degree in each variable, then its total degree
     degrees = [[tuple(map(max, zip(*e.terms))) + (max(map(sum, e.terms)),)
-                if e.terms else (0,) * (nv + 1) for e in r] for r in rows]
+                if e.terms else None for e in r] for r in rows]
     bounds = []
     for k in range(nv + 1):
-        col = sum(max(degrees[i][j][k] for i in range(m)) for j in range(m))
-        row = sum(max(degrees[i][j][k] for j in range(m)) for i in range(m))
-        bounds.append(min(col, row))
+        best = max_assignment([[d if d is None else d[k] for d in r]
+                                for r in degrees])
+        if best is None:
+            bounds = [-1] * (nv + 1)
+            break
+        bounds.append(best)
     scales = []
     height = math.factorial(m)
+    squares = 1
     for j in range(m):
         column = [rows[i][j].terms.values() for i in range(m)]
         den = math.lcm(*(c.denominator for cs in column for c in cs))
         scales.append(den)
-        height *= max(sum(abs(c.numerator) * (den // c.denominator)
-                          for c in cs) for cs in column)
-    return bounds[:nv], bounds[nv], scales, height
+        norms = [sum(abs(c.numerator) * (den // c.denominator) for c in cs)
+                 for cs in column]
+        height *= max(norms)
+        squares *= sum(n * n for n in norms)
+    return bounds[:nv], bounds[nv], scales, min(height, math.isqrt(squares))
 
 
 def _lower_set_size(bounds, degree: int) -> int:
@@ -351,28 +421,35 @@ def _grid_bytes(rows, var_bounds, total_bound, workers: int) -> int:
     workers: 2n + 1 indices of the plan (exponents and lines) at every
     point of the lower set.  Held by each of the `workers` threads of
     `modular.prime_images`: m x m int64 values and the elimination's m
-    scratch values at every point of the lower set, the entries after the
-    contraction of the leading axes (m x m values per leading grid point
-    and coefficient of the last variable), and the float64 Vandermonde,
-    divided-difference and Newton-to-monomial matrices on the longest
-    axis."""
+    scratch values at every point of the lower set; the entries while the
+    leading axes are contracted, the largest of the m x m tensors with the
+    nodes b_u + 1 of the axes done and the coefficients c_u (the entries'
+    largest degree plus one) of the others, since an entry may exceed
+    b_u; and the float64 Vandermonde, divided-difference and
+    Newton-to-monomial matrices, counted as squares of side the longest of
+    those axes."""
     m, nv = len(rows), len(var_bounds)
-    last = max(e.degree_in(nv - 1) for r in rows for e in r)
-    leading = math.prod(b + 1 for b in var_bounds[:-1])
-    size = max(var_bounds) + 1
+    nodes = [b + 1 for b in var_bounds]
+    coeffs = [max(e.degree_in(v) for r in rows for e in r) + 1
+              for v in range(nv)]
+    leading = max(math.prod(nodes[:v]) * math.prod(coeffs[v:])
+                  for v in range(nv))
+    size = max(nodes + coeffs)
     points = _lower_set_size(var_bounds, total_bound)
-    per_worker = ((m * m + m) * points + m * m * (last + 1) * leading
-                  + 3 * size * size)
+    per_worker = (m * m + m) * points + m * m * leading + 3 * size * size
     return 8 * ((2 * nv + 1) * points + workers * per_worker)
 
 
 def det_modular(matrix, jobs: int = 1) -> Polynomial:
     """Exact determinant by modular evaluation and interpolation.
 
-    Each column is first scaled to integers by the lcm of its own
-    denominators, so det = det(integer matrix) / (product of the scales).
-    The determinant has degree at most b_v in variable v and total degree
-    at most D (`_det_bounds`), so its coefficients live on the lower set
+    Unit rows and columns are expanded along first (`_expand_units`), and
+    a minor that no permutation covers with nonzero entries is 0 before
+    any grid work.  Each column is then scaled to integers by the lcm of
+    its own denominators, so det = det(integer matrix) / (product of the
+    scales).  The determinant has degree at most b_v in variable v and
+    total degree at most D, the largest degree sums over permutations
+    (`_det_bounds`), so its coefficients live on the lower set
     {e : e_v <= b_v, sum(e) <= D}, and its values at the points e + 1 of
     that set determine them.  Modulo enough primes for the a-priori
     coefficient-height bound, `modular.prime_images` evaluates all entries
@@ -388,16 +465,10 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
     (BadPrimeError).
     """
     rows, ring = _square_rows(matrix)
-    m = len(rows)
-    # zero row / zero column: determinant is zero outright
-    for i in range(m):
-        if all(rows[i][j].is_zero() for j in range(m)):
-            return ring.zero()
-    for j in range(m):
-        if all(rows[i][j].is_zero() for i in range(m)):
-            return ring.zero()
+    factor, rows = _expand_units(rows)
     if ring.nvars == 0 or all(e.is_constant() for r in rows for e in r):
-        return det_fraction_free(rows)
+        return _times(_fraction_free(rows, ring), factor)
+    m = len(rows)
     # Column-homogeneous matrices have a homogeneous determinant of known
     # degree: peel off the last variable, compute in one fewer dimension,
     # and re-homogenize.  (Jet matrices of homogeneous fields are of this
@@ -410,8 +481,10 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
             det_sub = det_modular(sub, jobs=jobs)
             if det_sub.is_zero():
                 return ring.zero()
-            return det_sub.homogenize(last, sum(col_degs))
+            return _times(det_sub.homogenize(last, sum(col_degs)), factor)
     var_bounds, total_bound, scales, height = _det_bounds(rows, ring)
+    if total_bound < 0:
+        return ring.zero()  # no permutation avoids the zero entries
     # symmetric residues recover every coefficient of absolute value at
     # most height once the modulus exceeds twice it
     target = 2 * height
@@ -450,12 +523,12 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
         terms[exps] = Fraction(residue - prod if residue > half else residue)
     det = Polynomial._raw(ring, terms)
     _self_check(ints, det, var_bounds, chosen[0])
-    scale = math.prod(scales)
-    return det if scale == 1 else det.scale(Fraction(1, scale))
+    return _times(det, factor / math.prod(scales))
 
 
 def _column_homogeneous_degrees(rows, m):
-    """Per-column homogeneous degrees, or None if some column is mixed."""
+    """Per-column homogeneous degrees, or None if some column is mixed or
+    zero."""
     degs = []
     for j in range(m):
         deg = None
@@ -471,20 +544,32 @@ def _column_homogeneous_degrees(rows, m):
             elif d != deg:
                 return None
         if deg is None:
-            return None  # zero column, handled earlier
+            return None  # a zero column: the structural check sees it
         degs.append(int(deg))
     return degs
 
 
-def _det_mod_at(rows, point, p: int) -> int:
-    """det of the matrix evaluated at an integer point, modulo p."""
-    return det_mod([[e.evaluate_mod(point, p) for e in r] for r in rows], p)
-
-
 def _self_check(rows, det, var_bounds, p):
-    """Re-check the interpolated determinant at one fresh point mod p."""
-    point = [b + 2 + v for v, b in enumerate(var_bounds)]
-    if det.evaluate_mod(point, p) != _det_mod_at(rows, point, p):
+    """Re-check the interpolated determinant at one fresh point mod p.
+
+    Independent of the grid path, on Python ints: one table of powers per
+    variable at the point, as long as the larger of b_v and the entries'
+    largest degree in v (an entry may exceed b_v), serves all m^2 entries
+    of the integer matrix and det; the entries' values then go through the
+    scalar elimination `linalg.det_mod`.
+    """
+    tables = []
+    for v, b in enumerate(var_bounds):
+        x, table = b + 2 + v, [1]
+        for _ in range(max(b, max(e.degree_in(v) for r in rows for e in r))):
+            table.append(table[-1] * x % p)
+        tables.append(table)
+
+    def value(f):
+        return sum(c.numerator * math.prod(map(list.__getitem__, tables, e))
+                   for e, c in f.terms.items()) % p
+
+    if value(det) != det_mod([[value(e) for e in r] for r in rows], p):
         raise EngineDisagreementError(
             "modular determinant failed its consistency re-check")
 

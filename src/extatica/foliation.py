@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .polyring import ContextError, PolyRing, Polynomial, derivation
+from .polyring import ContextError, PolyRing, Polynomial, derivation_chains
 
 AFFINE = "affine"
 HOMOGENEOUS = "homogeneous"
@@ -99,10 +99,11 @@ class Cofactor:
 
 
 def apply_derivation(field: VectorField, f: Polynomial) -> Polynomial:
-    """X(f) = sum_i P_i * df/dx_i, exact (`polyring.derivation`)."""
+    """X(f) = sum_i P_i * df/dx_i, exact: the second entry of f's chain
+    (`polyring.derivation_chains`)."""
     if f.ring != field.ring:
         raise ContextError("polynomial and field rings differ")
-    return derivation(field.components, f)
+    return derivation_chains(field.components, [f], 2)[0][1]
 
 
 def _radial_multiple_of(parts: Sequence[Polynomial]) -> Optional[Polynomial]:

@@ -6,12 +6,15 @@ kernel and scalar determinant in the package.  It runs fraction-free over Z
 cleared once, every division is exact, and `Fraction`s are built only from
 the final rows.  `det_mod` is the determinant of an integer matrix modulo a
 prime, used wherever the modular engine evaluates a single point.
+`max_assignment`, the largest weight of a permutation of a weight matrix
+(the Hungarian method), gives the modular engine its degree bounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
+from typing import Optional
 
 
 def _eliminate(matrix) -> tuple:
@@ -146,3 +149,49 @@ def det_mod(matrix, p: int) -> int:
             rows[i] = [(a + f * b) % p for a, b in zip(row[1:], tail)] \
                 if f else row[1:]
     return det % p
+
+
+def max_assignment(weights) -> Optional[int]:
+    """max over permutations s of sum_i weights[i][s(i)] that avoid every
+    None entry, or None when no permutation does.
+
+    Hungarian method (Kuhn, Naval Res. Logist. Q. 2, 1955) with potentials,
+    O(m^3), as a minimum-cost assignment of the negated weights in which a
+    None entry costs more than every weight together: a permutation that
+    avoids them all costs at most 0, one that meets one at least 1.
+    """
+    m = len(weights)
+    big = 1 + sum(w for r in weights for w in r if w is not None)
+    cost = [[big if w is None else -w for w in r] for r in weights]
+    # 1-based columns; column 0 and row 0 are the method's sentinels
+    u, v = [0] * (m + 1), [0] * (m + 1)
+    match = [0] * (m + 1)  # match[j]: the row assigned to column j
+    for i in range(1, m + 1):
+        match[0], j0 = i, 0
+        least = [inf] * (m + 1)
+        way = [0] * (m + 1)
+        used = [False] * (m + 1)
+        while match[j0]:
+            used[j0] = True
+            row, ui = cost[match[j0] - 1], u[match[j0]]
+            delta, j1 = inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    reduced = row[j - 1] - ui - v[j]
+                    if reduced < least[j]:
+                        least[j], way[j] = reduced, j0
+                    if least[j] < delta:
+                        delta, j1 = least[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    least[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    total = sum(cost[match[j] - 1][j - 1] for j in range(1, m + 1))
+    return None if total > 0 else -total

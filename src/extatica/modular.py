@@ -6,9 +6,12 @@ loads numpy.  The matrices are integer, since `det_modular` scales each
 column to integers first.  A determinant of degree at most b_v in variable
 v and of total degree at most D has its coefficients on the lower set Λ =
 {e : e_v <= b_v, sum(e) <= D}, and its values at the points e + 1 of Λ
-determine them.  Per prime, the entries are evaluated at those points only
-(one contraction per leading axis for the whole matrix, then the last axis
-per block of like columns), eliminated at every point without division and
+determine them.  b_v and D are the largest degree sums over permutations
+(`extactic._det_bounds`), so an entry may exceed b_v: the coefficient
+tensor follows the entries' degrees, the nodes follow the bounds.  Per
+prime, the entries are evaluated at those points only (one contraction per
+leading axis for the whole matrix, then the last axis per block of like
+columns), eliminated at every point without division and
 with one batch inversion per prime, and Newton-interpolated axis by axis
 along the lines of Λ, all contractions exact float64 BLAS products
 (`_matmul_mod`).  The large int64 reductions mod p are one helper,

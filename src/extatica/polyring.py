@@ -12,11 +12,12 @@ widths from the operands' degree bounds), and `_convolve` and
 `_divide_packed` work on {packed key: int} maps, where a monomial product
 is one integer addition and a divisibility test one guard-bit check.  A
 product with a one-term factor only shifts and scales, so it packs
-nothing.  `derivation`, behind `foliation.apply_derivation`, sums the
-products P_v * df/dx_v of a vector field on one packed accumulator, and
-`bareiss_determinant`, behind `extactic.det_fraction_free`, runs a whole
-Bareiss elimination on the same maps; the packed format is known to this
-module only.
+nothing.  `derivation_chains`, behind `extactic.jet_matrix` and
+`foliation.apply_derivation`, derives f, X(f), X^2(f), ... on packed
+maps, summing the products P_v * df/dx_v of a step on one accumulator,
+and `bareiss_determinant`, behind `extactic.det_fraction_free`, runs a
+whole Bareiss elimination on the same maps; the packed format is known to
+this module only.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -582,33 +583,55 @@ def _divide_packed(f: Mapping[int, int], g: Mapping[int, int],
     return quot
 
 
-def derivation(components: Sequence[Polynomial], f: Polynomial) -> Polynomial:
-    """sum_v components[v] * df/dx_v, on one packed accumulator.
+def derivation_chains(components: Sequence[Polynomial],
+                      polys: Sequence[Polynomial], length: int) -> list:
+    """[[f, X(f), ..., X^(length-1)(f)] for f in polys], X = sum_v
+    components[v] * d/dx_v.
 
-    The components are packed over one common denominator and f over its
-    own; the derivative of a packed term is one subtraction (of its
-    variable's unit and of the degree field's), so every product lands in
-    the same accumulator and the sum is unpacked once.
+    The components share one packing, wide enough for the largest degree
+    any chain reaches, and one common denominator; each is packed on its
+    first use, and each f once, over its own denominator.  The derivative
+    of a packed term is one subtraction (of its variable's unit and of the
+    degree field's), so all products of a step land in one accumulator,
+    the next packed map of the chain; each derivative is unpacked once,
+    over f's denominator times a power of the components'.
     """
-    ring = f.ring
-    active = [(v, c) for v, c in enumerate(components)
-              if c.terms and any(e[v] for e in f.terms)]
+    ring = polys[0].ring
+    active = [(v, c) for v, c in enumerate(components) if c.terms]
     if not active:
-        return Polynomial._raw(ring, {})
+        zero = Polynomial._raw(ring, {})
+        return [[f] + [zero] * (length - 1) for f in polys]
+    d = int(max(c.degree() for _, c in active))
+    top = int(max(max(f.degree(), 0) for f in polys))
+    # X^j f has degree <= deg f + j (d - 1), and a product in its step
+    # lies below deg X^(j-1) f + d
+    packing = _Packing.of(ring.nvars, top + (length - 1) * max(d - 1, 0) + d)
     fa = math.lcm(*(_denominator(c.terms) for _, c in active))
-    fb = _denominator(f.terms)
-    packing = _Packing.of(ring.nvars, int(
-        max(c.degree() for _, c in active) + f.degree()))
-    packed = packing.pack(f.terms, fb)
     mask, degree_unit = packing.mask, 1 << packing.top
-    acc = {}
-    for v, c in active:
-        shift = packing.shifts[v]
-        unit = degree_unit + (1 << shift)
-        partial = {k - unit: n * (k >> shift & mask)
-                   for k, n in packed.items() if k >> shift & mask}
-        _convolve(acc, packing.pack(c.terms, fa), partial)
-    return packing.unpack(ring, acc, fa * fb)
+    packed_comps = {}
+    chains = []
+    for f in polys:
+        den = _denominator(f.terms)
+        packed = packing.pack(f.terms, den)
+        chain = [f]
+        for _ in range(length - 1):
+            acc = {}
+            for v, c in active:
+                shift = packing.shifts[v]
+                unit = degree_unit + (1 << shift)
+                # the accumulator may keep zero sums; they are skipped here
+                partial = {k - unit: n * (k >> shift & mask)
+                           for k, n in packed.items()
+                           if n and k >> shift & mask}
+                if partial:
+                    if v not in packed_comps:
+                        packed_comps[v] = packing.pack(c.terms, fa)
+                    _convolve(acc, packed_comps[v], partial)
+            packed = acc
+            den *= fa
+            chain.append(packing.unpack(ring, packed, den))
+        chains.append(chain)
+    return chains
 
 
 def bareiss_determinant(rows: list, ring: PolyRing) -> Polynomial:
