@@ -369,12 +369,11 @@ def _det_bounds(rows, ring):
     every term of the expansion has a zero factor and the degree bounds
     are -1, the degree of the zero determinant.  Column j is scaled to
     integers by the lcm d_j of its own denominators.  The integer
-    coefficients of the scaled determinant are bounded twice, and the
-    smaller bound is kept: by m! times the product of the columns' largest
-    1-norms (the m! entry products), and by prod_j (sum_i |a_ij|_1^2)^(1/2)
-    (Goldstein and Graham, SIAM Review 16, 1974: a coefficient is at most
-    the largest value on the unit torus, which Hadamard's inequality
-    bounds).
+    coefficients of the scaled determinant are at most
+    prod_j (sum_i |a_ij|_1^2)^(1/2) (Goldstein and Graham, SIAM Review 16,
+    1974: a coefficient is at most the largest value on the unit torus,
+    which Hadamard's inequality bounds).  It is never above m! times the
+    product of the columns' largest 1-norms, since m^(m/2) <= m!.
     """
     m = len(rows)
     nv = ring.nvars
@@ -390,7 +389,6 @@ def _det_bounds(rows, ring):
             break
         bounds.append(best)
     scales = []
-    height = math.factorial(m)
     squares = 1
     for j in range(m):
         column = [rows[i][j].terms.values() for i in range(m)]
@@ -398,9 +396,15 @@ def _det_bounds(rows, ring):
         scales.append(den)
         norms = [sum(abs(c.numerator) * (den // c.denominator) for c in cs)
                  for cs in column]
-        height *= max(norms)
         squares *= sum(n * n for n in norms)
-    return bounds[:nv], bounds[nv], scales, min(height, math.isqrt(squares))
+    return bounds[:nv], bounds[nv], scales, math.isqrt(squares)
+
+
+def _entry_maxima(rows, nvars: int) -> list:
+    """The entries' largest degree in each variable, which may exceed b_v:
+    it sizes the coefficient tensor and the self-check's power tables."""
+    exponents = [t for r in rows for e in r for t in e.terms]
+    return list(map(max, zip(*exponents))) if exponents else [0] * nvars
 
 
 def _lower_set_size(bounds, degree: int) -> int:
@@ -430,8 +434,7 @@ def _grid_bytes(rows, var_bounds, total_bound, workers: int) -> int:
     those axes."""
     m, nv = len(rows), len(var_bounds)
     nodes = [b + 1 for b in var_bounds]
-    coeffs = [max(e.degree_in(v) for r in rows for e in r) + 1
-              for v in range(nv)]
+    coeffs = [d + 1 for d in _entry_maxima(rows, nv)]
     leading = max(math.prod(nodes[:v]) * math.prod(coeffs[v:])
                   for v in range(nv))
     size = max(nodes + coeffs)
@@ -559,9 +562,10 @@ def _self_check(rows, det, var_bounds, p):
     scalar elimination `linalg.det_mod`.
     """
     tables = []
-    for v, b in enumerate(var_bounds):
+    maxima = _entry_maxima(rows, len(var_bounds))
+    for v, (b, d) in enumerate(zip(var_bounds, maxima)):
         x, table = b + 2 + v, [1]
-        for _ in range(max(b, max(e.degree_in(v) for r in rows for e in r))):
+        for _ in range(max(b, d)):
             table.append(table[-1] * x % p)
         tables.append(table)
 
