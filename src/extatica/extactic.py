@@ -14,13 +14,15 @@ Two exact determinant engines are provided:
   small matrices.
 * `det_modular` - evaluation/interpolation modulo word-size primes with
   Chinese remaindering into symmetric residues, after each column is scaled
-  to integers; best once degrees blow up.  The bounds (degree per
-  variable and total degree, from the best single permutation), the
-  memory guard, the prime choice and the remaindering run here; the
+  to integers; best once degrees blow up.  The memory guard and the prime
+  choice run here, on the table of the scaled matrix's terms, its bounds
+  (degree per variable and total degree, from the best single
+  permutation) and its re-check at a point from `extatica.termtable`; the
   per-prime work on the lower set of exponents those bounds allow
   (evaluation by Vandermonde contractions, elimination at every point,
-  Newton interpolation) runs on numpy in `extatica.modular`, which is
-  imported on the first modular determinant, so numpy loads only then.
+  Newton interpolation) and the remaindering run on numpy in
+  `extatica.modular`, which is imported on the first modular determinant,
+  so numpy loads only then.
 
 Both first expand along every row or column whose only nonzero entry is a
 constant (`_expand_units`), and both return identical canonical
@@ -48,21 +50,23 @@ from typing import Optional, Sequence
 
 from .foliation import (AFFINE, HOMOGENEOUS, DegenerateFieldError,
                         VectorField, apply_derivation, foliation_degree)
-from .linalg import det_mod, kernel, max_assignment, reduce_rational
+from .linalg import det_mod, kernel, reduce_rational
 from .polyring import (PRIMES_2_31, BadPrimeError, ContextError,
                        PolyRing, Polynomial, bareiss_determinant,
                        derivation_chains, monomials_of_degree,
                        monomials_up_to_degree, proportional)
+from .termtable import det_bounds, grid_bytes, recheck, term_table
 
 #: Complete monomial systems above this dimension are refused unless the
 #: caller overrides: the determinant degree grows quadratically in the
 #: dimension and desk-scale runs must stay tractable.
 DEFAULT_MAX_DIMENSION = 21
 
-#: The modular engine refuses a grid whose arrays (`_grid_bytes`: the
-#: plan's indices per point of the lower set, and per worker thread m x m
+#: The modular engine refuses a grid whose arrays (`termtable.grid_bytes`:
+#: the plan's indices and one residue per prime at each point of the lower
+#: set, three square int32 matrices per prime, and per worker thread m x m
 #: int64 values and m elimination scratch values per point, the entries
-#: contracted along the leading axes and three square float64 matrices)
+#: contracted along the leading axes and two square float64 matrices)
 #: exceed this many bytes.
 MAX_GRID_BYTES = 1 << 30
 
@@ -354,95 +358,6 @@ def det_fraction_free(matrix) -> Polynomial:
 # modular determinant
 # ---------------------------------------------------------------------------
 
-def _det_bounds(rows, ring):
-    """Per-variable degree bounds, a total degree bound, column scales and
-    a coefficient bound.
-
-    A term of the expansion, the product of the entries a_(i, s(i)) of a
-    permutation s, has degree in variable v at most the sum of those
-    entries' degrees in v, so b_v is the largest such sum over the
-    permutations that avoid zero entries (`linalg.max_assignment`), and
-    the total degree bound D is the same with total degrees.  Each is at
-    most the smaller of the sums over rows and over columns of the largest
-    entry degrees; b_v and D may come from different permutations, and an
-    entry may exceed b_v.  When every permutation meets a zero entry,
-    every term of the expansion has a zero factor and the degree bounds
-    are -1, the degree of the zero determinant.  Column j is scaled to
-    integers by the lcm d_j of its own denominators.  The integer
-    coefficients of the scaled determinant are at most
-    prod_j (sum_i |a_ij|_1^2)^(1/2) (Goldstein and Graham, SIAM Review 16,
-    1974: a coefficient is at most the largest value on the unit torus,
-    which Hadamard's inequality bounds).  It is never above m! times the
-    product of the columns' largest 1-norms, since m^(m/2) <= m!.
-    """
-    m = len(rows)
-    nv = ring.nvars
-    # per entry: its largest degree in each variable, then its total degree
-    degrees = [[tuple(map(max, zip(*e.terms))) + (max(map(sum, e.terms)),)
-                if e.terms else None for e in r] for r in rows]
-    bounds = []
-    for k in range(nv + 1):
-        best = max_assignment([[d if d is None else d[k] for d in r]
-                                for r in degrees])
-        if best is None:
-            bounds = [-1] * (nv + 1)
-            break
-        bounds.append(best)
-    scales = []
-    squares = 1
-    for j in range(m):
-        column = [rows[i][j].terms.values() for i in range(m)]
-        den = math.lcm(*(c.denominator for cs in column for c in cs))
-        scales.append(den)
-        norms = [sum(abs(c.numerator) * (den // c.denominator) for c in cs)
-                 for cs in column]
-        squares *= sum(n * n for n in norms)
-    return bounds[:nv], bounds[nv], scales, math.isqrt(squares)
-
-
-def _entry_maxima(rows, nvars: int) -> list:
-    """The entries' largest degree in each variable, which may exceed b_v:
-    it sizes the coefficient tensor and the self-check's power tables."""
-    exponents = [t for r in rows for e in r for t in e.terms]
-    return list(map(max, zip(*exponents))) if exponents else [0] * nvars
-
-
-def _lower_set_size(bounds, degree: int) -> int:
-    """|{e : e_v <= bounds[v], sum(e) <= degree}|, counted by total degree
-    one axis at a time."""
-    count = [1] + [0] * degree  # count[s]: points of total degree s so far
-    for b in bounds:
-        prefix = [0]
-        for c in count:
-            prefix.append(prefix[-1] + c)
-        count = [prefix[s + 1] - prefix[max(0, s - b)]
-                 for s in range(degree + 1)]
-    return sum(count)
-
-
-def _grid_bytes(rows, var_bounds, total_bound, workers: int) -> int:
-    """Bytes of the modular engine's largest arrays.  Shared by all
-    workers: 2n + 1 indices of the plan (exponents and lines) at every
-    point of the lower set.  Held by each of the `workers` threads of
-    `modular.prime_images`: m x m int64 values and the elimination's m
-    scratch values at every point of the lower set; the entries while the
-    leading axes are contracted, the largest of the m x m tensors with the
-    nodes b_u + 1 of the axes done and the coefficients c_u (the entries'
-    largest degree plus one) of the others, since an entry may exceed
-    b_u; and the float64 Vandermonde, divided-difference and
-    Newton-to-monomial matrices, counted as squares of side the longest of
-    those axes."""
-    m, nv = len(rows), len(var_bounds)
-    nodes = [b + 1 for b in var_bounds]
-    coeffs = [d + 1 for d in _entry_maxima(rows, nv)]
-    leading = max(math.prod(nodes[:v]) * math.prod(coeffs[v:])
-                  for v in range(nv))
-    size = max(nodes + coeffs)
-    points = _lower_set_size(var_bounds, total_bound)
-    per_worker = (m * m + m) * points + m * m * leading + 3 * size * size
-    return 8 * ((2 * nv + 1) * points + workers * per_worker)
-
-
 def det_modular(matrix, jobs: int = 1) -> Polynomial:
     """Exact determinant by modular evaluation and interpolation.
 
@@ -452,16 +367,19 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
     its own denominators, so det = det(integer matrix) / (product of the
     scales).  The determinant has degree at most b_v in variable v and
     total degree at most D, the largest degree sums over permutations
-    (`_det_bounds`), so its coefficients live on the lower set
+    (`termtable.det_bounds`), so its coefficients live on the lower set
     {e : e_v <= b_v, sum(e) <= D}, and its values at the points e + 1 of
     that set determine them.  Modulo enough primes for the a-priori
     coefficient-height bound, `modular.prime_images` evaluates all entries
     at those points, eliminates there with per-point pivoting and no
     division but one batch inversion per prime, and Newton-interpolates
-    the determinants; the primes are combined by Chinese remaindering on a
-    fixed basis into symmetric residues, which are the integer
-    coefficients.  The contractions are float64 products whose partial
-    sums stay below 2^53, so every residue is exact.  The result is
+    the determinants; `modular.chinese_remainder` combines the primes by
+    Garner's mixed-radix algorithm into symmetric residues, which are the
+    integer coefficients, re-checked at one more point
+    (`termtable.recheck`).  The bounds, the memory guard, the grid plan and
+    the re-check all read one table of the scaled matrix's terms
+    (`termtable.term_table`).  The contractions are float64 products whose
+    partial sums stay below 2^53, so every residue is exact.  The result is
     bit-identical to `det_fraction_free`.  Grid arrays above
     MAX_GRID_BYTES, counted once per worker thread of `jobs`, are refused
     with DimensionGuardError first, before an exhausted prime table
@@ -485,7 +403,8 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
             if det_sub.is_zero():
                 return ring.zero()
             return _times(det_sub.homogenize(last, sum(col_degs)), factor)
-    var_bounds, total_bound, scales, height = _det_bounds(rows, ring)
+    table = term_table(rows, ring.nvars)
+    var_bounds, total_bound, height = det_bounds(table)
     if total_bound < 0:
         return ring.zero()  # no permutation avoids the zero entries
     # symmetric residues recover every coefficient of absolute value at
@@ -501,32 +420,28 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
     # the memory guard speaks first: an input that trips both is refused
     # for its bytes
     workers = max(1, min(jobs, len(chosen)))
-    grid_bytes = _grid_bytes(rows, var_bounds, total_bound, workers)
-    if grid_bytes > MAX_GRID_BYTES:
+    nbytes = grid_bytes(table, var_bounds, total_bound, workers, len(chosen))
+    if nbytes > MAX_GRID_BYTES:
         raise DimensionGuardError(
             f"the grid arrays on the lower set of degree <= {total_bound} "
-            f"need {grid_bytes} bytes, above the guard of {MAX_GRID_BYTES}")
+            f"need {nbytes} bytes, above the guard of {MAX_GRID_BYTES}")
     if prod <= target:
         raise BadPrimeError(
             f"prime table exhausted: the height bound needs "
             f"{target.bit_length()} bits, the usable primes cover "
             f"{prod.bit_length()}")
-    ints = [[e.scale(d) if d != 1 else e for e, d in zip(r, scales)]
-            for r in rows]
     from . import modular  # the one module that imports numpy
-    # Chinese remaindering on a fixed basis: basis_i is 1 mod p_i and 0 mod
-    # every other chosen prime
-    basis = [prod // p * pow(prod // p, -1, p) for p in chosen]
-    half = prod // 2
-    terms = {}
-    for exps, rs in modular.prime_images(ints, var_bounds, total_bound,
-                                         chosen, jobs):
-        residue = sum(r * b for r, b in zip(rs, basis)) % prod
-        # nonzero modulo some prime, so never 0
-        terms[exps] = Fraction(residue - prod if residue > half else residue)
-    det = Polynomial._raw(ring, terms)
-    _self_check(ints, det, var_bounds, chosen[0])
-    return _times(det, factor / math.prod(scales))
+    exponents, residues = modular.prime_images(table, var_bounds,
+                                               total_bound, chosen, jobs)
+    exponents = list(map(tuple, exponents.tolist()))
+    # each coefficient is nonzero modulo some prime, so never 0
+    coefficients = modular.chinese_remainder(residues, chosen)
+    if not recheck(table, exponents, coefficients, var_bounds):
+        raise EngineDisagreementError(
+            "modular determinant failed its consistency re-check")
+    det = Polynomial._raw(ring, dict(zip(exponents,
+                                         map(Fraction, coefficients))))
+    return _times(det, factor / math.prod(table.scales))
 
 
 def _column_homogeneous_degrees(rows, m):
@@ -550,32 +465,6 @@ def _column_homogeneous_degrees(rows, m):
             return None  # a zero column: the structural check sees it
         degs.append(int(deg))
     return degs
-
-
-def _self_check(rows, det, var_bounds, p):
-    """Re-check the interpolated determinant at one fresh point mod p.
-
-    Independent of the grid path, on Python ints: one table of powers per
-    variable at the point, as long as the larger of b_v and the entries'
-    largest degree in v (an entry may exceed b_v), serves all m^2 entries
-    of the integer matrix and det; the entries' values then go through the
-    scalar elimination `linalg.det_mod`.
-    """
-    tables = []
-    maxima = _entry_maxima(rows, len(var_bounds))
-    for v, (b, d) in enumerate(zip(var_bounds, maxima)):
-        x, table = b + 2 + v, [1]
-        for _ in range(max(b, d)):
-            table.append(table[-1] * x % p)
-        tables.append(table)
-
-    def value(f):
-        return sum(c.numerator * math.prod(map(list.__getitem__, tables, e))
-                   for e, c in f.terms.items()) % p
-
-    if value(det) != det_mod([[value(e) for e in r] for r in rows], p):
-        raise EngineDisagreementError(
-            "modular determinant failed its consistency re-check")
 
 
 def _engine_for(engine: str, m: int) -> str:

@@ -2,24 +2,29 @@
 
 The only module of extatica that imports numpy; `det_modular` imports it
 for its first grid, so a process that computes no modular determinant never
-loads numpy.  The matrices are integer, since `det_modular` scales each
-column to integers first.  A determinant of degree at most b_v in variable
-v and of total degree at most D has its coefficients on the lower set Λ =
-{e : e_v <= b_v, sum(e) <= D}, and its values at the points e + 1 of Λ
-determine them.  b_v and D are the largest degree sums over permutations
-(`extactic._det_bounds`), so an entry may exceed b_v: the coefficient
-tensor follows the entries' degrees, the nodes follow the bounds.  Per
-prime, the entries are evaluated at those points only (one contraction per
-leading axis for the whole matrix, then the last axis per block of like
-columns), eliminated at every point without division and
-with one batch inversion per prime, and Newton-interpolated axis by axis
-along the lines of Λ, all contractions exact float64 BLAS products
-(`_matmul_mod`).  The large int64 reductions mod p are one helper,
-`_reduce`, a multiply and shift in place of numpy's true division.
+loads numpy.  The matrix arrives as the term table of `det_modular`
+(`termtable.term_table`), each column scaled to integers.  A determinant of
+degree at most b_v in variable v and of total degree at most D has its
+coefficients on the lower set Λ = {e : e_v <= b_v, sum(e) <= D}, and its
+values at the points e + 1 of Λ determine them.  b_v and D are the largest
+degree sums over permutations (`termtable.det_bounds`), so an entry may
+exceed b_v: the coefficient tensor follows the entries' degrees, the nodes
+follow the bounds.  Once per determinant: the index plan of Λ
+(`_grid_plan`) and the Vandermonde and Newton matrices of every prime,
+stacked over the primes (`_prime_tables`).  Per prime, the entries are
+evaluated at the points of Λ only (one contraction per leading axis for the
+whole matrix, then the last axis per block of like columns), eliminated at
+every point without division and with one batch inversion per prime, and
+Newton-interpolated axis by axis along the lines of Λ, all contractions
+exact float64 BLAS products (`_matmul_mod`).  The large int64 reductions
+mod p are one helper, `_reduce`, a multiply and shift in place of numpy's
+true division.  The residues of all primes are combined by Garner's
+mixed-radix algorithm in int64 (`chinese_remainder`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,37 +35,24 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .extactic import DimensionGuardError
 
 
-def _vec_modpow(base: np.ndarray, exp: int, p: int) -> np.ndarray:
-    out = np.ones_like(base)
-    b = base % p
-    while exp:
-        if exp & 1:
-            out *= b
-            out %= p
-        exp >>= 1
-        if exp:
-            b *= b
-            b %= p
-    return out
-
-
 def _inverse_blocks(n: int) -> int:
     """Block count of `_batch_inverse` on n entries.  Each block costs six
-    array operations over its width and the exponentiation about 120 over
-    one width; with numpy's fixed cost per call, about sqrt(n / 32) blocks
-    was fastest on 10^2 to 3 * 10^5 entries."""
-    return max(1, math.isqrt(n >> 5))
+    array operations over its width and the last block row about three
+    Python-int operations per value; with numpy's fixed cost per call,
+    about sqrt(n / 8) blocks was fastest on 10^2 to 10^5 entries."""
+    return max(1, math.isqrt(n >> 3))
 
 
 def _batch_inverse(a: np.ndarray, p: int) -> np.ndarray:
     """Inverses mod p of the entries of the 1-D array `a` (in [0, p)), with
     0 mapped to 0.
 
-    Montgomery's trick on a (blocks, width) view of the array:
-    prefix products run down the blocks, one `_vec_modpow` inverts the last
-    block row, and two multiplications per block give the inverses on the
-    way back.  A zero, and the padding of the last block row, is a stand-in
-    1 that keeps it out of the products.
+    Montgomery's trick on a (blocks, width) view of the array: prefix
+    products run down the blocks, the last block row is inverted by the
+    same trick on Python ints with a single `pow`, and two multiplications
+    per block give the inverses on the way back.  A zero, and the padding
+    of the last block row, is a stand-in 1 that keeps it out of the
+    products.
     """
     n = a.size
     blocks = _inverse_blocks(n)
@@ -75,7 +67,13 @@ def _batch_inverse(a: np.ndarray, p: int) -> np.ndarray:
     for b in range(1, blocks):
         np.multiply(prefix[b - 1], x[b], out=prefix[b])
         prefix[b] %= p
-    inv = _vec_modpow(prefix[-1], p - 2, p)
+    last = prefix[-1].tolist()
+    running = list(itertools.accumulate(last, lambda u, v: u * v % p))
+    inv = pow(running[-1], -1, p)
+    for t in range(width - 1, 0, -1):
+        last[t], inv = inv * running[t - 1] % p, inv * last[t] % p
+    last[0] = inv
+    inv = np.array(last, dtype=np.int64)
     # inv is the inverse of prefix[b]; prefix[b] becomes the inverse of x[b]
     for b in range(blocks - 1, 0, -1):
         np.multiply(prefix[b - 1], inv, out=prefix[b])
@@ -111,48 +109,50 @@ _BLOCK_VALUES = 1 << 15
 
 
 def _matmul_mod(a: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """a @ v mod p for an int64 `a` and an int64 or float64 `v`, both with
-    entries in [0, p), p < 2^31.
+    """a @ v mod p for an int64 `a` and a 2-D integer or float64 `v`, both
+    with entries in [0, p), p < 2^31.
 
     The left operand is split at 16 bits, a = 2^16 * high + low, and
-    high @ (2^16 v mod p) + low @ v is computed as float64 matrix products,
-    which run on BLAS.  The inner dimension is cut into chunks of 64, so
-    every partial sum stays below 64 * 2^16 * 2^31 = 2^53 and is exact in
-    float64.  All products are added in int64 and reduced mod p once: an
-    inner dimension below 2^15 (at most 2^9 chunks of each half, the high
-    half below 2^15) keeps the sum below 2^61 + 2^62, and a longer one is
-    refused.
+    [high | low] @ [2^16 v mod p ; v] is computed as float64 matrix
+    products, which run on BLAS.  The doubled inner dimension is cut into
+    chunks of 64, so every partial sum stays below 64 * 2^16 * 2^31 = 2^53
+    and is exact in float64.  All products are added in int64 and reduced
+    mod p once: an inner dimension below 2^15 (the high half below 2^15)
+    keeps the sum below 2^15 (2^15 + 2^16) 2^31 = 2^61 + 2^62, and a
+    longer one is refused.
     """
     inner = a.shape[-1]
     if inner >= 1 << 15:
         raise DimensionGuardError(
             f"inner dimension {inner} reaches 2^15: an entry degree is too "
             "large for exact evaluation")
-    v = np.asarray(v, dtype=np.float64)
-    shifted = ((v.astype(np.int64) << 16) % p).astype(np.float64)
+    right = np.empty((2 * inner, v.shape[-1]))
+    np.copyto(right[:inner], (v.astype(np.int64) << 16) % p, casting="unsafe")
+    right[inner:] = v
+    halves = np.empty(a.shape[:-1] + (2 * inner,))
+    np.right_shift(a, 16, out=halves[..., :inner], casting="unsafe")
+    np.bitwise_and(a, 0xFFFF, out=halves[..., inner:], casting="unsafe")
+    halves = halves.reshape(-1, 2 * inner)
     out = np.empty(a.shape[:-1] + v.shape[-1:], dtype=np.int64)
-    high, low = np.empty(a.shape), np.empty(a.shape)
-    np.right_shift(a, 16, out=high, casting="unsafe")
-    np.bitwise_and(a, 0xFFFF, out=low, casting="unsafe")
-    high, low = high.reshape(-1, inner), low.reshape(-1, inner)
-    pairs = ((high, shifted), (low, v))
-    flat = out.reshape(len(high), -1)
+    flat = out.reshape(len(halves), -1)
     step = max(1, _BLOCK_VALUES // flat.shape[1])
     prod = np.empty((min(step, len(flat)), flat.shape[1]))
-    part = np.empty(prod.shape, dtype=np.int64)
+    # the int64 copy of a later chunk's product, made only when there is
+    # one; the reduction reuses the product's buffer as its scratch
+    part = np.empty(prod.shape, dtype=np.int64) if 2 * inner > _CHUNK \
+        else None
     for r in range(0, len(flat), step):
         target = flat[r:r + step]
         n = len(target)
-        for half, right in pairs:
-            for c in range(0, inner, _CHUNK):
-                np.matmul(half[r:r + step, c:c + _CHUNK],
-                          right[c:c + _CHUNK], out=prod[:n])
-                if half is high and not c:  # the first product starts it
-                    np.copyto(target, prod[:n], casting="unsafe")
-                else:
-                    np.copyto(part[:n], prod[:n], casting="unsafe")
-                    target += part[:n]
-        _reduce(target, p, part[:n])
+        for c in range(0, 2 * inner, _CHUNK):
+            np.matmul(halves[r:r + step, c:c + _CHUNK], right[c:c + _CHUNK],
+                      out=prod[:n])
+            if not c:  # the first product starts the sum
+                np.copyto(target, prod[:n], casting="unsafe")
+            else:
+                np.copyto(part[:n], prod[:n], casting="unsafe")
+                target += part[:n]
+        _reduce(target, p, prod[:n].view(np.int64))
     return out
 
 
@@ -210,19 +210,23 @@ class _GridPlan:
     lines: tuple
 
 
-def _grid_plan(rows, bounds, degree: int) -> _GridPlan:
-    """One pass over the terms of every entry of the integer matrix `rows`
-    and the index plan of Λ, made once per determinant."""
-    m = len(rows)
+def _grid_plan(table, bounds, degree: int) -> _GridPlan:
+    """The coefficient tensor's layout, read off the term table `table`
+    (`termtable.term_table`), and the index plan of Λ, made once per
+    determinant."""
+    m = table.size
     nv = len(bounds)
-    index = np.array([(i, j) + exps for i, row in enumerate(rows)
-                      for j, e in enumerate(row) for exps in e.terms],
-                     dtype=np.int64).reshape(-1, nv + 2)
-    shape = (m, m) + tuple((index[:, 2:].max(axis=0, initial=0)
-                            + 1).tolist())
-    coeffs = [c.numerator for r in rows for e in r for c in e.terms.values()]
-    dtype = np.int64 if max(map(abs, coeffs), default=0) < 1 << 63 \
-        else object
+    shape = (m, m) + tuple(d + 1 for d in table.maxima)
+    terms = len(table.coefficients)
+    exps = np.fromiter(itertools.chain.from_iterable(table.exponents),
+                       np.int64, terms * nv).reshape(terms, nv)
+    entries = np.repeat(np.arange(m * m), table.counts)
+    positions = entries * math.prod(shape[2:]) \
+        + np.ravel_multi_index(exps.T, shape[2:])
+    try:
+        coeffs = np.fromiter(table.coefficients, np.int64, terms)
+    except OverflowError:  # a coefficient beyond int64
+        coeffs = np.array(table.coefficients, dtype=object)
 
     # the columns: leading points by descending column length
     lead = tuple(b + 1 for b in bounds[:-1])
@@ -262,40 +266,42 @@ def _grid_plan(rows, bounds, degree: int) -> _GridPlan:
             runs.append(np.where(steps < lens[a:b, None],
                                  along[np.minimum(at, size - 1)], size))
         lines.append(tuple(runs))
-    return _GridPlan(shape, np.ravel_multi_index(index.T, shape),
-                     np.array(coeffs, dtype=dtype), tuple(bounds),
-                     exponents, tuple(columns), tuple(lines))
+    return _GridPlan(shape, positions, coeffs, tuple(bounds), exponents,
+                     tuple(columns), tuple(lines))
 
 
-def _vandermonde(rows: int, size: int, p: int) -> np.ndarray:
-    """float64 (rows, size) matrix mod p with entry (d, t) = (t + 1)^d:
-    the powers of the nodes 1..size, the operand type of _matmul_mod."""
+def _vandermonde(rows: int, size: int, primes: Sequence[int]) -> np.ndarray:
+    """int32 (len(primes), rows, size) stack with entry (k, d, t) =
+    (t + 1)^d mod primes[k]: the powers of the nodes 1..size, built row by
+    row in int64 for all primes at once."""
+    p = np.array(primes, dtype=np.int64)[:, None]
     x = np.arange(1, size + 1, dtype=np.int64) % p
-    vander = np.empty((rows, size))
+    vander = np.empty((len(primes), rows, size), dtype=np.int32)
     power = np.ones_like(x)
-    vander[0] = power
-    for d in range(1, rows):  # built row by row in int64
+    vander[:, 0] = power
+    for d in range(1, rows):
         power *= x
         power %= p
-        vander[d] = power
+        vander[:, d] = power
     return vander
 
 
-def _grid_values(plan: _GridPlan, p: int, out: np.ndarray) -> np.ndarray:
+def _grid_values(plan: _GridPlan, p: int, vander: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
     """Values mod p of every matrix entry at every point of Λ, written into
     the (m, m, |Λ|) int64 tensor `out`.
 
     The coefficients reduced mod p go into the matrix's coefficient tensor
     with one scatter; each leading axis is contracted for the whole matrix
-    with the powers of its nodes, and the last axis once per block of
-    `plan.columns`, at that block's nodes only.
+    with the powers of its nodes (`vander`, p's slice of `_prime_tables`),
+    and the last axis once per block of `plan.columns`, at that block's
+    nodes only.
     """
     m = plan.shape[0]
     nv = len(plan.bounds)
     tensor = np.zeros(math.prod(plan.shape), dtype=np.int64)
     tensor[plan.positions] = plan.coefficients % p
     tensor = tensor.reshape(plan.shape)
-    vander = _vandermonde(max(plan.shape[2:]), max(plan.bounds) + 1, p)
     # contracting axis 2 moves its grid axis to the end: the last
     # variable's coefficients end up on axis 2, before the leading grid
     for v in range(nv - 1):
@@ -311,45 +317,65 @@ def _grid_values(plan: _GridPlan, p: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _newton_matrices(size: int, p: int) -> tuple:
-    """float64 (size, size) matrices mod p on the nodes 1..size: the
-    transposed divided differences, and Newton to monomial coefficients.
+def _newton_matrices(size: int, primes: Sequence[int]) -> tuple:
+    """int32 (len(primes), size, size) stacks of matrices mod each prime on
+    the nodes 1..size: the transposed divided differences, and Newton to
+    monomial coefficients.
 
     With unit steps, the divided difference of order a is
     sum_i (-1)^(a-i) C(a, i) f(i + 1) / a!, so entry (i, a) of the first is
     (-1)^(a-i) / (i! (a-i)!) for i <= a.  Row a of the second holds the
     coefficients of (x - 1)(x - 2)...(x - a), by the recurrence that
-    multiplies by the next factor.
+    multiplies by the next factor, for all primes at once.
     """
-    inv_fact = [1] * size
-    fact = 1
-    for k in range(1, size):
-        fact = fact * k % p
-    inv = pow(fact, -1, p)
-    for k in range(size - 1, 0, -1):
-        inv_fact[k] = inv
-        inv = inv * k % p
-    inv_fact = np.array(inv_fact, dtype=np.int64)
+    inv_fact = []
+    for q in primes:
+        fact = 1
+        for k in range(1, size):
+            fact = fact * k % q
+        row, inv = [1] * size, pow(fact, -1, q)
+        for k in range(size - 1, 0, -1):
+            row[k] = inv
+            inv = inv * k % q
+        inv_fact.append(row)
+    inv_fact = np.array(inv_fact, dtype=np.int64).reshape(len(primes), size)
+    p = np.array(primes, dtype=np.int64)[:, None]
     signed = np.where(np.arange(size) % 2, p - inv_fact, inv_fact)
     # row i of the Toeplitz view holds signed[a - i] at a >= i, 0 before
-    padded = np.concatenate((np.zeros(size - 1, dtype=np.int64), signed))
-    toeplitz = sliding_window_view(padded, size)[::-1]
-    lower = (toeplitz * inv_fact[:, None] % p).astype(np.float64)
-    # built row by row in int64 (row[0] stays 0, row[1:] is the current
-    # product) and stored in float64, the operand type of _matmul_mod
-    newton = np.zeros((size, size))
-    newton[0, 0] = 1
-    row = np.zeros(size + 1, dtype=np.int64)
-    row[1] = 1
+    padded = np.concatenate(
+        (np.zeros((len(primes), size - 1), dtype=np.int64), signed), axis=1)
+    toeplitz = sliding_window_view(padded, size, axis=1)[:, ::-1]
+    lower = (toeplitz * inv_fact[:, :, None] % p[:, :, None]).astype(
+        np.int32)
+    # built row by row in int64 (column 0 stays 0, the rest is the current
+    # product)
+    newton = np.zeros((len(primes), size, size), dtype=np.int32)
+    newton[:, 0, 0] = 1
+    row = np.zeros((len(primes), size + 1), dtype=np.int64)
+    row[:, 1] = 1
     for k in range(1, size):  # times (x - k)
-        row[1:k + 2] = (row[:k + 1] - k * row[1:k + 2]) % p
-        newton[k, :k + 1] = row[1:k + 2]
+        row[:, 1:k + 2] = (row[:, :k + 1] - k * row[:, 1:k + 2]) % p
+        newton[:, k, :k + 1] = row[:, 1:k + 2]
     return lower, newton
 
 
-def _interpolate(plan: _GridPlan, values: np.ndarray, p: int) -> np.ndarray:
+def _prime_tables(plan: _GridPlan, primes: Sequence[int]) -> list:
+    """Per prime, the (Vandermonde, divided-difference, Newton-to-monomial)
+    matrices of `_grid_values` and `_interpolate`, views into stacks built
+    once per determinant for all its primes.  They are int32, since every
+    entry is below 2^31: `_matmul_mod` makes its float64 operand from its
+    right factor anyway."""
+    size = max(plan.bounds) + 1
+    vander = _vandermonde(max(plan.shape[2:]), size, primes)
+    return list(zip(vander, *_newton_matrices(size, primes)))
+
+
+def _interpolate(plan: _GridPlan, values: np.ndarray, p: int,
+                 lower: np.ndarray, newton: np.ndarray) -> np.ndarray:
     """Monomial coefficients mod p of the polynomial supported on Λ that
-    takes `values` at its points, in the order of `plan.exponents`.
+    takes `values` at its points, in the order of `plan.exponents`, with
+    p's divided-difference and Newton-to-monomial matrices of
+    `_prime_tables`.
 
     Newton's form, axis by axis (de Boor and Ron 1990; Gasca and Sauer
     2000): divided differences along every axis give the Newton
@@ -358,7 +384,6 @@ def _interpolate(plan: _GridPlan, values: np.ndarray, p: int) -> np.ndarray:
     reads no later node of its line, and a Newton coefficient outside Λ is
     zero, which is what the padding slot holds during the change of basis.
     """
-    lower, newton = _newton_matrices(max(plan.bounds) + 1, p)
     coeffs = np.append(values, 0)  # the last slot pads short lines
     for matrix in (lower, newton):
         coeffs[-1] = 0
@@ -419,38 +444,72 @@ def _grid_determinants(values: np.ndarray, p: int) -> np.ndarray:
     return (num * _batch_inverse(den, p) % p).reshape(values.shape[2:])
 
 
-def prime_images(rows, bounds, degree: int, primes: Sequence[int],
-                 jobs: int = 1) -> list:
+def prime_images(table, bounds, degree: int, primes: Sequence[int],
+                 jobs: int = 1) -> tuple:
     """The determinant's coefficients modulo each prime: (exponents,
-    residues) for every coefficient that is nonzero modulo some prime, as
-    Python ints, the input of Chinese remaindering.
+    residues), the int64 (s, n) exponents of the s coefficients that are
+    nonzero modulo some prime and the int64 (len(primes), s) residues of
+    each, the input of `chinese_remainder`.
 
-    The determinant has degree at most `bounds[v]` in variable v and total
-    degree at most `degree`, so it is determined on the lower set Λ of
-    `_grid_plan`.  Per prime: `_grid_values`, `_grid_determinants`, then
-    `_interpolate`.  The primes run in `jobs` threads, each thread reusing
-    one value tensor for its stripe of primes.
+    The determinant of the integer matrix of the term table `table` has
+    degree at most `bounds[v]` in variable v and total degree at most
+    `degree`, so it is determined on the lower set Λ of `_grid_plan`.  The
+    plan and the prime tables are made once; per prime: `_grid_values`,
+    `_grid_determinants`, then `_interpolate`.  The primes run in `jobs`
+    threads, each thread reusing one value tensor for its stripe of
+    primes.
     """
-    plan = _grid_plan(rows, bounds, degree)
-    shape = (len(rows), len(rows), len(plan.exponents))
+    plan = _grid_plan(table, bounds, degree)
+    tables = _prime_tables(plan, primes)
+    shape = (table.size, table.size, len(plan.exponents))
+    residues = np.empty((len(primes), len(plan.exponents)), dtype=np.int64)
 
-    def run(stripe) -> list:
-        values, images = np.empty(shape, dtype=np.int64), []
-        for p in stripe:
-            det = _grid_determinants(_grid_values(plan, p, out=values), p)
-            images.append(_interpolate(plan, det, p))
-        return images
+    def run(stripe) -> None:
+        values = np.empty(shape, dtype=np.int64)
+        for i in stripe:
+            p = primes[i]
+            vander, lower, newton = tables[i]
+            det = _grid_determinants(_grid_values(plan, p, vander, values), p)
+            residues[i] = _interpolate(plan, det, p, lower, newton)
 
     workers = max(1, min(jobs, len(primes)))
     if workers == 1:
-        images = run(primes)
+        run(range(len(primes)))
     else:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run, [primes[w::workers]
-                                       for w in range(workers)]))
-        images = [done[i % workers][i // workers]
-                  for i in range(len(primes))]
-    support = np.flatnonzero(sum(t != 0 for t in images))
-    residues = zip(*(t[support].tolist() for t in images))
-    return list(zip(map(tuple, plan.exponents[support].tolist()), residues))
+            list(pool.map(run, [range(w, len(primes), workers)
+                                for w in range(workers)]))
+    support = np.flatnonzero(residues.any(axis=0))
+    return plan.exponents[support], residues[:, support]
+
+
+def _garner_digits(residues: np.ndarray, primes: Sequence[int]) -> np.ndarray:
+    """Mixed-radix digits of the integers in [0, prod(primes)) with the
+    given int64 (len(primes), s) residues: digit row i is in [0, p_i), and
+    the integer is d_0 + p_0 (d_1 + p_1 (d_2 + ...)) (Garner, IRE Trans.
+    Electron. Comput. 8, 1959).  Row i is (r_i - the value of the earlier
+    digits mod p_i) / (p_0 ... p_(i-1)) mod p_i, the value by Horner from
+    the top digit; every product stays below 2^62 in int64."""
+    digits = np.empty_like(residues)
+    for i, p in enumerate(primes):
+        acc = np.zeros(residues.shape[1], dtype=np.int64)
+        for j in range(i - 1, -1, -1):
+            acc *= primes[j]
+            acc += digits[j]
+            acc %= p
+        inv = pow(math.prod(primes[:i]) % p, -1, p)
+        digits[i] = (residues[i] - acc) * inv % p
+    return digits
+
+
+def chinese_remainder(residues: np.ndarray, primes: Sequence[int]) -> list:
+    """The integers of absolute value below prod(primes) / 2 with the given
+    int64 (len(primes), s) residues, as a list of s Python ints: Garner's
+    digits (`_garner_digits`), then one object-array product with the
+    radix weights 1, p_0, p_0 p_1, ..., and the symmetric residue."""
+    weights = np.array([math.prod(primes[:i]) for i in range(len(primes))],
+                       dtype=object)
+    values = _garner_digits(residues, primes).T.astype(object) @ weights
+    prod, half = math.prod(primes), math.prod(primes) // 2
+    return [v - prod if v > half else v for v in values.tolist()]

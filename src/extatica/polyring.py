@@ -390,12 +390,20 @@ class Polynomial:
         return Polynomial._raw(ring2, out)
 
     def dehomogenize(self, var, value: Scalar = 1) -> "Polynomial":
-        """Substitute `value` for one variable and drop it from the ring."""
+        """Substitute `value` for one variable and drop it from the ring.
+
+        At value 1 the coefficients stay as they are: the exponent keys
+        are projected, and coefficients are added only where two keys
+        collide, as x and xz do at z = 1."""
         idx = self.ring.index(var) if isinstance(var, str) else var
         if not 0 <= idx < self.ring.nvars:
             raise ContextError(f"variable index {idx} out of range")
-        value = Fraction(value)
         ring2 = PolyRing(self.ring.names[:idx] + self.ring.names[idx + 1:])
+        if value == 1:
+            out = {e[:idx] + e[idx + 1:]: c for e, c in self.terms.items()}
+            if len(out) == len(self.terms):
+                return Polynomial._raw(ring2, out)
+        value = Fraction(value)
         out = {}
         for e, c in self.terms.items():
             c2 = c * value ** e[idx]
@@ -597,7 +605,12 @@ def derivation_chains(components: Sequence[Polynomial],
     over f's denominator times a power of the components'.
     """
     ring = polys[0].ring
-    active = [(v, c) for v, c in enumerate(components) if c.terms]
+    # one step reads only the components of the variables the polys contain
+    used = range(ring.nvars) if length > 2 else {
+        v for v, ks in enumerate(zip(*[e for f in polys for e in f.terms]))
+        if any(ks)}
+    active = [(v, c) for v, c in enumerate(components)
+              if c.terms and v in used]
     if not active:
         zero = Polynomial._raw(ring, {})
         return [[f] + [zero] * (length - 1) for f in polys]

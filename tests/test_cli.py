@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -489,10 +490,7 @@ class TestExitCodes:
         # function of the same name
         ext = sys.modules["extatica.extactic"]
 
-        def fail(*args):
-            raise ext.EngineDisagreementError("re-check failed")
-
-        monkeypatch.setattr(ext, "_self_check", fail)
+        monkeypatch.setattr(ext, "recheck", lambda *args: False)
         code, out, err = run_cli(["extactic", "--field-corpus", "slv:1",
                                   "--k", "2", "--engine", "modular"])
         assert code == 5 and out == ""
@@ -588,3 +586,23 @@ class TestModeResolution:
         _, one_worker, _ = run_cli(argv + ["--jobs", "1"])
         _, four_workers, _ = run_cli(argv + ["--jobs", "4"])
         assert one_worker == four_workers
+
+
+#: sha256 of the standard output of the heavy tier's modular determinants,
+#: as the fixed-basis Chinese remaindering of earlier versions printed it.
+HEAVY_TIER = [
+    (["--field-corpus", "random:2,2,1", "--k", "4"],
+     "ad4192fb1a084a94bb0133e7fad58b64b0217ea9c0987806b3c5c11254cfdf41"),
+    (["--field-corpus", "random:3,2,1", "--mode", "affine", "--k", "2"],
+     "9f3bae63872d9dfaa33f64d030092521b127fa5d26584467705117f49969c039"),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("args,digest", HEAVY_TIER,
+                         ids=["random-2-2-1-k4", "random-3-2-1-affine-k2"])
+def test_heavy_tier_output_is_bit_identical(args, digest):
+    # m = 15 with 25 primes, and three grid axes: a few seconds each
+    code, out, err = run_cli(["extactic", *args, "--engine", "modular"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -6,17 +6,19 @@ matrix."""
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extatica import corpus, modular
-from extatica.extactic import (EngineDisagreementError, _det_bounds,
-                               _expand_units, _grid_bytes, _lower_set_size,
+from extatica.extactic import (EngineDisagreementError, _expand_units,
                                det_fraction_free, det_modular, jet_matrix,
                                monomial_system)
 from extatica.foliation import AFFINE, VectorField, apply_derivation
 from extatica.linalg import max_assignment
+from extatica.termtable import (det_bounds, grid_bytes, lower_set_size,
+                                term_table)
 from conftest import RING_XY, RING_XYZ, polynomials
 from seeded_inputs import random_polynomial_matrix
 import bareiss_oracle
@@ -76,7 +78,7 @@ class TestAssignmentBounds:
     @given(rows=sparse_matrices())
     @settings(max_examples=80, deadline=None)
     def test_between_the_realised_degrees_and_the_old_sums(self, rows):
-        var_bounds, total, _, _ = _det_bounds(rows, RING_XYZ)
+        var_bounds, total, _ = det_bounds(term_table(rows, 3))
         det = bareiss_oracle.det_fraction_free(rows)
         old = _old_bounds(rows, 3)
         for bound, realised, before in zip(
@@ -88,8 +90,8 @@ class TestAssignmentBounds:
                 assert realised <= bound <= before
 
     def test_an_entry_above_its_bound(self):
-        bounds, total, _, _ = _det_bounds([[X ** 5, ONE], [ONE, ZERO]],
-                                          RING_XY)
+        bounds, total, _ = det_bounds(term_table(
+            [[X ** 5, ONE], [ONE, ZERO]], 2))
         assert bounds == [0, 0] and total == 0
         cases = [
             [[X ** 5, ONE], [ONE, ZERO]],
@@ -108,7 +110,7 @@ class TestAssignmentBounds:
             field = corpus.random_field(2, 2, seed)
             jet = jet_matrix(field, monomial_system(2, 2, AFFINE))
             _, rows = _expand_units([list(r) for r in jet.entries])
-            bounds, total, _, _ = _det_bounds(rows, RING_XY)
+            bounds, total, _ = det_bounds(term_table(rows, 2))
             det = det_modular(jet.entries)
             assert bounds == [det.degree_in(0), det.degree_in(1)]
             assert total == det.degree()
@@ -173,11 +175,12 @@ class TestSelfCheck:
     def test_a_corrupted_coefficient_is_caught(self, monkeypatch):
         images = modular.prime_images
 
-        def corrupt(*args):
-            out = images(*args)
-            exps, residues = out[len(out) // 2]
-            out[len(out) // 2] = (exps, tuple(r + 1 for r in residues))
-            return out
+        def corrupt(table, bounds, degree, primes, jobs=1):
+            # the middle coefficient plus 1 modulo every prime
+            exponents, residues = images(table, bounds, degree, primes, jobs)
+            mid = residues.shape[1] // 2
+            residues[:, mid] = (residues[:, mid] + 1) % np.array(primes)
+            return exponents, residues
 
         rows = random_polynomial_matrix(5, 2, 2, 4242)
         assert det_modular(rows) == det_fraction_free(rows)
@@ -185,18 +188,42 @@ class TestSelfCheck:
         with pytest.raises(EngineDisagreementError):
             det_modular(rows)
 
+    @pytest.mark.parametrize("digit", [0, 1, -1])
+    def test_a_corrupted_garner_digit_is_caught(self, monkeypatch, digit):
+        # coefficients near 10^12 need eight primes; a wrong digit above the
+        # first changes a coefficient by a multiple of the first prime,
+        # which a check modulo a remaindering prime could not see
+        digits_of = modular._garner_digits
+        seen = []
+
+        def corrupt(residues, primes):
+            digits = digits_of(residues, primes)
+            mid = digits.shape[1] // 2
+            digits[digit, mid] = (digits[digit, mid] + 1) % primes[digit]
+            seen.append(len(primes))
+            return digits
+
+        rows = [[e.scale(10**12 + 7 * i + j) for j, e in enumerate(r)]
+                for i, r in enumerate(random_polynomial_matrix(5, 2, 2, 4242))]
+        assert det_modular(rows) == det_fraction_free(rows)
+        monkeypatch.setattr(modular, "_garner_digits", corrupt)
+        with pytest.raises(EngineDisagreementError):
+            det_modular(rows)
+        assert seen == [8]
+
 
 class TestGridBytes:
     def test_the_leading_term_counts_the_entry_degrees(self):
         # b_x = b_y = 1 under entries of degree 40 in x and y: the
         # coefficient tensor, m^2 (40 + 1)^2 values, is the largest step
         rows = [[X ** 40 * Y ** 40 + X, Y], [X, ZERO]]
-        bounds, total, _, _ = _det_bounds(rows, RING_XY)
+        table = term_table(rows, 2)
+        bounds, total, _ = det_bounds(table)
         assert bounds == [1, 1] and total == 2
-        points = _lower_set_size(bounds, total)
-        expected = 8 * (5 * points + (4 + 2) * points + 4 * 41 * 41
-                        + 3 * 41 * 41)
-        assert _grid_bytes(rows, bounds, total, 1) == expected
+        points = lower_set_size(bounds, total)
+        expected = 8 * ((5 + 1) * points + (4 + 2) * points + 4 * 41 * 41
+                        + 2 * 41 * 41) + 4 * 3 * 41 * 41
+        assert grid_bytes(table, bounds, total, 1, 1) == expected
 
 
 def _iterated(field, basis, m):

@@ -14,8 +14,8 @@ from extatica.corpus import (hamiltonian, pencil_field, planted_lines_field,
 from extatica.extactic import (MAX_GRID_BYTES, DimensionGuardError,
                                ExtacticNotZeroError, ExtractionFailedError,
                                LinearSystem, VacuousQueryError,
-                               _column_homogeneous_degrees, _det_bounds,
-                               _point_jet, det_fraction_free, det_modular,
+                               _column_homogeneous_degrees, _point_jet,
+                               det_fraction_free, det_modular,
                                divides_extactic, extactic,
                                extactic_degree_bound, extract_first_integral,
                                jet_matrix, monomial_system)
@@ -25,7 +25,10 @@ from extatica.linalg import det_mod
 from extatica import modular
 from extatica.modular import (_batch_inverse, _grid_determinants, _grid_plan,
                               _grid_values, _interpolate, _inverse_blocks,
-                              _matmul_mod, _newton_matrices, _reduce)
+                              _matmul_mod, _newton_matrices, _prime_tables,
+                              _reduce)
+from extatica.termtable import (det_bounds, grid_bytes, lower_set_size,
+                                term_table)
 from extatica.polyring import (PRIMES_2_31, ContextError, PolyRing,
                                monomials_of_degree, monomials_up_to_degree,
                                proportional)
@@ -282,7 +285,7 @@ def lower_set_matrices(draw):
     entry = st.one_of(st.just(RING_XYZ.zero()), polynomials(
         RING_XYZ, max_degree=2, max_terms=3, nonzero=True))
     rows = [[draw(entry) for _ in range(m)] for _ in range(m)]
-    var_bounds, total_bound, _, _ = _det_bounds(rows, RING_XYZ)
+    var_bounds, total_bound, _ = det_bounds(term_table(rows, 3))
     assume(total_bound < sum(var_bounds))
     assume(_column_homogeneous_degrees(rows, m) is None)
     return rows
@@ -426,11 +429,24 @@ _KINDS = st.tuples(st.sampled_from(["random", "permuted", "zero_column",
 _END_PRIMES = (min(PRIMES_2_31), max(PRIMES_2_31))
 
 
+def _plan_of(rows, bounds, degree):
+    """`_grid_plan` of the integer matrix `rows`."""
+    return _grid_plan(term_table(rows, rows[0][0].ring.nvars), bounds,
+                      degree)
+
+
 def _grid_values_of(plan, p):
     """`_grid_values` into a fresh value tensor."""
     m = plan.shape[0]
-    return _grid_values(plan, p, np.empty((m, m, len(plan.exponents)),
-                                          dtype=np.int64))
+    vander, _, _ = _prime_tables(plan, [p])[0]
+    return _grid_values(plan, p, vander,
+                        np.empty((m, m, len(plan.exponents)), dtype=np.int64))
+
+
+def _interpolate_of(plan, values, p):
+    """`_interpolate` with p's tables."""
+    _, lower, newton = _prime_tables(plan, [p])[0]
+    return _interpolate(plan, values, p, lower, newton)
 
 
 class TestModularKernels:
@@ -518,7 +534,7 @@ class TestModularKernels:
         bounds = data.draw(st.lists(st.integers(0, 4), min_size=nvars,
                                     max_size=nvars))
         degree = data.draw(st.integers(max(bounds), sum(bounds)))
-        plan = _grid_plan(rows, bounds, degree)
+        plan = _plan_of(rows, bounds, degree)
         assert sorted(map(tuple, plan.exponents.tolist())) == [
             e for e in itertools.product(*(range(b + 1) for b in bounds))
             if sum(e) <= degree]
@@ -550,7 +566,7 @@ class TestModularKernels:
         wide = 2**70 + 1
         rows = [[x.scale(wide) + y, RING_XY.constant(-wide)],
                 [y ** 3, x * y.scale(-(2**64) - 7)]]
-        plan = _grid_plan(rows, (3, 4), 4)
+        plan = _plan_of(rows, (3, 4), 4)
         values = _grid_values_of(plan, P31)
         for t, (a, b) in enumerate(plan.exponents.tolist()):
             assert values[:, :, t].tolist() == [
@@ -602,6 +618,78 @@ class TestModularKernels:
         with pytest.raises(DimensionGuardError):
             _matmul_mod(a, v, P31)
 
+    @pytest.mark.parametrize("inner", [13, 32, 33, 64, 65])
+    @pytest.mark.parametrize("p", _END_PRIMES)
+    def test_matmul_mod_with_every_entry_at_the_top(self, inner, p):
+        # the concatenated halves [high | low] fill whole and split chunks
+        a = np.full((5, inner), p - 1, dtype=np.int64)
+        v = np.full((inner, 3), p - 1, dtype=np.int64)
+        expected = inner * (p - 1) ** 2 % p
+        got = _matmul_mod(a, v, p)
+        assert got.tolist() == [[expected] * 3] * 5
+        assert (_matmul_mod(a, v.astype(np.float64), p) == got).all()
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 300, 2211, 10**4])
+    @pytest.mark.parametrize("p", _END_PRIMES)
+    def test_batch_inverse_at_block_edges(self, n, p):
+        rng = np.random.default_rng(n)
+        a = rng.integers(0, p, n) * (rng.random(n) < 0.8)
+        a[0] = 0
+        a[-1] = p - 1 if n > 1 else 0
+        got = _batch_inverse(a.copy(), p)
+        assert got.tolist() == [pow(t, -1, p) if t else 0
+                                for t in a.tolist()]
+
+    @pytest.mark.parametrize("count", range(1, len(PRIMES_2_31) + 1))
+    def test_chinese_remainder_matches_the_fixed_basis(self, count):
+        primes = list(PRIMES_2_31[:count])
+        prod = math.prod(primes)
+        half = prod // 2
+        rng = Random(count)
+        values = [0, 1, -1, half, -half, half - 1, -(half - 1)] + [
+            rng.randrange(-half, half + 1) for _ in range(40)]
+        residues = np.array([[v % p for v in values] for p in primes],
+                            dtype=np.int64)
+        # the fixed basis: basis_i is 1 mod p_i and 0 mod the others
+        basis = [prod // p * pow(prod // p, -1, p) for p in primes]
+        expected = []
+        for rs in zip(*residues.tolist()):
+            r = sum(a * b for a, b in zip(rs, basis)) % prod
+            expected.append(r - prod if r > half else r)
+        assert expected == values
+        assert modular.chinese_remainder(residues, primes) == values
+        # the residues of prod // 2 + 1 stand for -(prod // 2)
+        top = np.array([[(half + 1) % p] for p in primes], dtype=np.int64)
+        assert modular.chinese_remainder(top, primes) == [-half]
+        digits = modular._garner_digits(residues, primes)
+        assert ((digits >= 0) & (digits < np.array(primes)[:, None])).all()
+
+    @pytest.mark.parametrize("size", [1, 2, 24, 66])
+    def test_stacked_tables_match_each_prime(self, size):
+        primes = [PRIMES_2_31[0], PRIMES_2_31[5], PRIMES_2_31[-1]]
+        lower, newton = _newton_matrices(size, primes)
+        vander = modular._vandermonde(size + 3, size, primes)
+        assert lower.shape == newton.shape == (3, size, size)
+        assert vander.shape == (3, size + 3, size)
+        for k, p in enumerate(primes):
+            (one_lower,), (one_newton,) = _newton_matrices(size, [p])
+            assert (lower[k] == one_lower).all()
+            assert (newton[k] == one_newton).all()
+            assert vander[k].tolist() == [[pow(t, d, p)
+                                           for t in range(1, size + 1)]
+                                          for d in range(size + 3)]
+            fact = [math.factorial(i) for i in range(size)]
+            assert lower[k].tolist() == [
+                [(-1) ** (a - i) * pow(fact[i] * fact[a - i], -1, p) % p
+                 if i <= a else 0 for a in range(size)] for i in range(size)]
+            poly = [1]  # (x - 1)...(x - a), low degree first
+            for a in range(size):
+                assert newton[k, a].tolist() == [
+                    c % p for c in poly] + [0] * (size - a - 1)
+                poly = [0] + poly
+                for i in range(len(poly) - 1):
+                    poly[i] -= (a + 1) * poly[i + 1]
+
     @staticmethod
     def _vandermonde(size, p):
         """size x size Vandermonde mod p on the nodes 1..size, entry (d, t)
@@ -621,7 +709,7 @@ class TestModularKernels:
     @settings(max_examples=40, deadline=None)
     def test_interpolation_matrix_inverts_vandermonde(self, size):
         # values -> Newton coefficients -> monomial coefficients
-        lower, newton = _newton_matrices(size, P31)
+        (lower,), (newton,) = _newton_matrices(size, [P31])
         assert lower.shape == newton.shape == (size, size)
         product = _matmul_mod(_matmul_mod(self._vandermonde(size, P31),
                                           lower, P31), newton, P31)
@@ -643,28 +731,28 @@ class TestModularKernels:
             min_size=len(lower_set), max_size=len(lower_set)))
         coefficients = dict(zip(lower_set, residues))
         assume(any(residues))
-        plan = _grid_plan(self._lower_set_matrix(coefficients), bounds,
-                          degree)
+        plan = _plan_of(self._lower_set_matrix(coefficients), bounds,
+                        degree)
         values = _grid_values_of(plan, P31)[0, 0]
-        back = _interpolate(plan, values, P31)
+        back = _interpolate_of(plan, values, P31)
         assert back.tolist() == [coefficients[e] for e in
                                  map(tuple, plan.exponents.tolist())]
 
     def test_interpolation_at_the_top_of_the_range(self):
         size = 300
-        one_axis = _grid_plan(self._lower_set_matrix({(size - 1,): 1}),
-                              (size - 1,), size - 1)
+        one_axis = _plan_of(self._lower_set_matrix({(size - 1,): 1}),
+                            (size - 1,), size - 1)
         assert one_axis.exponents[:, 0].tolist() == list(range(size))
         # every value p - 1 = -1 interpolates to the constant -1
         values = np.full(size, P31 - 1, dtype=np.int64)
         expected = np.zeros(size, dtype=np.int64)
         expected[0] = P31 - 1
-        assert (_interpolate(one_axis, values, P31) == expected).all()
+        assert (_interpolate_of(one_axis, values, P31) == expected).all()
         # coefficients near p - 1, against the Vandermonde
         rng = np.random.default_rng(11)
         coeffs = rng.integers(P31 - 3, P31, size=size)
         values = _matmul_mod(coeffs, self._vandermonde(size, P31), P31)
-        assert (_interpolate(one_axis, values, P31) == coeffs).all()
+        assert (_interpolate_of(one_axis, values, P31) == coeffs).all()
 
     def test_grid_memory_guard_counts_the_newton_matrices(self):
         # a 2 x 2 value tensor on 9001 nodes is small, but the Vandermonde
@@ -676,32 +764,37 @@ class TestModularKernels:
 
     def test_grid_memory_guard_counts_the_lower_set(self):
         # b = (2a, 2a) but D = 2a: 2 x 2 values, 2 elimination scratch
-        # values and 5 plan indices live on each of the (2a+1)(2a+2)/2
-        # points of total degree <= 2a, plus the entries contracted along x
-        # (a + 1 coefficients in y at 2a + 1 nodes), plus three square
-        # matrices of side 2a + 1
+        # values, 5 plan indices and the residue of the one prime live on
+        # each of the (2a+1)(2a+2)/2 points of total degree <= 2a, plus the
+        # entries contracted along x (a + 1 coefficients in y at 2a + 1
+        # nodes), plus two float64 and three int32 square matrices of side
+        # 2a + 1
         a = 3000
         x, y = RING_XY.variables()
         entry, one = x ** a + y ** a, RING_XY.one()
         points = sum(2 * a - e + 1 for e in range(2 * a + 1))
         assert points == (2 * a + 1) * (2 * a + 2) // 2
-        expected = 8 * ((4 + 2 + 5) * points + 4 * (a + 1) * (2 * a + 1)
-                        + 3 * (2 * a + 1) ** 2)
+        expected = 8 * ((4 + 2 + 5 + 1) * points + 4 * (a + 1) * (2 * a + 1)
+                        + 2 * (2 * a + 1) ** 2) + 4 * 3 * (2 * a + 1) ** 2
         with pytest.raises(DimensionGuardError,
                            match=f"need {expected} bytes"):
             det_modular([[entry, one], [one, entry]])
 
     def test_grid_memory_guard_counts_each_worker(self, monkeypatch):
         # coefficients near 2^40 need three primes, so jobs=2 runs two
-        # threads, each with its own value tensor and scratch
+        # threads, each with its own value tensor and scratch; the plan,
+        # the residues and the tables of the three primes are shared
         extactic_module = sys.modules["extatica.extactic"]
         x, y = RING_XY.variables()
         big = RING_XY.constant(2 ** 40 + 1)
         rows = [[x ** 3 + y.scale(2 ** 40), big], [big, x * y ** 2 + x]]
-        bounds, degree, _, _ = _det_bounds(rows, RING_XY)
-        one = extactic_module._grid_bytes(rows, bounds, degree, 1)
-        two = extactic_module._grid_bytes(rows, bounds, degree, 2)
-        shared = 8 * 5 * extactic_module._lower_set_size(bounds, degree)
+        table = term_table(rows, 2)
+        bounds, degree, _ = det_bounds(table)
+        one = grid_bytes(table, bounds, degree, 1, 3)
+        two = grid_bytes(table, bounds, degree, 2, 3)
+        size = max(b + 1 for b in bounds + table.maxima)
+        points = lower_set_size(bounds, degree)
+        shared = 8 * (5 + 3) * points + 4 * 3 * 3 * size * size
         assert two - shared == 2 * (one - shared)
         monkeypatch.setattr(extactic_module, "MAX_GRID_BYTES", one)
         assert det_modular(rows, jobs=1) == det_fraction_free(rows)

@@ -138,6 +138,19 @@ def test_derivation_is_the_sum_of_products(components, f, scales):
     assert got == expected and str(got) == str(expected)
 
 
+def test_one_step_reads_the_components_of_the_used_variables():
+    # f = x + 2 reads only the x component; the z component, of higher
+    # degree and with its own denominator, does not enter the result
+    x, y, z = RING_XYZ.variables()
+    comps = (y.scale(Fraction(1, 3)) + x * y, x ** 2,
+             (z ** 6).scale(Fraction(1, 7)) + y)
+    field = VectorField(comps, AFFINE)
+    got = apply_derivation(field, x + 2)
+    assert got == comps[0] and str(got) == str(comps[0])
+    assert apply_derivation(field, RING_XYZ.constant(5)).is_zero()
+    assert apply_derivation(field, z) == comps[2]
+
+
 def test_cofactor_soundness_and_multiplicativity():
     from extatica.corpus import planted_lines_field
     for seed in range(10):

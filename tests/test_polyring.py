@@ -122,6 +122,18 @@ class TestHomogenize:
         assert f.dehomogenize("z") == RING_XY.from_terms(
             {(2, 0): 1, (0, 1): 1})
 
+    def test_dehomogenize_adds_colliding_terms(self):
+        # a non-homogeneous input: x and xz both become x at z = 1
+        x, y, z = RING_XYZ.variables()
+        X2, Y2 = RING_XY.variables()
+        assert (x + x * z.scale(Fraction(1, 3))).dehomogenize("z") == \
+            X2.scale(Fraction(4, 3))
+        assert (x - x * z + y * z ** 2).dehomogenize(2) == Y2
+        assert (x * z - x).dehomogenize("z").is_zero()
+        # other values scale by their powers
+        assert (x * z ** 2 + y).dehomogenize("z", Fraction(1, 2)) == \
+            X2.scale(Fraction(1, 4)) + Y2
+
     def test_pad_degree(self):
         f = PolyRing(("x",)).variable(0)
         assert f.homogenize("z", 3) == PolyRing(("x", "z")).from_terms(
