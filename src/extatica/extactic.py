@@ -15,7 +15,8 @@ Two exact determinant engines are provided:
 * `det_modular` - evaluation/interpolation modulo word-size primes with
   Chinese remaindering into symmetric residues, after each column is scaled
   to integers; best once degrees blow up.  The memory guard and the prime
-  choice run here, on the table of the scaled matrix's terms, its bounds
+  choice run here, on the table of the scaled matrix's terms (less the
+  last variables, while it is column-homogeneous), its bounds
   (degree per variable and total degree, from the best single
   permutation) and its re-check at a point from `extatica.termtable`; the
   per-prime work on the lower set of exponents those bounds allow
@@ -55,7 +56,8 @@ from .polyring import (PRIMES_2_31, BadPrimeError, ContextError,
                        PolyRing, Polynomial, bareiss_determinant,
                        derivation_chains, monomials_of_degree,
                        monomials_up_to_degree, proportional)
-from .termtable import det_bounds, grid_bytes, recheck, term_table
+from .termtable import (det_bounds, drop_homogeneous, grid_bytes, recheck,
+                        term_table)
 
 #: Complete monomial systems above this dimension are refused unless the
 #: caller overrides: the determinant degree grows quadratically in the
@@ -361,15 +363,20 @@ def det_fraction_free(matrix) -> Polynomial:
 def det_modular(matrix, jobs: int = 1) -> Polynomial:
     """Exact determinant by modular evaluation and interpolation.
 
-    Unit rows and columns are expanded along first (`_expand_units`), and
+    Unit rows and columns are expanded along first (`_expand_units`); the
+    empty minor and a ring without variables go to `_fraction_free`, and
     a minor that no permutation covers with nonzero entries is 0 before
     any grid work.  Each column is then scaled to integers by the lcm of
     its own denominators, so det = det(integer matrix) / (product of the
-    scales).  The determinant has degree at most b_v in variable v and
-    total degree at most D, the largest degree sums over permutations
-    (`termtable.det_bounds`), so its coefficients live on the lower set
-    {e : e_v <= b_v, sum(e) <= D}, and its values at the points e + 1 of
-    that set determine them.  Modulo enough primes for the a-priori
+    scales).  While the matrix is column-homogeneous, as jet matrices of
+    homogeneous fields are, its determinant is homogeneous of known degree
+    H, so the last variable is dropped from the table of its terms
+    (`termtable.drop_homogeneous`), and each term x^e of the result gets
+    back its power H - |e|.  The determinant has degree at most b_v in
+    variable v and total degree at most D, the largest degree sums over
+    permutations (`termtable.det_bounds`), so its coefficients live on the
+    lower set {e : e_v <= b_v, sum(e) <= D}, and its values at the points
+    e + 1 of that set determine them.  Modulo enough primes for the a-priori
     coefficient-height bound, `modular.prime_images` evaluates all entries
     at those points, eliminates there with per-point pivoting and no
     division but one batch inversion per prime, and Newton-interpolates
@@ -387,23 +394,10 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
     """
     rows, ring = _square_rows(matrix)
     factor, rows = _expand_units(rows)
-    if ring.nvars == 0 or all(e.is_constant() for r in rows for e in r):
+    if not rows or ring.nvars == 0:
+        # the empty minor, or no variable to lay a grid on
         return _times(_fraction_free(rows, ring), factor)
-    m = len(rows)
-    # Column-homogeneous matrices have a homogeneous determinant of known
-    # degree: peel off the last variable, compute in one fewer dimension,
-    # and re-homogenize.  (Jet matrices of homogeneous fields are of this
-    # shape, column by column.)
-    if ring.nvars >= 2:
-        col_degs = _column_homogeneous_degrees(rows, m)
-        if col_degs is not None:
-            last = ring.names[-1]
-            sub = [[e.dehomogenize(ring.nvars - 1) for e in r] for r in rows]
-            det_sub = det_modular(sub, jobs=jobs)
-            if det_sub.is_zero():
-                return ring.zero()
-            return _times(det_sub.homogenize(last, sum(col_degs)), factor)
-    table = term_table(rows, ring.nvars)
+    table, dropped = drop_homogeneous(term_table(rows, ring.nvars))
     var_bounds, total_bound, height = det_bounds(table)
     if total_bound < 0:
         return ring.zero()  # no permutation avoids the zero entries
@@ -439,32 +433,11 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
     if not recheck(table, exponents, coefficients, var_bounds):
         raise EngineDisagreementError(
             "modular determinant failed its consistency re-check")
+    for degree in reversed(dropped):
+        exponents = [e + (degree - sum(e),) for e in exponents]
     det = Polynomial._raw(ring, dict(zip(exponents,
                                          map(Fraction, coefficients))))
     return _times(det, factor / math.prod(table.scales))
-
-
-def _column_homogeneous_degrees(rows, m):
-    """Per-column homogeneous degrees, or None if some column is mixed or
-    zero."""
-    degs = []
-    for j in range(m):
-        deg = None
-        for i in range(m):
-            e = rows[i][j]
-            if e.is_zero():
-                continue
-            if not e.is_homogeneous():
-                return None
-            d = e.degree()
-            if deg is None:
-                deg = d
-            elif d != deg:
-                return None
-        if deg is None:
-            return None  # a zero column: the structural check sees it
-        degs.append(int(deg))
-    return degs
 
 
 def _engine_for(engine: str, m: int) -> str:

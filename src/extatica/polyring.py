@@ -17,7 +17,9 @@ nothing.  `derivation_chains`, behind `extactic.jet_matrix` and
 maps, summing the products P_v * df/dx_v of a step on one accumulator,
 and `bareiss_determinant`, behind `extactic.det_fraction_free`, runs a
 whole Bareiss elimination on the same maps; the packed format is known to
-this module only.
+this module only.  Values are exact (`Polynomial.evaluate`): the modular
+engine evaluates modulo its primes, and drops the variables of a
+homogeneous determinant, on its own table of terms (`extatica.termtable`).
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -58,12 +60,9 @@ class ContextError(ValueError):
     """Operands live in different ring contexts, or a variable index is bad."""
 
 
-class DegreeError(ValueError):
-    """Homogenization target degree is smaller than the polynomial degree."""
-
-
 class BadPrimeError(ArithmeticError):
-    """A coefficient denominator vanishes modulo the chosen prime."""
+    """A prime is unusable: it divides a coefficient denominator, or the
+    prime table runs out."""
 
 
 def grlex_key(exponents: Exponents) -> tuple:
@@ -348,74 +347,6 @@ class Polynomial:
                 n *= table[k]
             total += n
         return Fraction(total, den)
-
-    def evaluate_mod(self, point: Sequence[int], p: int) -> int:
-        """Value at an integer point modulo a prime p.
-
-        A coefficient n/d maps to n * d^-1 mod p; raises BadPrimeError when
-        some denominator is divisible by p (caller retries with another
-        prime).
-        """
-        if len(point) != self.ring.nvars:
-            raise ContextError("point length does not match variable count")
-        powers = []
-        for v, x in enumerate(point):
-            table = [1]
-            for _ in range(self.degree_in(v)):
-                table.append(table[-1] * x % p)
-            powers.append(table)
-        total = 0
-        for e, c in self.terms.items():
-            den = c.denominator
-            if den % p == 0:
-                raise BadPrimeError(f"denominator {den} vanishes mod {p}")
-            v = c.numerator * pow(den, -1, p) if den != 1 else c.numerator
-            for table, k in zip(powers, e):
-                v = v * table[k] % p
-            total += v
-        return total % p
-
-    # -- chart changes -----------------------------------------------------------
-
-    def homogenize(self, new_var: str, target_degree: int) -> "Polynomial":
-        """Append a new variable and pad every term up to target_degree."""
-        if new_var in self.ring.names:
-            raise ContextError(f"variable {new_var!r} already in ring")
-        deg = self.degree()
-        if deg != NEG_INF and target_degree < deg:
-            raise DegreeError(
-                f"target degree {target_degree} below polynomial degree {deg}")
-        ring2 = PolyRing(self.ring.names + (new_var,))
-        out = {e + (target_degree - sum(e),): c for e, c in self.terms.items()}
-        return Polynomial._raw(ring2, out)
-
-    def dehomogenize(self, var, value: Scalar = 1) -> "Polynomial":
-        """Substitute `value` for one variable and drop it from the ring.
-
-        At value 1 the coefficients stay as they are: the exponent keys
-        are projected, and coefficients are added only where two keys
-        collide, as x and xz do at z = 1."""
-        idx = self.ring.index(var) if isinstance(var, str) else var
-        if not 0 <= idx < self.ring.nvars:
-            raise ContextError(f"variable index {idx} out of range")
-        ring2 = PolyRing(self.ring.names[:idx] + self.ring.names[idx + 1:])
-        if value == 1:
-            out = {e[:idx] + e[idx + 1:]: c for e, c in self.terms.items()}
-            if len(out) == len(self.terms):
-                return Polynomial._raw(ring2, out)
-        value = Fraction(value)
-        out = {}
-        for e, c in self.terms.items():
-            c2 = c * value ** e[idx]
-            if c2 == 0:
-                continue
-            key = e[:idx] + e[idx + 1:]
-            s = out.get(key, Fraction(0)) + c2
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Polynomial._raw(ring2, out)
 
     # -- canonical text form --------------------------------------------------
 

@@ -1,7 +1,8 @@
 """The integer matrix of the modular determinant engine as one table of
 its terms, and what `extactic.det_modular` reads off that table before and
-after the grid work: the degree and height bounds of the determinant, the
-bytes of the grid arrays, and the re-check of the result at one point.
+after the grid work: the variables a column-homogeneous matrix can drop,
+the degree and height bounds of the determinant, the bytes of the grid
+arrays, and the re-check of the result at one point.
 
 Pure Python, like the rest of the package outside `extatica.modular`, and
 kept apart from `extatica.extactic`: with bytecode writing off, a fresh
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .linalg import det_mod, max_assignment
 
@@ -65,6 +66,33 @@ def term_table(rows, nvars: int) -> TermTable:
                         for n, d in zip(coefficients[a:b], denominators[a:b])]
     maxima = list(map(max, zip(*exponents))) if exponents else [0] * nvars
     return TermTable(m, counts, exponents, coefficients, scales, maxima)
+
+
+def drop_homogeneous(table: TermTable) -> tuple:
+    """(table', degrees): the term table with its last variables dropped
+    while the matrix is column-homogeneous, and the determinant's degree
+    before each drop, in the order dropped.
+
+    While there are at least two variables and every column is nonzero
+    with all its terms of one total degree d_j, the determinant is
+    homogeneous of degree H = d_1 + ... + d_m, so it is its value at
+    x_n = 1 with each term x^e padded by x_n^(H - |e|): dropping the last
+    exponent coordinate sets x_n = 1, and no two terms of an entry meet
+    there, since their degrees agree."""
+    m, degrees = table.size, []
+    while len(table.maxima) >= 2:
+        columns = [set() for _ in range(m)]
+        for k, (exps, _) in enumerate(table.entries()):
+            column = columns[k % m]
+            column.update(map(sum, exps))
+            if len(column) > 1:  # most matrices stop at their first entries
+                return table, degrees
+        if not all(columns):
+            break
+        degrees.append(sum(c.pop() for c in columns))
+        table = replace(table, exponents=[e[:-1] for e in table.exponents],
+                        maxima=table.maxima[:-1])
+    return table, degrees
 
 
 def det_bounds(table: TermTable) -> tuple:

@@ -19,6 +19,12 @@ RING_XY = PolyRing(("x", "y"))
 RING_XYZ = PolyRing(("x", "y", "z"))
 
 
+def evaluate_mod(f, point, p):
+    """f at an integer point modulo a prime p: its exact value, reduced."""
+    value = f.evaluate(point)
+    return value.numerator * pow(value.denominator, -1, p) % p
+
+
 def polynomials(ring=RING_XYZ, max_degree=4, max_terms=8, coeff_bound=9,
                 nonzero=False):
     """Strategy for sparse polynomials with small integer coefficients."""

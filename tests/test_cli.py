@@ -595,14 +595,19 @@ HEAVY_TIER = [
      "ad4192fb1a084a94bb0133e7fad58b64b0217ea9c0987806b3c5c11254cfdf41"),
     (["--field-corpus", "random:3,2,1", "--mode", "affine", "--k", "2"],
      "9f3bae63872d9dfaa33f64d030092521b127fa5d26584467705117f49969c039"),
+    # homogeneous: the grid drops the last variable
+    (["--field-corpus", "slv:1", "--k", "4"],
+     "b3ef53a4d6c3829e478d3362160becec57ef4aa2f7ea96969c2f3f5b6fcbcda5"),
 ]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("args,digest", HEAVY_TIER,
-                         ids=["random-2-2-1-k4", "random-3-2-1-affine-k2"])
+                         ids=["random-2-2-1-k4", "random-3-2-1-affine-k2",
+                              "slv-1-k4"])
 def test_heavy_tier_output_is_bit_identical(args, digest):
-    # m = 15 with 25 primes, and three grid axes: a few seconds each
+    # m = 15 with 25 primes, three grid axes, and m = 15 on a homogeneous
+    # jet: a few seconds each
     code, out, err = run_cli(["extactic", *args, "--engine", "modular"])
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -12,7 +12,7 @@ from extatica.foliation import (AFFINE, HOMOGENEOUS, apply_derivation,
                                 check_invariance, foliation_degree)
 from extatica.linalg import det_mod
 
-from conftest import PRIMES_2_61, RING_XY, RING_XYZ
+from conftest import PRIMES_2_61, RING_XY, RING_XYZ, evaluate_mod
 
 X, Y = RING_XY.variables()
 
@@ -196,7 +196,7 @@ def _nonvanishing_by_evaluation(field, k: int) -> bool:
     jet = jet_matrix(field, system)
     p = PRIMES_2_61[0]
     for point in [(3, 5, 7), (11, -4, 9), (-6, 13, 2)]:
-        mat = [[e.evaluate_mod(list(point), p) for e in row]
+        mat = [[evaluate_mod(e, point, p) for e in row]
                for row in jet.entries]
         if det_mod(mat, p) != 0:
             return True

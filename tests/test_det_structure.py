@@ -1,24 +1,26 @@
 """The modular engine's structure before any grid work: the assignment
 degree bounds, the expansion along unit rows and columns, structural
-zeros, the self-check, and the packed derivation chains of the jet
-matrix."""
+zeros, the variables a column-homogeneous matrix drops, the self-check,
+and the packed derivation chains of the jet matrix."""
 
 import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from extatica import corpus, modular
 from extatica.extactic import (EngineDisagreementError, _expand_units,
                                det_fraction_free, det_modular, jet_matrix,
                                monomial_system)
-from extatica.foliation import AFFINE, VectorField, apply_derivation
+from extatica.foliation import (AFFINE, HOMOGENEOUS, VectorField,
+                                apply_derivation)
 from extatica.linalg import max_assignment
-from extatica.termtable import (det_bounds, grid_bytes, lower_set_size,
-                                term_table)
+from extatica.polyring import PolyRing, monomials_of_degree
+from extatica.termtable import (det_bounds, drop_homogeneous, grid_bytes,
+                                lower_set_size, term_table)
 from conftest import RING_XY, RING_XYZ, polynomials
 from seeded_inputs import random_polynomial_matrix
 import bareiss_oracle
@@ -169,6 +171,88 @@ class TestUnitExpansion:
         factor, minor = _expand_units([list(r) for r in jet.entries])
         assert factor == 1 and len(minor) == 5
         assert minor == [list(r[1:]) for r in jet.entries[1:]]
+
+
+@st.composite
+def column_homogeneous_matrices(draw):
+    """Square matrices (m <= 4) over 2 or 3 variables whose column j has
+    only terms of one total degree d_j <= 2, with zero entries and
+    fractional coefficients.  When `fixed` is drawn, each column's terms
+    also share their degree in the last variable, so the matrix stays
+    column-homogeneous once that variable is dropped; d_j = 0 throughout
+    gives a constant matrix."""
+    ring = PolyRing(("x", "y", "z")[:draw(st.integers(2, 3))])
+    m = draw(st.integers(1, 4))
+    top = draw(st.integers(0, 2))
+    fixed = draw(st.booleans())
+    coeff = st.fractions(-9, 9, max_denominator=4)
+    columns = []
+    for _ in range(m):
+        d = draw(st.integers(0, top))
+        exps = list(monomials_of_degree(ring.nvars, d))
+        if fixed:
+            last = draw(st.integers(0, d))
+            exps = [e for e in exps if e[-1] == last]
+        entry = st.one_of(
+            st.just(ring.zero()),
+            st.dictionaries(st.sampled_from(exps), coeff, min_size=1,
+                            max_size=3).map(ring.from_terms))
+        columns.append([draw(entry) for _ in range(m)])
+    return [list(r) for r in zip(*columns)]
+
+
+class TestHomogeneousDrop:
+    def test_the_last_variables_drop_while_the_columns_stay_homogeneous(
+            self):
+        x, y, z = RING_XYZ.variables()
+        zero = RING_XYZ.zero()
+        # columns of degree 2 and 1; without z, of degree 1 and 1
+        table, degrees = drop_homogeneous(term_table(
+            [[x * z, y], [y * z, x]], 3))
+        assert degrees == [3, 2]
+        assert table.exponents == [(1,), (0,), (0,), (1,)]
+        assert table.maxima == [1]
+        # without z, the second column mixes degrees 1 and 2
+        table, degrees = drop_homogeneous(term_table(
+            [[x * z, y * z], [y * z, x * x]], 3))
+        assert degrees == [4]
+        assert table.exponents == [(1, 0), (0, 1), (0, 1), (2, 0)]
+        # a mixed column, a zero column, a single variable: nothing drops
+        for rows, nvars in (([[x, y * z], [x * x, z * z]], 3),
+                            ([[x, zero], [y, zero]], 3),
+                            ([[X, ONE], [X, X]], 2)):
+            assert drop_homogeneous(term_table(rows, nvars))[1] == []
+        single = PolyRing(("x",)).variable(0)
+        assert drop_homogeneous(term_table([[single]], 1))[1] == []
+
+    @given(rows=column_homogeneous_matrices())
+    @example(rows=[[RING_XY.constant(Fraction(1, 3)), RING_XY.constant(2)],
+                   [RING_XY.constant(2 ** 70), RING_XY.constant(-5)]])
+    @example(rows=[[RING_XYZ.constant(Fraction(7, 2))]])
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_oracle(self, rows):
+        nvars = rows[0][0].ring.nvars
+        _, degrees = drop_homogeneous(term_table(rows, nvars))
+        event(f"{len(degrees)} of {nvars} variables dropped")
+        det = det_modular(rows)
+        assert det == bareiss_oracle.det_fraction_free(
+            [list(r) for r in rows])
+        assert str(det) == str(det_fraction_free(rows))
+
+    def test_the_slv_jet_reaches_the_grid_with_two_variables(
+            self, monkeypatch):
+        images = modular.prime_images
+        seen = []
+
+        def spy(table, bounds, degree, primes, jobs=1):
+            seen.append(len(bounds))
+            return images(table, bounds, degree, primes, jobs)
+
+        monkeypatch.setattr(modular, "prime_images", spy)
+        jet = jet_matrix(corpus.slv(1).field,
+                         monomial_system(3, 2, HOMOGENEOUS))
+        assert det_modular(jet.entries) == det_fraction_free(jet.entries)
+        assert seen == [2]
 
 
 class TestSelfCheck:

@@ -14,7 +14,7 @@ from extatica.corpus import (hamiltonian, pencil_field, planted_lines_field,
 from extatica.extactic import (MAX_GRID_BYTES, DimensionGuardError,
                                ExtacticNotZeroError, ExtractionFailedError,
                                LinearSystem, VacuousQueryError,
-                               _column_homogeneous_degrees, _point_jet,
+                               _point_jet,
                                det_fraction_free, det_modular,
                                divides_extactic, extactic,
                                extactic_degree_bound, extract_first_integral,
@@ -27,12 +27,12 @@ from extatica.modular import (_batch_inverse, _grid_determinants, _grid_plan,
                               _grid_values, _interpolate, _inverse_blocks,
                               _matmul_mod, _newton_matrices, _prime_tables,
                               _reduce)
-from extatica.termtable import (det_bounds, grid_bytes, lower_set_size,
-                                term_table)
-from extatica.polyring import (PRIMES_2_31, ContextError, PolyRing,
-                               monomials_of_degree, monomials_up_to_degree,
-                               proportional)
-from conftest import RING_XY, RING_XYZ, polynomials
+from extatica.termtable import (det_bounds, drop_homogeneous, grid_bytes,
+                                lower_set_size, term_table)
+from extatica.polyring import (PRIMES_2_31, BadPrimeError, ContextError,
+                               PolyRing, monomials_of_degree,
+                               monomials_up_to_degree, proportional)
+from conftest import RING_XY, RING_XYZ, evaluate_mod, polynomials
 from seeded_inputs import random_polynomial, random_polynomial_matrix
 import bareiss_oracle
 
@@ -150,8 +150,20 @@ def test_point_jet_matches_the_symbolic_jet(case, p):
     assert _point_jet(field, system, point) == [
         [e.evaluate(point) for e in r] for r in rows]
     assert _point_jet(field, system, point, p) == [
-        [e.evaluate_mod(point, p) for e in r] for r in rows]
+        [evaluate_mod(e, point, p) for e in r] for r in rows]
     event(f"m = {system.dimension}")
+
+
+def test_point_jet_modulo_a_prime_dividing_a_denominator():
+    # x/7: 7^-1 mod 11 is 8, and modulo 7 the coefficient has no image
+    field = VectorField((X.scale(Fraction(1, 7)), Y), AFFINE)
+    system = monomial_system(2, 1, AFFINE)
+    rows = jet_matrix(field, system).entries
+    assert _point_jet(field, system, [3, 2], 11) == [
+        [evaluate_mod(e, [3, 2], 11) for e in r] for r in rows]
+    assert _point_jet(field, system, [3, 2], 11)[1][1] == 3 * 8 % 11
+    with pytest.raises(BadPrimeError, match="vanishes mod 7"):
+        _point_jet(field, system, [3, 2], 7)
 
 
 class TestExtactic:
@@ -280,14 +292,15 @@ def test_det_fraction_free_matches_oracle_and_modular(rows):
 def lower_set_matrices(draw):
     """Square matrices (m <= 4) over x, y, z whose determinant bounds have
     D < b_x + b_y + b_z, so the lower set is smaller than the box, and
-    that are not column-homogeneous, so they are not dehomogenized."""
+    that are not column-homogeneous, so they keep all three variables."""
     m = draw(st.integers(2, 4))
     entry = st.one_of(st.just(RING_XYZ.zero()), polynomials(
         RING_XYZ, max_degree=2, max_terms=3, nonzero=True))
     rows = [[draw(entry) for _ in range(m)] for _ in range(m)]
-    var_bounds, total_bound, _ = det_bounds(term_table(rows, 3))
+    table = term_table(rows, 3)
+    var_bounds, total_bound, _ = det_bounds(table)
     assume(total_bound < sum(var_bounds))
-    assume(_column_homogeneous_degrees(rows, m) is None)
+    assume(not drop_homogeneous(table)[1])
     return rows
 
 
@@ -380,7 +393,6 @@ class TestDetModular:
     def test_prime_table_exhaustion_is_fatal(self):
         # coefficients near 2^800 give a height bound of 1,603 bits, more
         # than the table's 48 primes cover (1,488 bits)
-        from extatica.polyring import BadPrimeError
         c = 2 ** 800 + 1
         one = RING_XY.constant(1)
         m = [[X.scale(c) + one, RING_XY.constant(c)],
@@ -544,7 +556,7 @@ class TestModularKernels:
             for i in range(m):
                 for j in range(m):
                     assert values[i, j, t] == \
-                        rows[i][j].evaluate_mod(point, P31)
+                        evaluate_mod(rows[i][j], point, P31)
 
     def test_matmul_mod_at_the_top_of_the_range(self):
         inner = 700
@@ -570,7 +582,8 @@ class TestModularKernels:
         values = _grid_values_of(plan, P31)
         for t, (a, b) in enumerate(plan.exponents.tolist()):
             assert values[:, :, t].tolist() == [
-                [e.evaluate_mod([a + 1, b + 1], P31) for e in r] for r in rows]
+                [evaluate_mod(e, [a + 1, b + 1], P31) for e in r]
+                for r in rows]
 
     @given(n=st.integers(1, 3000), seed=st.integers(0, 2**32),
            fill=st.sampled_from(["random", "with_zeros", "zeros", "top"]))

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extatica.polyring import (NEG_INF, BadPrimeError, ContextError,
-                               DegreeError, PolyRing, PRIMES_2_31,
+from extatica.polyring import (NEG_INF, ContextError, PolyRing, PRIMES_2_31,
                                monomials_up_to_degree)
 
 from conftest import (PRIMES_2_61, RING_XY, RING_XYZ, polynomials,
@@ -83,15 +82,6 @@ class TestEvaluate:
         f = PolyRing(("x",)).variable(0).scale(Fraction(1, 2))
         assert f.evaluate([4]) == 2
 
-    def test_modular_inverse(self):
-        f = PolyRing(("x",)).variable(0).scale(Fraction(1, 2))
-        assert f.evaluate_mod([3], 7) == 5
-
-    def test_bad_prime(self):
-        f = PolyRing(("x",)).variable(0).scale(Fraction(1, 7))
-        with pytest.raises(BadPrimeError):
-            f.evaluate_mod([3], 7)
-
     def test_point_length(self):
         with pytest.raises(ContextError):
             X.evaluate([1])
@@ -109,43 +99,6 @@ class TestDegreeInfo:
     def test_zero(self):
         zero = RING_XY.zero()
         assert zero.degree() == NEG_INF and zero.is_homogeneous()
-
-
-class TestHomogenize:
-    def test_affine_line(self):
-        f = PolyRing(("x",)).variable(0) + 1
-        assert f.homogenize("z", 1) == PolyRing(("x", "z")).from_terms(
-            {(1, 0): 1, (0, 1): 1})
-
-    def test_dehomogenize(self):
-        f = RING_XYZ.from_terms({(2, 0, 0): 1, (0, 1, 1): 1})
-        assert f.dehomogenize("z") == RING_XY.from_terms(
-            {(2, 0): 1, (0, 1): 1})
-
-    def test_dehomogenize_adds_colliding_terms(self):
-        # a non-homogeneous input: x and xz both become x at z = 1
-        x, y, z = RING_XYZ.variables()
-        X2, Y2 = RING_XY.variables()
-        assert (x + x * z.scale(Fraction(1, 3))).dehomogenize("z") == \
-            X2.scale(Fraction(4, 3))
-        assert (x - x * z + y * z ** 2).dehomogenize(2) == Y2
-        assert (x * z - x).dehomogenize("z").is_zero()
-        # other values scale by their powers
-        assert (x * z ** 2 + y).dehomogenize("z", Fraction(1, 2)) == \
-            X2.scale(Fraction(1, 4)) + Y2
-
-    def test_pad_degree(self):
-        f = PolyRing(("x",)).variable(0)
-        assert f.homogenize("z", 3) == PolyRing(("x", "z")).from_terms(
-            {(1, 2): 1})
-
-    def test_degree_error(self):
-        with pytest.raises(DegreeError):
-            (X**2).homogenize("z", 1)
-
-    def test_name_clash(self):
-        with pytest.raises(ContextError):
-            X.homogenize("y", 2)
 
 
 class TestCanonicalText:
@@ -244,22 +197,11 @@ def test_evaluation_homomorphism_100_points():
     from extatica.corpus import SplitMix64
     from seeded_inputs import random_polynomial
     rng = SplitMix64(2024)
-    p = PRIMES_2_61[0]
     for trial in range(100):
         f = random_polynomial(3, 3, 1000 + trial)
         g = random_polynomial(3, 3, 2000 + trial)
         point = [rng.int_in(-50, 50) for _ in range(3)]
         assert (f * g).evaluate(point) == f.evaluate(point) * g.evaluate(point)
-        lhs = (f * g).evaluate_mod(point, p)
-        assert lhs == f.evaluate_mod(point, p) * g.evaluate_mod(point, p) % p
-
-
-def test_homogenization_round_trip_100():
-    from seeded_inputs import random_polynomial
-    for trial in range(100):
-        f = random_polynomial(2, 4, 3000 + trial)
-        deg = int(f.degree())
-        assert f.homogenize("h", deg).dehomogenize("h") == f
 
 
 @given(f=polynomials(ring=RING_XY, max_degree=3),
