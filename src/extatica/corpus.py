@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .foliation import (AFFINE, HOMOGENEOUS, VectorField,
                         apply_derivation, check_invariance,
@@ -84,14 +84,13 @@ class SplitMix64:
 
 
 def random_field(nvars: int, degree: int, seed: int,
-                 homogeneous: bool = False,
-                 names: Optional[Sequence[str]] = None) -> VectorField:
+                 homogeneous: bool = False) -> VectorField:
     """Dense random field, coefficients uniform in [-9, 9], never the zero
     field; `homogeneous=True` yields a homogeneous-mode presentation."""
     if nvars < 2 or degree < 0:
         raise ValueError("need nvars >= 2 and degree >= 0")
     rng = SplitMix64(seed)
-    ring = PolyRing(tuple(names) if names else default_variable_names(nvars))
+    ring = PolyRing(default_variable_names(nvars))
     exps = list(monomials_of_degree(nvars, degree) if homogeneous
                 else monomials_up_to_degree(nvars, degree))
     while True:

@@ -14,31 +14,27 @@ Two exact determinant engines are provided:
   small matrices.
 * `det_modular` - evaluation/interpolation modulo word-size primes with
   Chinese remaindering into symmetric residues, after each column is scaled
-  to integers; best once degrees blow up.  The memory guard and the prime
-  choice run here, on the table of the scaled matrix's terms (less the
-  last variables, while it is column-homogeneous), its bounds
-  (degree per variable and total degree, from the best single
-  permutation) and its re-check at a point from `extatica.termtable`; the
-  per-prime work on the lower set of exponents those bounds allow
-  (evaluation by Vandermonde contractions, elimination at every point,
-  Newton interpolation) and the remaindering run on numpy in
-  `extatica.modular`, which is imported on the first modular determinant,
-  so numpy loads only then.
+  to integers; best once degrees blow up.  The whole pipeline, from the
+  table of the matrix's terms to the re-check of the result, is
+  `extatica.modular`, the only module that imports numpy; it is imported
+  on the first modular determinant, so numpy loads only then.
 
 Both first expand along every row or column whose only nonzero entry is a
 constant (`_expand_units`), and both return identical canonical
 polynomials.  A determinant is computed only when E is nonzero:
 `_certify_vanishing` first probes J modulo a prime, then certifies E = 0
-by a first integral of degree <= k read off the left
-kernels of J at a pair of points, retried at a few fresh pairs.  Without a
-certified pair (off the plane, E = 0 does not force an integral of degree
-<= k), `extactic` computes the full determinant and `extract_first_integral`
-falls back to a ratio of Cramer minors of J.  Every probe needs J only at a
-point: `_point_jet` evaluates it there, exact or modulo p, by Taylor-mode
+by a first integral of degree <= k read off the left kernels of J at a pair
+of points, retried at a few fresh pairs.  Without a certified pair
+`extactic` computes the full determinant and `extract_first_integral` falls
+back to a ratio of Cramer minors of J.  That happens when E = 0 forces no
+integral of degree <= k (possible off the plane), and also when two
+independent rational integrals of degree <= k exist, whose pencils the
+kernel vectors of a pair can mix.  Every probe needs J only at a point:
+`_point_jet` evaluates it there, exact or modulo p, by Taylor-mode
 recurrences along the flow, and the symbolic jet matrix (`jet_matrix`) is
 built only for a determinant or for the fallback's minors.  Scalar linear
-algebra (the probes, the kernels, the consistency re-check at a single point
-modulo p) runs on `linalg`.
+algebra (the probes, the kernels, the fallback's minors at a point, the
+modular engine's re-check modulo p) runs on `linalg`.
 """
 
 from __future__ import annotations
@@ -56,21 +52,11 @@ from .polyring import (PRIMES_2_31, BadPrimeError, ContextError,
                        PolyRing, Polynomial, bareiss_determinant,
                        derivation_chains, monomials_of_degree,
                        monomials_up_to_degree, proportional)
-from .termtable import (det_bounds, drop_homogeneous, grid_bytes, recheck,
-                        term_table)
 
 #: Complete monomial systems above this dimension are refused unless the
 #: caller overrides: the determinant degree grows quadratically in the
 #: dimension and desk-scale runs must stay tractable.
 DEFAULT_MAX_DIMENSION = 21
-
-#: The modular engine refuses a grid whose arrays (`termtable.grid_bytes`:
-#: the plan's indices and one residue per prime at each point of the lower
-#: set, three square int32 matrices per prime, and per worker thread m x m
-#: int64 values and m elimination scratch values per point, the entries
-#: contracted along the leading axes and two square float64 matrices)
-#: exceed this many bytes.
-MAX_GRID_BYTES = 1 << 30
 
 _PROBE_RANGE = 10_000  # random integer probe points live in [-10^4, 10^4]
 
@@ -361,83 +347,26 @@ def det_fraction_free(matrix) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 def det_modular(matrix, jobs: int = 1) -> Polynomial:
-    """Exact determinant by modular evaluation and interpolation.
+    """Exact determinant by modular evaluation and interpolation,
+    bit-identical to `det_fraction_free`.
 
     Unit rows and columns are expanded along first (`_expand_units`); the
-    empty minor and a ring without variables go to `_fraction_free`, and
-    a minor that no permutation covers with nonzero entries is 0 before
-    any grid work.  Each column is then scaled to integers by the lcm of
-    its own denominators, so det = det(integer matrix) / (product of the
-    scales).  While the matrix is column-homogeneous, as jet matrices of
-    homogeneous fields are, its determinant is homogeneous of known degree
-    H, so the last variable is dropped from the table of its terms
-    (`termtable.drop_homogeneous`), and each term x^e of the result gets
-    back its power H - |e|.  The determinant has degree at most b_v in
-    variable v and total degree at most D, the largest degree sums over
-    permutations (`termtable.det_bounds`), so its coefficients live on the
-    lower set {e : e_v <= b_v, sum(e) <= D}, and its values at the points
-    e + 1 of that set determine them.  Modulo enough primes for the a-priori
-    coefficient-height bound, `modular.prime_images` evaluates all entries
-    at those points, eliminates there with per-point pivoting and no
-    division but one batch inversion per prime, and Newton-interpolates
-    the determinants; `modular.chinese_remainder` combines the primes by
-    Garner's mixed-radix algorithm into symmetric residues, which are the
-    integer coefficients, re-checked at one more point
-    (`termtable.recheck`).  The bounds, the memory guard, the grid plan and
-    the re-check all read one table of the scaled matrix's terms
-    (`termtable.term_table`).  The contractions are float64 products whose
-    partial sums stay below 2^53, so every residue is exact.  The result is
-    bit-identical to `det_fraction_free`.  Grid arrays above
-    MAX_GRID_BYTES, counted once per worker thread of `jobs`, are refused
-    with DimensionGuardError first, before an exhausted prime table
-    (BadPrimeError).
+    empty minor and a ring without variables go to `_fraction_free`.  Any
+    other minor goes to `modular.determinant`, which returns the
+    determinant of the minor with its columns scaled to integers and the
+    product of the scales.  `jobs` threads the primes.  The engine refuses a
+    grid above its memory guard with DimensionGuardError, a height bound
+    beyond the prime table with BadPrimeError, and raises
+    EngineDisagreementError when its re-check fails.
     """
     rows, ring = _square_rows(matrix)
     factor, rows = _expand_units(rows)
     if not rows or ring.nvars == 0:
         # the empty minor, or no variable to lay a grid on
         return _times(_fraction_free(rows, ring), factor)
-    table, dropped = drop_homogeneous(term_table(rows, ring.nvars))
-    var_bounds, total_bound, height = det_bounds(table)
-    if total_bound < 0:
-        return ring.zero()  # no permutation avoids the zero entries
-    # symmetric residues recover every coefficient of absolute value at
-    # most height once the modulus exceeds twice it
-    target = 2 * height
-    chosen = []
-    prod = 1
-    for p in PRIMES_2_31:
-        chosen.append(p)
-        prod *= p
-        if prod > target:
-            break
-    # the memory guard speaks first: an input that trips both is refused
-    # for its bytes
-    workers = max(1, min(jobs, len(chosen)))
-    nbytes = grid_bytes(table, var_bounds, total_bound, workers, len(chosen))
-    if nbytes > MAX_GRID_BYTES:
-        raise DimensionGuardError(
-            f"the grid arrays on the lower set of degree <= {total_bound} "
-            f"need {nbytes} bytes, above the guard of {MAX_GRID_BYTES}")
-    if prod <= target:
-        raise BadPrimeError(
-            f"prime table exhausted: the height bound needs "
-            f"{target.bit_length()} bits, the usable primes cover "
-            f"{prod.bit_length()}")
     from . import modular  # the one module that imports numpy
-    exponents, residues = modular.prime_images(table, var_bounds,
-                                               total_bound, chosen, jobs)
-    exponents = list(map(tuple, exponents.tolist()))
-    # each coefficient is nonzero modulo some prime, so never 0
-    coefficients = modular.chinese_remainder(residues, chosen)
-    if not recheck(table, exponents, coefficients, var_bounds):
-        raise EngineDisagreementError(
-            "modular determinant failed its consistency re-check")
-    for degree in reversed(dropped):
-        exponents = [e + (degree - sum(e),) for e in exponents]
-    det = Polynomial._raw(ring, dict(zip(exponents,
-                                         map(Fraction, coefficients))))
-    return _times(det, factor / math.prod(table.scales))
+    det, scale = modular.determinant(rows, ring, jobs)
+    return _times(det, factor / scale)
 
 
 def _engine_for(engine: str, m: int) -> str:
@@ -470,15 +399,15 @@ def check_dimension(m: int, max_dim: Optional[int] = None) -> None:
 # the extactic polynomial
 # ---------------------------------------------------------------------------
 
-def extactic_degree_bound(m: int, k: int, d: int, deg_variety: int = 1) -> int:
-    """m*k + (d - deg_variety) * C(m, 2).
+def extactic_degree_bound(m: int, k: int, d: int) -> int:
+    """m*k + (d - 1) * C(m, 2).
 
-    Column j of the jet matrix has degree k + j*(d - deg_variety) in the
-    homogeneous projective normalization, and the bound is the column sum.
+    Column j of the jet matrix has degree k + j*(d - 1) in the homogeneous
+    projective normalization, and the bound is the column sum.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    return m * k + (d - deg_variety) * math.comb(m, 2)
+    return m * k + (d - 1) * math.comb(m, 2)
 
 
 @dataclass(frozen=True)
@@ -496,7 +425,6 @@ class ExtacticReport:
     degree_bound: int
     field_degree: int
     dimension: int        # m = dim of the linear system
-    system_degree: int    # k
     engine: str
 
     def __post_init__(self):
@@ -522,7 +450,7 @@ def extactic(field: VectorField, system: LinearSystem, engine: str = "auto",
     check_dimension(m, max_dim)
     used = _engine_for(engine, m)
     _check_pair(field, system)
-    d = foliation_degree(field).degree  # refuses the zero field
+    d = foliation_degree(field)  # refuses the zero field
     try:
         certified = _certify_vanishing(field, system, Random(0)) is not None
     except ExtacticNotZeroError:
@@ -537,7 +465,6 @@ def extactic(field: VectorField, system: LinearSystem, engine: str = "auto",
         degree_bound=bound,
         field_degree=d,
         dimension=m,
-        system_degree=system.degree,
         engine=used,
     )
 
@@ -646,7 +573,12 @@ def _certify_vanishing(field: VectorField, system: LinearSystem,
     A pair that certifies nothing (a point on a special leaf, or kernel
     vectors that span no pencil of first integrals) is replaced by a fresh
     one, up to `_PAIRS` pairs; then None is returned and the caller falls
-    back to a full determinant or to Cramer minors.
+    back to a full determinant or to Cramer minors.  That happens when E = 0
+    forces no integral of degree <= k, which is possible off the plane, but
+    also when two independent rational integrals of degree <= k exist, such
+    as f1/g1 and f2/g2 of X = (g1 grad f1 - f1 grad g1) x (g2 grad f2 -
+    f2 grad g2): every kernel then has dimension >= 2, and its basis
+    vectors, paired in order, can mix the two pencils at every pair.
     """
     m = system.dimension
     nv = field.ring.nvars
@@ -757,18 +689,20 @@ def _cramer_first_integral(field: VectorField, system: LinearSystem,
     others = [i for i in range(m) if i not in pivots]
     rows = jet_matrix(field, system).entries
 
-    # B != 0 is certain: its evaluation at the probe point is nonzero.
+    # B != 0 is certain: its value at the probe point, the same minor of
+    # the point jet, is nonzero.
     denom = _det(_minor(rows, pivots, cols), "auto")
-    denom_at = denom.evaluate(point)
+    denom_at = reduce_rational(_minor(mat, pivots, cols))[2]
     if denom_at == 0 or denom.is_zero():
         raise ExtractionFailedError("pivot minor vanished unexpectedly")
 
     mat2 = None
     for _ in range(16):
         candidate = _probe_point(rng, nv, _PROBE_RANGE)
-        den2 = denom.evaluate(candidate)
+        jet = _point_jet(field, system, candidate)
+        den2 = reduce_rational(_minor(jet, pivots, cols))[2]
         if den2 != 0:
-            mat2 = _point_jet(field, system, candidate)
+            mat2 = jet
             break
     for i0 in others:
         for k in range(r):

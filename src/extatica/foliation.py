@@ -10,7 +10,7 @@ radial field).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .polyring import ContextError, PolyRing, Polynomial, derivation_chains
 
@@ -65,30 +65,11 @@ class VectorField:
     def ring(self) -> PolyRing:
         return self.components[0].ring
 
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
     def __str__(self) -> str:
         return ", ".join(str(c) for c in self.components)
-
-
-@dataclass(frozen=True)
-class FoliationDegree:
-    """Degree report: the reported integer plus a degeneracy flag.
-
-    `radial_top` marks presentations whose top-degree part is a polynomial
-    multiple of the radial field.  For affine fields that case is degenerate
-    (the projective completion drops below the reported max component
-    degree); the flag is reported instead of silently adjusting.
-    """
-
-    degree: int
-    radial_top: bool
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -106,42 +87,17 @@ def apply_derivation(field: VectorField, f: Polynomial) -> Polynomial:
     return derivation_chains(field.components, [f], 2)[0][1]
 
 
-def _radial_multiple_of(parts: Sequence[Polynomial]) -> Optional[Polynomial]:
-    """g such that parts == (g*x_1, ..., g*x_n), or None."""
-    ring = parts[0].ring
-    g = None
-    for i, p in enumerate(parts):
-        if p.is_zero():
-            return None
-        q = p.divide_exact(ring.variable(i))
-        if q is None:
-            return None
-        if g is None:
-            g = q
-        elif q != g:
-            return None
-    return g
+def foliation_degree(field: VectorField) -> int:
+    """Degree of the foliation presented by the field: the largest degree
+    of its components, which in homogeneous mode is their common degree.
 
-
-def foliation_degree(field: VectorField) -> FoliationDegree:
-    """Degree of the foliation presented by the field.
-
-    Homogeneous mode reports the common component degree.  Affine mode
-    reports the max component degree and flags presentations whose top part
-    is a radial multiple (there the completion is degenerate and the true
-    projective degree is strictly smaller).
+    An affine field whose top-degree part is a multiple of the radial field
+    has a projective completion of smaller degree; the degree reported is
+    still the largest component degree.
     """
     if field.is_zero():
         raise DegenerateFieldError("zero field presents no foliation")
-    if field.mode == HOMOGENEOUS:
-        d = max(c.degree() for c in field.components if not c.is_zero())
-        radial = _radial_multiple_of(field.components) is not None
-        return FoliationDegree(int(d), radial, HOMOGENEOUS)
-    d = max(c.degree() for c in field.components if not c.is_zero())
-    d = int(d)
-    tops = [c.homogeneous_part(d) for c in field.components]
-    radial = _radial_multiple_of(tops) is not None
-    return FoliationDegree(d, radial, AFFINE)
+    return int(max(c.degree() for c in field.components if not c.is_zero()))
 
 
 def check_invariance(field: VectorField, f: Polynomial) -> Optional[Cofactor]:

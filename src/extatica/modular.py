@@ -1,39 +1,292 @@
-"""The numpy kernels of the modular determinant engine.
+"""The modular determinant engine: the exact determinant of a polynomial
+matrix by evaluation and interpolation modulo word-size primes.
 
-The only module of extatica that imports numpy; `det_modular` imports it
-for its first grid, so a process that computes no modular determinant never
-loads numpy.  The matrix arrives as the term table of `det_modular`
-(`termtable.term_table`), each column scaled to integers.  A determinant of
-degree at most b_v in variable v and of total degree at most D has its
-coefficients on the lower set Λ = {e : e_v <= b_v, sum(e) <= D}, and its
-values at the points e + 1 of Λ determine them.  b_v and D are the largest
-degree sums over permutations (`termtable.det_bounds`), so an entry may
-exceed b_v: the coefficient tensor follows the entries' degrees, the nodes
-follow the bounds.  Once per determinant: the index plan of Λ
-(`_grid_plan`) and the Vandermonde and Newton matrices of every prime,
-stacked over the primes (`_prime_tables`).  Per prime, the entries are
-evaluated at the points of Λ only (one contraction per leading axis for the
-whole matrix, then the last axis per block of like columns), eliminated at
-every point without division and with one batch inversion per prime, and
-Newton-interpolated axis by axis along the lines of Λ, all contractions
-exact float64 BLAS products (`_matmul_mod`).  The large int64 reductions
-mod p are one helper, `_reduce`, a multiply and shift in place of numpy's
-true division.  The residues of all primes are combined by Garner's
-mixed-radix algorithm in int64 (`chinese_remainder`).
+`extactic.det_modular` expands unit rows and columns and hands the minor to
+`determinant`, which runs the whole pipeline here:
+
+1. One table of the matrix's terms (`term_table`), each column scaled to
+   integers by the lcm of its own denominators, so det = det(integer
+   matrix) / (product of the scales).  Every later step reads this table.
+2. While the matrix is column-homogeneous, as the jet matrices of
+   homogeneous fields are, the determinant is homogeneous of known degree:
+   the last variable is dropped from the table (`drop_homogeneous`) and
+   given back to each term of the result at the end.
+3. The bounds (`det_bounds`): degree b_v in variable v and total degree D,
+   the largest degree sums over permutations, and a coefficient height
+   bound.  When no permutation avoids the zero entries the determinant is
+   0, before any grid work.
+4. Primes from `polyring.PRIMES_2_31` until their product exceeds twice
+   the height; the memory guard (`grid_bytes` against MAX_GRID_BYTES) speaks
+   before an exhausted prime table (BadPrimeError).
+5. The residues of the coefficients modulo each prime (`prime_images`).
+   They live on the lower set Λ = {e : e_v <= b_v, sum(e) <= D}, and the
+   values at the points e + 1 of Λ determine them.  Since b_v and D come
+   from permutations, an entry may exceed b_v: the coefficient tensor
+   follows the entries' degrees, the nodes follow the bounds.  Once per
+   determinant: the index plan of Λ (`_grid_plan`) and the Vandermonde and
+   Newton matrices of every prime, stacked over the primes
+   (`_prime_tables`).  Per prime, the entries are evaluated at the points of
+   Λ only (one contraction per leading axis for the whole matrix, then the
+   last axis per block of like columns), eliminated at every point without
+   division and with one batch inversion per prime, and Newton-interpolated
+   axis by axis along the lines of Λ, all contractions exact float64 BLAS
+   products (`_matmul_mod`).  The large int64 reductions mod p are one
+   helper, `_reduce`, a multiply and shift in place of numpy's true
+   division.
+6. Garner's mixed-radix algorithm in int64 (`chinese_remainder`) gives the
+   symmetric residues, which are the integer coefficients.
+7. A re-check of the result at one more point, on Python ints and modulo a
+   prime outside the remaindering set (`recheck`); a failure raises
+   EngineDisagreementError.
+
+The only module of extatica that imports numpy.  `det_modular` imports it
+for its first determinant, so a process that computes no modular
+determinant never loads numpy, nor compiles this module.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .extactic import DimensionGuardError
+from .extactic import DimensionGuardError, EngineDisagreementError
+from .linalg import det_mod, max_assignment
+from .polyring import PRIMES_2_31, BadPrimeError, Polynomial
 
+
+def determinant(rows, ring, jobs: int = 1) -> tuple:
+    """(det, scale) with det(rows) = det / scale, for a non-empty square
+    matrix `rows` over `ring`, which has variables: det is the determinant
+    of the integer matrix of the term table and scale the product of its
+    column scales.  `jobs` threads the primes (`prime_images`); the memory
+    guard counts one set of grid arrays per thread."""
+    table, dropped = drop_homogeneous(term_table(rows, ring.nvars))
+    var_bounds, total_bound, height = det_bounds(table)
+    if total_bound < 0:
+        return ring.zero(), 1  # no permutation avoids the zero entries
+    # symmetric residues recover every coefficient of absolute value at
+    # most height once the modulus exceeds twice it
+    target = 2 * height
+    chosen = []
+    prod = 1
+    for p in PRIMES_2_31:
+        chosen.append(p)
+        prod *= p
+        if prod > target:
+            break
+    # the memory guard speaks first: an input that trips both is refused
+    # for its bytes
+    workers = max(1, min(jobs, len(chosen)))
+    nbytes = grid_bytes(table, var_bounds, total_bound, workers, len(chosen))
+    if nbytes > MAX_GRID_BYTES:
+        raise DimensionGuardError(
+            f"the grid arrays on the lower set of degree <= {total_bound} "
+            f"need {nbytes} bytes, above the guard of {MAX_GRID_BYTES}")
+    if prod <= target:
+        raise BadPrimeError(
+            f"prime table exhausted: the height bound needs "
+            f"{target.bit_length()} bits, the usable primes cover "
+            f"{prod.bit_length()}")
+    exponents, residues = prime_images(table, var_bounds, total_bound, chosen,
+                                       jobs)
+    exponents = list(map(tuple, exponents.tolist()))
+    # each coefficient is nonzero modulo some prime, so never 0
+    coefficients = chinese_remainder(residues, chosen)
+    if not recheck(table, exponents, coefficients, var_bounds):
+        raise EngineDisagreementError(
+            "modular determinant failed its consistency re-check")
+    for degree in reversed(dropped):
+        exponents = [e + (degree - sum(e),) for e in exponents]
+    det = Polynomial._raw(ring, dict(zip(exponents,
+                                         map(Fraction, coefficients))))
+    return det, math.prod(table.scales)
+
+
+# ---------------------------------------------------------------------------
+# the term table and the bounds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TermTable:
+    """The m x m matrix of `determinant` with column j scaled to integers
+    by `scales[j]`, the lcm of its own denominators, as one flat table of
+    its terms: entry by entry in row-major order, `counts[i*m + j]` terms
+    of entry (i, j), each with its exponent tuple and its integer
+    coefficient.  `maxima[v]`, the entries' largest degree in variable v,
+    may exceed b_v: it sizes the coefficient tensor and the power tables
+    of `recheck`."""
+
+    size: int
+    counts: list
+    exponents: list
+    coefficients: list
+    scales: list
+    maxima: list
+
+    def entries(self):
+        """(exponents, coefficients) of each entry, in row-major order."""
+        stop = 0
+        for n in self.counts:
+            start, stop = stop, stop + n
+            yield self.exponents[start:stop], self.coefficients[start:stop]
+
+
+def term_table(rows, nvars: int) -> TermTable:
+    """The term table of the square matrix `rows`, made in one pass over
+    its terms."""
+    m = len(rows)
+    terms = [e.terms for r in rows for e in r]
+    counts = [len(t) for t in terms]
+    exponents = [e for t in terms for e in t]
+    values = [c for t in terms for c in t.values()]
+    coefficients = [c.numerator for c in values]
+    denominators = [c.denominator for c in values]
+    scales = [1] * m
+    if max(denominators, default=1) > 1:
+        ends = list(itertools.accumulate(counts))
+        spans = list(zip([0] + ends[:-1], ends))
+        scales = [math.lcm(*(d for i in range(m)
+                             for d in denominators[slice(*spans[i * m + j])]))
+                  for j in range(m)]
+        coefficients = [n * (scales[k % m] // d)
+                        for k, (a, b) in enumerate(spans)
+                        for n, d in zip(coefficients[a:b], denominators[a:b])]
+    maxima = list(map(max, zip(*exponents))) if exponents else [0] * nvars
+    return TermTable(m, counts, exponents, coefficients, scales, maxima)
+
+
+def drop_homogeneous(table: TermTable) -> tuple:
+    """(table', degrees): the term table with its last variables dropped
+    while the matrix is column-homogeneous, and the determinant's degree
+    before each drop, in the order dropped.
+
+    While there are at least two variables and every column is nonzero
+    with all its terms of one total degree d_j, the determinant is
+    homogeneous of degree H = d_1 + ... + d_m, so it is its value at
+    x_n = 1 with each term x^e padded by x_n^(H - |e|): dropping the last
+    exponent coordinate sets x_n = 1, and no two terms of an entry meet
+    there, since their degrees agree."""
+    m, degrees = table.size, []
+    while len(table.maxima) >= 2:
+        columns = [set() for _ in range(m)]
+        for k, (exps, _) in enumerate(table.entries()):
+            column = columns[k % m]
+            column.update(map(sum, exps))
+            if len(column) > 1:  # most matrices stop at their first entries
+                return table, degrees
+        if not all(columns):
+            break
+        degrees.append(sum(c.pop() for c in columns))
+        table = replace(table, exponents=[e[:-1] for e in table.exponents],
+                        maxima=table.maxima[:-1])
+    return table, degrees
+
+
+def det_bounds(table: TermTable) -> tuple:
+    """Per-variable degree bounds, a total degree bound and a coefficient
+    bound for the determinant of the term table's integer matrix.
+
+    A term of the expansion, the product of the entries a_(i, s(i)) of a
+    permutation s, has degree in variable v at most the sum of those
+    entries' degrees in v, so b_v is the largest such sum over the
+    permutations that avoid zero entries (`linalg.max_assignment`), and
+    the total degree bound D is the same with total degrees.  Each is at
+    most the smaller of the sums over rows and over columns of the largest
+    entry degrees; b_v and D may come from different permutations, and an
+    entry may exceed b_v.  When every permutation meets a zero entry,
+    every term of the expansion has a zero factor and the degree bounds
+    are -1, the degree of the zero determinant.  The integer coefficients
+    of the determinant are at most prod_j (sum_i |a_ij|_1^2)^(1/2)
+    (Goldstein and Graham, SIAM Review 16, 1974: a coefficient is at most
+    the largest value on the unit torus, which Hadamard's inequality
+    bounds).  It is never above m! times the product of the columns'
+    largest 1-norms, since m^(m/2) <= m!.
+    """
+    m = table.size
+    nv = len(table.maxima)
+    # per entry: its largest degree in each variable, then its total
+    # degree, and its 1-norm
+    degrees, norms = [], []
+    for exps, coeffs in table.entries():
+        degrees.append(tuple(map(max, zip(*exps))) + (max(map(sum, exps)),)
+                       if exps else None)
+        norms.append(sum(map(abs, coeffs)))
+    bounds = []
+    for k in range(nv + 1):
+        best = max_assignment([[d if d is None else d[k]
+                                for d in degrees[i * m:i * m + m]]
+                               for i in range(m)])
+        if best is None:
+            bounds = [-1] * (nv + 1)
+            break
+        bounds.append(best)
+    squares = math.prod(sum(n * n for n in norms[j::m]) for j in range(m))
+    return bounds[:nv], bounds[nv], math.isqrt(squares)
+
+
+# ---------------------------------------------------------------------------
+# the memory guard
+# ---------------------------------------------------------------------------
+
+#: `determinant` refuses a grid whose arrays (`grid_bytes`) would exceed
+#: this many bytes.
+MAX_GRID_BYTES = 1 << 30
+
+
+def lower_set_size(bounds, degree: int) -> int:
+    """|{e : e_v <= bounds[v], sum(e) <= degree}|, counted by total degree
+    one axis at a time."""
+    count = [1] + [0] * degree  # count[s]: points of total degree s so far
+    for b in bounds:
+        prefix = [0]
+        for c in count:
+            prefix.append(prefix[-1] + c)
+        count = [prefix[s + 1] - prefix[max(0, s - b)]
+                 for s in range(degree + 1)]
+    return sum(count)
+
+
+def grid_bytes(table: TermTable, var_bounds, total_bound, workers: int,
+               primes: int) -> int:
+    """Bytes of the grid arrays, the engine's largest, on the lower set
+    Λ of `var_bounds` and `total_bound`; the one description of them.
+
+    Shared by all workers: 2n + 1 indices of the plan (exponents and lines)
+    and one residue per prime at every point of Λ, and per prime the int32
+    Vandermonde, divided-difference and Newton-to-monomial matrices of
+    `_prime_tables`, counted as squares of side the longest axis below.
+    Held by each of the `workers` threads of `prime_images`: m x m int64
+    values and the elimination's m scratch values at every point of Λ; the
+    entries while the leading axes are contracted, the largest of the
+    m x m tensors with the nodes b_u + 1 of the axes done and the
+    coefficients c_u (the entries' largest degree plus one) of the others,
+    since an entry may exceed b_u; and the float64 right operand of
+    `_matmul_mod`, a table stacked on its 2^16 multiple, two such squares.
+    Counting Λ instead of the box admits inputs with D < sum(b_v) that the
+    box would refuse.
+    """
+    m, nv = table.size, len(var_bounds)
+    nodes = [b + 1 for b in var_bounds]
+    coeffs = [d + 1 for d in table.maxima]
+    leading = max(math.prod(nodes[:v]) * math.prod(coeffs[v:])
+                  for v in range(nv))
+    size = max(nodes + coeffs)
+    points = lower_set_size(var_bounds, total_bound)
+    shared = (2 * nv + 1 + primes) * points
+    per_worker = (m * m + m) * points + m * m * leading + 2 * size * size
+    return 8 * (shared + workers * per_worker) + 4 * 3 * size * size * primes
+
+
+# ---------------------------------------------------------------------------
+# the grid: evaluation, elimination and interpolation per prime
+# ---------------------------------------------------------------------------
 
 def _inverse_blocks(n: int) -> int:
     """Block count of `_batch_inverse` on n entries.  Each block costs six
@@ -212,7 +465,7 @@ class _GridPlan:
 
 def _grid_plan(table, bounds, degree: int) -> _GridPlan:
     """The coefficient tensor's layout, read off the term table `table`
-    (`termtable.term_table`), and the index plan of Λ, made once per
+    (`term_table`), and the index plan of Λ, made once per
     determinant."""
     m = table.size
     nv = len(bounds)
@@ -484,6 +737,10 @@ def prime_images(table, bounds, degree: int, primes: Sequence[int],
     return plan.exponents[support], residues[:, support]
 
 
+# ---------------------------------------------------------------------------
+# remaindering and the re-check
+# ---------------------------------------------------------------------------
+
 def _garner_digits(residues: np.ndarray, primes: Sequence[int]) -> np.ndarray:
     """Mixed-radix digits of the integers in [0, prod(primes)) with the
     given int64 (len(primes), s) residues: digit row i is in [0, p_i), and
@@ -513,3 +770,42 @@ def chinese_remainder(residues: np.ndarray, primes: Sequence[int]) -> list:
     values = _garner_digits(residues, primes).T.astype(object) @ weights
     prod, half = math.prod(primes), math.prod(primes) // 2
     return [v - prod if v > half else v for v in values.tolist()]
+
+
+#: The prime of `recheck`: the largest prime below every prime of
+#: `polyring.PRIMES_2_31`, so never one that the Chinese remaindering used,
+#: and a wrong coefficient, whatever its error, shows at the check point
+#: unless the error's value there is a multiple of it.
+CHECK_PRIME = 2147482591
+
+
+def recheck(table: TermTable, exponents, coefficients, var_bounds) -> bool:
+    """Whether the integer determinant, given by its terms' `exponents` and
+    `coefficients`, and the term table's integer matrix agree at one fresh
+    point modulo CHECK_PRIME.
+
+    Independent of the grid path, on Python ints: one table of powers per
+    variable at the point, as long as the larger of b_v and the entries'
+    largest degree in v (an entry may exceed b_v), gives the value of each
+    distinct monomial of the m^2 entries and of the determinant once; the
+    entries' values then go through the scalar elimination
+    `linalg.det_mod`.
+    """
+    p = CHECK_PRIME
+    tables = []
+    for v, (b, d) in enumerate(zip(var_bounds, table.maxima)):
+        x, powers = b + 2 + v, [1]
+        for _ in range(max(b, d)):
+            powers.append(powers[-1] * x % p)
+        tables.append(powers)
+    monomials = {e: math.prod(map(list.__getitem__, tables, e)) % p
+                 for e in {*table.exponents, *exponents}}
+
+    def value(exps, coeffs):
+        return sum(map(operator.mul, coeffs,
+                       map(monomials.__getitem__, exps))) % p
+
+    m = table.size
+    values = [value(*entry) for entry in table.entries()]
+    return value(exponents, coefficients) == det_mod(
+        [values[i * m:i * m + m] for i in range(m)], p)

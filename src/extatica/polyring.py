@@ -17,9 +17,9 @@ nothing.  `derivation_chains`, behind `extactic.jet_matrix` and
 maps, summing the products P_v * df/dx_v of a step on one accumulator,
 and `bareiss_determinant`, behind `extactic.det_fraction_free`, runs a
 whole Bareiss elimination on the same maps; the packed format is known to
-this module only.  Values are exact (`Polynomial.evaluate`): the modular
-engine evaluates modulo its primes, and drops the variables of a
-homogeneous determinant, on its own table of terms (`extatica.termtable`).
+this module only.  Nothing here evaluates a polynomial at a point: the
+point jets of `extactic` and the modular engine (`extatica.modular`, on its
+own table of terms) evaluate what they need.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -42,8 +42,9 @@ Scalar = Union[int, Fraction]
 #: correct (max(NEG_INF, d) == d for every integer d).
 NEG_INF = float("-inf")
 
-#: Fixed table of primes just below 2**31, used by the vectorized modular
-#: determinant engine: products of two residues fit in a 64-bit lane.
+#: Fixed table of primes just below 2**31, used by the modular determinant
+#: engine and by the vanishing probe of `extactic`: products of two residues
+#: fit in a 64-bit lane.
 PRIMES_2_31 = (
     2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
     2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
@@ -110,12 +111,6 @@ class PolyRing:
 
     def from_terms(self, terms: Mapping[Exponents, Scalar]) -> "Polynomial":
         return Polynomial(self, terms)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ContextError(f"unknown variable {name!r}") from None
 
 
 class Polynomial:
@@ -190,15 +185,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
-
-    def degree_in(self, var: int) -> int:
-        """Largest exponent of one variable (0 for the zero polynomial)."""
-        return max((e[var] for e in self.terms), default=0)
-
-    def homogeneous_part(self, degree: int) -> "Polynomial":
-        return Polynomial._raw(
-            self.ring,
-            {e: c for e, c in self.terms.items() if sum(e) == degree})
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -323,31 +309,6 @@ class Polynomial:
             quot = {k: c * gden for k, c in quot.items()}
         return packing.unpack(self.ring, quot, fden * content)
 
-    # -- evaluation ---------------------------------------------------------------
-
-    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point.
-
-        Summed in integers: with x_v = a_v/b_v and D_v the degree in x_v,
-        the term c*x^e of the integer image becomes c * prod a_v^e_v *
-        b_v^(D_v - e_v), and one division by the common denominator ends.
-        """
-        if len(point) != self.ring.nvars:
-            raise ContextError("point length does not match variable count")
-        den, ints = _integer_image(self.terms)
-        powers = []
-        for v, x in enumerate(point):
-            x = Fraction(x)
-            a, b, d = x.numerator, x.denominator, self.degree_in(v)
-            powers.append([a ** k * b ** (d - k) for k in range(d + 1)])
-            den *= b ** d
-        total = 0
-        for e, n in ints.items():
-            for table, k in zip(powers, e):
-                n *= table[k]
-            total += n
-        return Fraction(total, den)
-
     # -- canonical text form --------------------------------------------------
 
     def __str__(self) -> str:
@@ -398,15 +359,6 @@ class Polynomial:
 def _denominator(terms: Mapping[Exponents, Fraction]) -> int:
     """The lcm of a term map's coefficient denominators."""
     return math.lcm(*[c.denominator for c in terms.values()])
-
-
-def _integer_image(terms: Mapping[Exponents, Fraction]) -> tuple:
-    """(common denominator, {exps: integer numerator}) for a term map."""
-    den = _denominator(terms)
-    if den == 1:
-        return 1, {e: c.numerator for e, c in terms.items()}
-    return den, {e: c.numerator * (den // c.denominator)
-                 for e, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -19,9 +20,15 @@ RING_XY = PolyRing(("x", "y"))
 RING_XYZ = PolyRing(("x", "y", "z"))
 
 
+def evaluate(f, point):
+    """f at a rational point, exactly: the sum of its terms' values."""
+    return sum((c * math.prod(Fraction(x) ** k for x, k in zip(point, e))
+                for e, c in f.terms.items()), Fraction(0))
+
+
 def evaluate_mod(f, point, p):
     """f at an integer point modulo a prime p: its exact value, reduced."""
-    value = f.evaluate(point)
+    value = evaluate(f, point)
     return value.numerator * pow(value.denominator, -1, p) % p
 
 

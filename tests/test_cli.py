@@ -363,7 +363,9 @@ def loaded_after(name):
     return "numpy" in sys.modules
 assert "numpy" not in sys.modules
 assert not loaded_after("bound_pn")
+assert "extatica.modular" not in sys.modules
 assert not loaded_after("first_integral_radial")  # certifies, status found
+assert "extatica.modular" not in sys.modules
 assert not loaded_after("extactic_slv1_k1")  # m = 3, nonzero, Bareiss
 assert loaded_after("extactic_slv1_k2_modular")
 """
@@ -486,11 +488,8 @@ class TestExitCodes:
         assert len(lines) == 1 and "bytes" in json.loads(lines[0])["error"]
 
     def test_failed_consistency_check_is_5(self, monkeypatch):
-        # the module; the package attribute `extatica.extactic` is the
-        # function of the same name
-        ext = sys.modules["extatica.extactic"]
-
-        monkeypatch.setattr(ext, "recheck", lambda *args: False)
+        from extatica import modular
+        monkeypatch.setattr(modular, "recheck", lambda *args: False)
         code, out, err = run_cli(["extactic", "--field-corpus", "slv:1",
                                   "--k", "2", "--engine", "modular"])
         assert code == 5 and out == ""

@@ -53,7 +53,7 @@ class TestSlv:
 
     def test_degree_fact(self):
         for ell in (1, 2, 3):
-            assert foliation_degree(slv(ell).field).degree == 2
+            assert foliation_degree(slv(ell).field) == 2
 
     def test_invariant_planes_checked(self):
         entry = slv(1)
@@ -187,7 +187,7 @@ class TestRandomField:
     def test_homogeneous_degree(self):
         field = random_field(3, 2, 55, homogeneous=True)
         assert field.mode == HOMOGENEOUS
-        assert foliation_degree(field).degree == 2
+        assert foliation_degree(field) == 2
 
 
 def _nonvanishing_by_evaluation(field, k: int) -> bool:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from extatica.corpus import (hamiltonian, pencil_field, planted_lines_field,
                              random_field, slv, slv1_invariant_conic)
-from extatica.extactic import (MAX_GRID_BYTES, DimensionGuardError,
+from extatica.extactic import (DimensionGuardError,
                                ExtacticNotZeroError, ExtractionFailedError,
                                LinearSystem, VacuousQueryError,
                                _point_jet,
@@ -23,16 +23,16 @@ from extatica.foliation import (AFFINE, HOMOGENEOUS, DegenerateFieldError,
                                 VectorField, apply_derivation)
 from extatica.linalg import det_mod
 from extatica import modular
-from extatica.modular import (_batch_inverse, _grid_determinants, _grid_plan,
-                              _grid_values, _interpolate, _inverse_blocks,
-                              _matmul_mod, _newton_matrices, _prime_tables,
-                              _reduce)
-from extatica.termtable import (det_bounds, drop_homogeneous, grid_bytes,
-                                lower_set_size, term_table)
+from extatica.modular import (MAX_GRID_BYTES, _batch_inverse,
+                              _grid_determinants, _grid_plan, _grid_values,
+                              _interpolate, _inverse_blocks, _matmul_mod,
+                              _newton_matrices, _prime_tables, _reduce,
+                              det_bounds, drop_homogeneous, grid_bytes,
+                              lower_set_size, term_table)
 from extatica.polyring import (PRIMES_2_31, BadPrimeError, ContextError,
                                PolyRing, monomials_of_degree,
                                monomials_up_to_degree, proportional)
-from conftest import RING_XY, RING_XYZ, evaluate_mod, polynomials
+from conftest import RING_XY, RING_XYZ, evaluate, evaluate_mod, polynomials
 from seeded_inputs import random_polynomial, random_polynomial_matrix
 import bareiss_oracle
 
@@ -148,7 +148,7 @@ def test_point_jet_matches_the_symbolic_jet(case, p):
     field, system, point = case
     rows = jet_matrix(field, system).entries
     assert _point_jet(field, system, point) == [
-        [e.evaluate(point) for e in r] for r in rows]
+        [evaluate(e, point) for e in r] for r in rows]
     assert _point_jet(field, system, point, p) == [
         [evaluate_mod(e, point, p) for e in r] for r in rows]
     event(f"m = {system.dimension}")
@@ -797,7 +797,6 @@ class TestModularKernels:
         # coefficients near 2^40 need three primes, so jobs=2 runs two
         # threads, each with its own value tensor and scratch; the plan,
         # the residues and the tables of the three primes are shared
-        extactic_module = sys.modules["extatica.extactic"]
         x, y = RING_XY.variables()
         big = RING_XY.constant(2 ** 40 + 1)
         rows = [[x ** 3 + y.scale(2 ** 40), big], [big, x * y ** 2 + x]]
@@ -809,7 +808,7 @@ class TestModularKernels:
         points = lower_set_size(bounds, degree)
         shared = 8 * (5 + 3) * points + 4 * 3 * 3 * size * size
         assert two - shared == 2 * (one - shared)
-        monkeypatch.setattr(extactic_module, "MAX_GRID_BYTES", one)
+        monkeypatch.setattr(modular, "MAX_GRID_BYTES", one)
         assert det_modular(rows, jobs=1) == det_fraction_free(rows)
         with pytest.raises(DimensionGuardError, match=f"need {two} bytes"):
             det_modular(rows, jobs=2)

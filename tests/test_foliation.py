@@ -43,21 +43,14 @@ class TestApplyDerivation:
 
 class TestFoliationDegree:
     def test_slv_homogeneous(self):
-        report = foliation_degree(slv(1).field)
-        assert report.degree == 2 and report.mode == HOMOGENEOUS
-        assert not report.radial_top
-
-    def test_affine_radial_flagged(self):
-        report = foliation_degree(VectorField((X, Y), AFFINE))
-        assert report.degree == 1 and report.radial_top
+        assert foliation_degree(slv(1).field) == 2
 
     def test_affine_radial_multiple(self):
-        report = foliation_degree(VectorField((X**2, X * Y), AFFINE))
-        assert report.degree == 2 and report.radial_top
+        # the top part x * (x, y) is radial; the degree is not lowered
+        assert foliation_degree(VectorField((X**2, X * Y), AFFINE)) == 2
 
     def test_affine_generic_top(self):
-        report = foliation_degree(VectorField((X**2, Y), AFFINE))
-        assert report.degree == 2 and not report.radial_top
+        assert foliation_degree(VectorField((X**2, Y), AFFINE)) == 2
 
     def test_zero_field(self):
         with pytest.raises(DegenerateFieldError):
