@@ -3,14 +3,12 @@
 that have first integrals of degree <= k.
 
     PYTHONPATH=src python scripts/fallback_sweep.py
-    PYTHONPATH=src python scripts/fallback_sweep.py --family ratio \\
-        --draws 200 --cap 5
 
 Each draw is one field from a fixed seed.  Its outcome is `first_pair` (the
 probe and the first pair of kernel points certify), `retry` (a later pair
 certifies), `fallback` (the Cramer-minor fallback answers) or `failed`
 (the fallback fails too, anything else is raised, or the draw runs past
-`--cap` seconds; `capped` counts those).  The outcome is read by counting
+CAP_SECONDS; `capped` counts those).  The outcome is read by counting
 the probe points drawn and by watching the fallback, without changing
 either.  One JSON line per family and k holds the counts, the degrees
 max(deg A, deg B) of the fallback's answers A/B, the exception types of
@@ -27,7 +25,6 @@ The families, on the complete affine system of degree k:
                   integrals are the functions of f1/g1 and f2/g2
 """
 
-import argparse
 import importlib
 import json
 import signal
@@ -92,13 +89,17 @@ def draw_field(family: str, k: int, rng: Random):
     return VectorField(comps, AFFINE)
 
 
-FAMILIES = {  # name: (variables, default k values, default draws in all)
+FAMILIES = {  # name: (variables, k values, draws split over the k values)
     "hamiltonian": (2, (1, 2, 3), 2400),
     "pencil": (2, (1, 2, 3), 2400),
     "gradient-cross": (3, (2,), 2400),
     "planar-lift": (3, (1, 2), 2400),
     "ratio": (3, (1,), 1000),
 }
+
+
+#: seconds a draw may run before it counts as failed
+CAP_SECONDS = 20.0
 
 
 class Capped(Exception):
@@ -128,11 +129,11 @@ class Watch:
         EXT._probe_point, EXT._cramer_first_integral = counted, watched
 
 
-def outcome(watch: Watch, field, k: int, cap: float) -> tuple:
+def outcome(watch: Watch, field, k: int) -> tuple:
     """(outcome, degree of the answer, or the exception's type name)."""
     watch.draws, watch.fallback = 0, False
     system = monomial_system(field.ring.nvars, k, AFFINE)
-    signal.setitimer(signal.ITIMER_REAL, cap)
+    signal.setitimer(signal.ITIMER_REAL, CAP_SECONDS)
     try:
         fi = extract_first_integral(field, system)
     except Capped:
@@ -148,7 +149,7 @@ def outcome(watch: Watch, field, k: int, cap: float) -> tuple:
     return ("first_pair" if watch.draws == 3 else "retry"), degree
 
 
-def sweep(family: str, k: int, draws: int, cap: float, watch: Watch) -> dict:
+def sweep(family: str, k: int, draws: int, watch: Watch) -> dict:
     counts, degrees, errors = Counter(), Counter(), Counter()
     start = time.perf_counter()
     for i in range(draws):
@@ -156,7 +157,7 @@ def sweep(family: str, k: int, draws: int, cap: float, watch: Watch) -> dict:
         field = None
         while field is None:
             field = draw_field(family, k, rng)
-        result, detail = outcome(watch, field, k, cap)
+        result, detail = outcome(watch, field, k)
         counts[result] += 1
         if result == "fallback":
             degrees[detail] += 1
@@ -175,26 +176,11 @@ def sweep(family: str, k: int, draws: int, cap: float, watch: Watch) -> dict:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--family", action="append", choices=sorted(FAMILIES),
-                    help="a family to sweep (repeatable; default all)")
-    ap.add_argument("--k", type=int, action="append",
-                    help="a system degree (repeatable; default the "
-                         "family's own)")
-    ap.add_argument("--draws", type=int,
-                    help="draws per family and k (default: the family's "
-                         "total, split evenly over its k values)")
-    ap.add_argument("--cap", type=float, default=20.0,
-                    help="seconds per draw before it counts as failed")
-    args = ap.parse_args()
     signal.signal(signal.SIGALRM, _alarm)
     watch = Watch()
-    for family in args.family or FAMILIES:
-        _, ks, total = FAMILIES[family]
-        ks = args.k or ks
+    for family, (_, ks, total) in FAMILIES.items():
         for k in ks:
-            draws = args.draws or total // len(ks)
-            line = sweep(family, k, draws, args.cap, watch)
+            line = sweep(family, k, total // len(ks), watch)
             sys.stdout.write(json.dumps(line) + "\n")
             sys.stdout.flush()
     return 0

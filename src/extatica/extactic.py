@@ -49,6 +49,7 @@ from .foliation import (AFFINE, HOMOGENEOUS, DegenerateFieldError,
                         VectorField, apply_derivation, foliation_degree)
 from .linalg import det_mod, kernel, reduce_rational
 from .polyring import (PRIMES_2_31, BadPrimeError, ContextError,
+                       DimensionGuardError, EngineDisagreementError,
                        PolyRing, Polynomial, bareiss_determinant,
                        derivation_chains, monomials_of_degree,
                        monomials_up_to_degree, proportional)
@@ -64,16 +65,8 @@ _PROBE_RANGE = 10_000  # random integer probe points live in [-10^4, 10^4]
 _PAIRS = 3
 
 
-class DimensionGuardError(RuntimeError):
-    """System dimension exceeds the configured guard."""
-
-
 class VacuousQueryError(ValueError):
     """Divisibility against an identically zero extactic is vacuous."""
-
-
-class EngineDisagreementError(RuntimeError):
-    """The modular engine failed its internal consistency check."""
 
 
 class ExtacticNotZeroError(ValueError):

@@ -56,9 +56,9 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .extactic import DimensionGuardError, EngineDisagreementError
 from .linalg import det_mod, max_assignment
-from .polyring import PRIMES_2_31, BadPrimeError, Polynomial
+from .polyring import (PRIMES_2_31, BadPrimeError, DimensionGuardError,
+                       EngineDisagreementError, Polynomial)
 
 
 def determinant(rows, ring, jobs: int = 1) -> tuple:

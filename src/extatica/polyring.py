@@ -19,7 +19,9 @@ and `bareiss_determinant`, behind `extactic.det_fraction_free`, runs a
 whole Bareiss elimination on the same maps; the packed format is known to
 this module only.  Nothing here evaluates a polynomial at a point: the
 point jets of `extactic` and the modular engine (`extatica.modular`, on its
-own table of terms) evaluate what they need.
+own table of terms) evaluate what they need.  The errors both determinant
+engines raise live here too (`BadPrimeError`, `DimensionGuardError`,
+`EngineDisagreementError`), so `modular` imports nothing from `extactic`.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -64,6 +66,14 @@ class ContextError(ValueError):
 class BadPrimeError(ArithmeticError):
     """A prime is unusable: it divides a coefficient denominator, or the
     prime table runs out."""
+
+
+class DimensionGuardError(RuntimeError):
+    """System dimension exceeds the configured guard."""
+
+
+class EngineDisagreementError(RuntimeError):
+    """The modular engine failed its internal consistency check."""
 
 
 def grlex_key(exponents: Exponents) -> tuple:
