@@ -112,7 +112,8 @@ def _alarm(signum, frame):
 
 class Watch:
     """Counts the probe points drawn and notes a call of the fallback,
-    passing every call through to the original."""
+    passing every call through to the original.  Every point is the
+    certificate's: the fallback draws no probe point."""
 
     def __init__(self):
         self.draws, self.fallback = 0, False
@@ -130,7 +131,10 @@ class Watch:
 
 
 def outcome(watch: Watch, field, k: int) -> tuple:
-    """(outcome, degree of the answer, or the exception's type name)."""
+    """(outcome, degree of the answer, or the exception's type name).
+
+    The draws tell the first pair from a retry; the fallback draws no probe
+    point, so only the watch on it tells a fallback answer."""
     watch.draws, watch.fallback = 0, False
     system = monomial_system(field.ring.nvars, k, AFFINE)
     signal.setitimer(signal.ITIMER_REAL, CAP_SECONDS)

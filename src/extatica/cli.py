@@ -11,8 +11,9 @@ list)::
 Division is only allowed by an unsigned integer literal, so `y/2` is sugar
 for `1/2*y` and `1/2` is an ordinary rational literal; `x/(y)` is a syntax
 error.  A product or power whose total degree would exceed MAX_DEGREE, or
-whose term count may exceed MAX_TERMS, is a parse error.  Vector fields are
-comma-separated component expressions.
+whose term count may exceed MAX_TERMS, and parentheses nested deeper than
+MAX_DEPTH, are parse errors.  Vector fields are comma-separated component
+expressions.
 
 Every command writes exactly one JSON object to stdout and exits 0 once an
 answer is produced (whatever the verdict); input and parse errors exit 2,
@@ -51,15 +52,19 @@ from .bounds import (BoundInput, BoundReport, HypothesisNotMetError,
                      poincare_degree_bound, report, surface_bound)
 from .corpus import (CorpusEntry, hamiltonian, pencil_field,
                      planted_lines_field, random_field, slv)
-from .extactic import (DimensionGuardError, EngineDisagreementError,
-                       ExtacticNotZeroError, ExtractionFailedError,
+from .extactic import (ExtacticNotZeroError, ExtractionFailedError,
                        check_dimension, extactic, extract_first_integral,
                        monomial_system, system_dimension)
 from .foliation import AFFINE, HOMOGENEOUS, VectorField, check_invariance
-from .polyring import BadPrimeError, ContextError, PolyRing, Polynomial
+from .polyring import (BadPrimeError, ContextError, DimensionGuardError,
+                       EngineDisagreementError, PolyRing, Polynomial)
 
 #: Largest total degree a parsed product or power may reach.
 MAX_DEGREE = 64
+
+#: Deepest nesting of parentheses parsed: each level costs the recursive
+#: descent four frames, well below the interpreter's recursion limit.
+MAX_DEPTH = 100
 
 #: Largest term-count bound a parsed product or power may reach.  The
 #: degree cap alone does not bound the work with 4 or more variables:
@@ -165,6 +170,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.ring = ring
+        self.depth = 0  # parentheses open around the current position
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -257,8 +263,13 @@ class _Parser:
                                  tok.column)
             return self.ring.variable(self.ring.names.index(tok.text))
         if tok.kind == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}",
+                                 tok.line, tok.column)
             self.advance()
+            self.depth += 1
             value = self.parse_expression()
+            self.depth -= 1
             self.expect(")")
             return value
         raise ParseError(
@@ -309,7 +320,11 @@ def _corpus_entry(selector: str) -> CorpusEntry:
     if kind == "slv":
         return slv(int(rest))
     if kind in ("planted", "random"):
-        n, d, seed = (int(v) for v in rest.split(","))
+        try:
+            n, d, seed = (int(v) for v in rest.split(","))
+        except ValueError:
+            raise ValueError(f"expected {kind}:n,d,seed with three integers, "
+                             f"not {selector!r}") from None
         _check_generated_size(n, d)
         if kind == "planted":
             return planted_lines_field(n, d, seed)
@@ -389,12 +404,15 @@ def _frac_str(value) -> Optional[str]:
 def _genus(text: str) -> Fraction:
     """`--genus` as a Fraction: any form `Fraction` reads but an exponent
     (an integer, p/q or a decimal), of at most MAX_NUMBER_CHARS
-    characters; anything else is a ValueError."""
+    characters; anything else, or a zero denominator, is a ValueError."""
     if len(text) > MAX_NUMBER_CHARS or "e" in text.lower():
         raise ValueError(
             f"--genus must be an integer, p/q or a decimal of at most "
             f"{MAX_NUMBER_CHARS} characters, not {text[:40]!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"--genus {text!r} has a zero denominator") from None
 
 
 def _emit(payload: dict) -> int:
@@ -451,16 +469,13 @@ def _cmd_invariant_check(args) -> int:
 
 def _cmd_first_integral(args) -> int:
     field, _, system = _field_and_system(args)
-    fi, status = None, "extactic-nonzero"
+    fi, status = None, "found"
     try:
         fi = extract_first_integral(field, system, max_dim=_max_dim())
-        status = "found"
     except ExtacticNotZeroError:
-        pass
-    except ExtractionFailedError:
-        # no certificate: the determinant tells a nonzero E from a failure
-        if extactic(field, system, max_dim=_max_dim()).identically_zero:
-            status = "failed"
+        status = "extactic-nonzero"
+    except ExtractionFailedError:  # E = 0 and no certificate
+        status = "failed"
     return _emit({
         "command": "first-integral",
         "status": status,

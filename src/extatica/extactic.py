@@ -21,20 +21,21 @@ Two exact determinant engines are provided:
 
 Both first expand along every row or column whose only nonzero entry is a
 constant (`_expand_units`), and both return identical canonical
-polynomials.  A determinant is computed only when E is nonzero:
-`_certify_vanishing` first probes J modulo a prime, then certifies E = 0
-by a first integral of degree <= k read off the left kernels of J at a pair
-of points, retried at a few fresh pairs.  Without a certified pair
-`extactic` computes the full determinant and `extract_first_integral` falls
-back to a ratio of Cramer minors of J.  That happens when E = 0 forces no
-integral of degree <= k (possible off the plane), and also when two
-independent rational integrals of degree <= k exist, whose pencils the
-kernel vectors of a pair can mix.  Every probe needs J only at a point:
-`_point_jet` evaluates it there, exact or modulo p, by Taylor-mode
-recurrences along the flow, and the symbolic jet matrix (`jet_matrix`) is
-built only for a determinant or for the fallback's minors.  Scalar linear
-algebra (the probes, the kernels, the fallback's minors at a point, the
-modular engine's re-check modulo p) runs on `linalg`.
+polynomials.  A determinant is computed only when E is nonzero.
+`_certify_vanishing` decides, and draws every probe point: it probes J
+modulo a prime, then certifies E = 0 by a first integral of degree <= k
+read off the left kernels of J at a pair of points, retried at a few fresh
+pairs.  Without a certified pair `extactic` computes the full determinant,
+and `extract_first_integral` falls back to a ratio of Cramer minors of J
+planned on the certificate's point jets, with no point of its own; when
+that fails too, the determinant tells E != 0 from a failed extraction.
+The fallback runs when E = 0 forces no integral of degree <= k (possible
+off the plane), and when two independent rational integrals of degree <= k
+exist, whose pencils the kernel vectors of a pair can mix.  `_point_jet`
+evaluates J at a point, exact or modulo p, by Taylor-mode recurrences
+along the flow; the symbolic jet matrix (`jet_matrix`) is built only for
+a determinant.  Scalar linear algebra (the probes, the kernels, the
+fallback's minors at a point, the modular re-check) runs on `linalg`.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class ExtacticNotZeroError(ValueError):
 
 
 class ExtractionFailedError(RuntimeError):
-    """No verified first-integral certificate could be produced."""
+    """E = 0, but no verified first-integral certificate was found."""
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +417,6 @@ class ExtacticReport:
     identically_zero: bool
     degree: object        # int, or NEG_INF when identically zero
     degree_bound: int
-    field_degree: int
     dimension: int        # m = dim of the linear system
     engine: str
 
@@ -445,7 +445,7 @@ def extactic(field: VectorField, system: LinearSystem, engine: str = "auto",
     _check_pair(field, system)
     d = foliation_degree(field)  # refuses the zero field
     try:
-        certified = _certify_vanishing(field, system, Random(0)) is not None
+        certified = _certify_vanishing(field, system, []) is not None
     except ExtacticNotZeroError:
         certified = False
     det = system.ring.zero() if certified else _det(
@@ -456,7 +456,6 @@ def extactic(field: VectorField, system: LinearSystem, engine: str = "auto",
         identically_zero=det.is_zero(),
         degree=det.degree(),
         degree_bound=bound,
-        field_degree=d,
         dimension=m,
         engine=used,
     )
@@ -531,14 +530,15 @@ def _polynomial_integral(field: VectorField, system: LinearSystem,
 
 
 def _certify_vanishing(field: VectorField, system: LinearSystem,
-                       rng: Random) -> Optional[FirstIntegral]:
+                       jets: list) -> Optional[FirstIntegral]:
     """Decide E = 0 by a probe, then certify it by a first integral.
 
-    J is only ever evaluated at points, by `_point_jet`; the symbolic jet
-    matrix is not built.  A nonzero det J(p) modulo a prime at a random
+    The one place that draws probe points, from its own generator seeded
+    with 0, so every caller sees the same points.  J is only evaluated at
+    points, by `_point_jet`.  A nonzero det J(p) modulo a prime at a random
     point p proves E != 0 and raises ExtacticNotZeroError.  Otherwise the
     left kernel of J over Q is taken at a pair of integer points (a
-    full-rank point raises the same).
+    full-rank point raises the same); each exact point jet goes to `jets`.
     The kernel vector of a free column is an element F = sum c_i s_i of the
     system whose jets vanish at the point, so F vanishes along the leaf; for
     the first free column it lies on the shortest basis prefix that has one.
@@ -565,8 +565,10 @@ def _certify_vanishing(field: VectorField, system: LinearSystem,
 
     A pair that certifies nothing (a point on a special leaf, or kernel
     vectors that span no pencil of first integrals) is replaced by a fresh
-    one, up to `_PAIRS` pairs; then None is returned and the caller falls
-    back to a full determinant or to Cramer minors.  That happens when E = 0
+    one, up to `_PAIRS` pairs; then None is returned, `jets` holds the
+    2 * `_PAIRS` singular point jets, and the caller falls back: `extactic`
+    to the full determinant, `extract_first_integral` to Cramer minors read
+    off those jets (`_cramer_first_integral`).  That happens when E = 0
     forces no integral of degree <= k, which is possible off the plane, but
     also when two independent rational integrals of degree <= k exist, such
     as f1/g1 and f2/g2 of X = (g1 grad f1 - f1 grad g1) x (g2 grad f2 -
@@ -582,6 +584,7 @@ def _certify_vanishing(field: VectorField, system: LinearSystem,
                   if all(d % p for d in denominators)), None)
     if prime is None:
         raise BadPrimeError("every table prime divides a denominator")
+    rng = Random(0)
     point = _probe_point(rng, nv, prime - 1)
     if det_mod(_point_jet(field, system, point, prime), prime):
         raise ExtacticNotZeroError(
@@ -591,7 +594,8 @@ def _certify_vanishing(field: VectorField, system: LinearSystem,
         kernels, derived = [], []
         for _ in range(2):
             point = _probe_point(rng, nv, _PROBE_RANGE)
-            columns = list(zip(*_point_jet(field, system, point)))
+            jets.append(_point_jet(field, system, point))
+            columns = list(zip(*jets[-1]))
             left_kernel = kernel(columns, m)
             if not left_kernel:
                 raise ExtacticNotZeroError(
@@ -619,101 +623,80 @@ def extract_first_integral(field: VectorField, system: LinearSystem,
                            max_dim: Optional[int] = None) -> FirstIntegral:
     """A verified rational first integral, when the extactic vanishes.
 
-    The kernel certificate of `_certify_vanishing` decides first: it raises
-    ExtacticNotZeroError when a probe proves E != 0, and otherwise returns a
-    pair of degree <= k when some pair of probe points certifies one.  Only
-    when none does is the Cramer-minor fallback run (its minors take the
-    engine "auto" picks by size).  Probe points are drawn from Random(0),
-    as in `extactic`.
+    This settles the decision.  `_certify_vanishing` goes first: it raises
+    ExtacticNotZeroError when a probe proves E != 0, and returns a pair of
+    degree <= k when some pair of probe points certifies one.  Otherwise the
+    symbolic jet matrix is built, once, for the Cramer-minor fallback, which
+    reads the certificate's point jets and draws none.  If it fails too, the
+    determinant decides (both take the engine "auto" picks by size): E != 0
+    raises ExtacticNotZeroError, and E = 0 ExtractionFailedError.
     """
     check_dimension(system.dimension, max_dim)
     _check_pair(field, system)
     if field.is_zero():
         raise DegenerateFieldError("zero field presents no foliation")
-    rng = Random(0)
-    fi = _certify_vanishing(field, system, rng)
-    return fi if fi is not None else _cramer_first_integral(field, system,
-                                                            rng)
+    jets = []
+    fi = _certify_vanishing(field, system, jets)
+    if fi is not None:
+        return fi
+    rows = jet_matrix(field, system).entries
+    try:
+        return _cramer_first_integral(field, system, rows, jets)
+    except ExtractionFailedError:
+        if _det(rows, "auto").is_zero():
+            raise
+    raise ExtacticNotZeroError(
+        "the extactic polynomial is not identically zero (its determinant "
+        "is nonzero, although J is singular at every probe point)")
 
 
 def _minor(rows, row_idx, col_idx):
     return [[rows[i][j] for j in col_idx] for i in row_idx]
 
 
-def _cramer_first_integral(field: VectorField, system: LinearSystem,
-                           rng: Random) -> FirstIntegral:
-    """The fallback: a first integral as a ratio of two signed minors.
+def _cramer_first_integral(field: VectorField, system: LinearSystem, rows,
+                           jets) -> FirstIntegral:
+    """The fallback: a first integral as a ratio A/B of two signed r x r
+    minors of the symbolic jet matrix `rows`, planned on the certificate's
+    point jets `jets` (all singular); it draws no point.
 
-    The generic rank r < m and a good row subset are found by evaluating the
-    jet matrix at random integer points with `_point_jet`; the symbolic jet
-    matrix is built once they are found (a nonzero evaluation of a minor
-    proves it nonzero; rank guesses are only ever used through the exact
-    verification below).  The dependency of one extra row on the pivot rows
-    is solved by Cramer's rule, giving two signed r x r minors A, B; the
-    certificate X(A)*B - A*X(B) = 0 is checked exactly before returning.
+    r is the largest rank among the jets.  The pivot rows are those of the
+    leading r columns at the first jet where these have rank r, so B is
+    nonzero there.  A replaces one pivot row by another row (Cramer's rule);
+    a ratio with one value at two jets looks constant and is skipped, and
+    X(A)*B - A*X(B) = 0 is checked exactly before returning.
     """
-    m = system.dimension
-    nv = field.ring.nvars
-
-    attempts = []
-    for _ in range(8):
-        point = _probe_point(rng, nv, _PROBE_RANGE)
-        mat = _point_jet(field, system, point)
-        _, found, _ = reduce_rational(mat)
-        if len(found) == m:
-            raise ExtacticNotZeroError(
-                "the extactic polynomial is not identically zero "
-                f"(full rank at {tuple(point)})")
-        attempts.append((found, point, mat))
-    r = max(len(found) for found, _, _ in attempts)
-    if r == 0:
-        raise ExtractionFailedError("jet matrix vanishes at all probe points")
+    found = [reduce_rational(jet)[1] for jet in jets]
+    r = max(map(len, found))
     cols = list(range(r))
-    # the point witnessing global rank r may still be deficient on the
-    # leading columns; take the first probe exhibiting full leading rank
-    # (the pivots in columns < r are those of the leading columns alone)
-    for found, point, mat in attempts:
-        pivots = sorted(i for i, j in found if j < r)
-        if len(pivots) == r:
-            break
-    else:
+    # the pivots in columns < r are those of the leading columns alone
+    leading = [sorted(i for i, j in f if j < r) for f in found]
+    at = next((n for n, p in enumerate(leading) if len(p) == r), None)
+    if r == 0 or at is None:
         raise ExtractionFailedError(
-            "no probe point exhibits the generic rank on the leading columns")
-    others = [i for i in range(m) if i not in pivots]
-    rows = jet_matrix(field, system).entries
+            "no probe point exhibits a nonzero rank on the leading columns")
+    pivots = leading[at]
 
-    # B != 0 is certain: its value at the probe point, the same minor of
-    # the point jet, is nonzero.
+    def value(jet, row_idx):
+        return reduce_rational(_minor(jet, row_idx, cols))[2]
+
     denom = _det(_minor(rows, pivots, cols), "auto")
-    denom_at = reduce_rational(_minor(mat, pivots, cols))[2]
-    if denom_at == 0 or denom.is_zero():
+    if denom.is_zero():
         raise ExtractionFailedError("pivot minor vanished unexpectedly")
-
-    mat2 = None
-    for _ in range(16):
-        candidate = _probe_point(rng, nv, _PROBE_RANGE)
-        jet = _point_jet(field, system, candidate)
-        den2 = reduce_rational(_minor(jet, pivots, cols))[2]
-        if den2 != 0:
-            mat2 = jet
-            break
-    for i0 in others:
+    # the numeric filter's points: this jet and the next one where B != 0
+    points = [(jet, b) for jet in jets[at:] if (b := value(jet, pivots))][:2]
+    for i0 in (i for i in range(system.dimension) if i not in pivots):
         for k in range(r):
             row_idx = pivots.copy()
             row_idx[k] = i0
-            # evaluate the replaced minor numerically first: a ratio that
-            # differs between two points is certainly non-constant
-            if mat2 is not None:
-                val1 = reduce_rational(_minor(mat, row_idx, cols))[2]
-                val2 = reduce_rational(_minor(mat2, row_idx, cols))[2]
-                if val1 * den2 == val2 * denom_at:
-                    continue  # looks constant; try another replacement
+            if len(points) == 2 and len(
+                    {value(jet, row_idx) / b for jet, b in points}) == 1:
+                continue  # looks constant; try another replacement
             numer = _det(_minor(rows, row_idx, cols), "auto")
             if numer.is_zero() or proportional(numer, denom):
                 continue
-            lhs = apply_derivation(field, numer) * denom
-            rhs = numer * apply_derivation(field, denom)
-            if lhs == rhs:
+            if (apply_derivation(field, numer) * denom
+                    == numer * apply_derivation(field, denom)):
                 return FirstIntegral(numer, denom, r)
     raise ExtractionFailedError(
         "no non-constant dependency ratio passed exact verification")

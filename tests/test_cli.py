@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import extatica
 from extatica import bounds
-from extatica.cli import MAX_DEGREE, MAX_TERMS, ParseError, build_parser, \
-    main, parse_polynomial, parse_vector_field
+from extatica.cli import MAX_DEGREE, MAX_DEPTH, MAX_TERMS, ParseError, \
+    build_parser, main, parse_polynomial, parse_vector_field
 from extatica.polyring import PolyRing
 
 from golden_cases import GOLDEN_CASES
@@ -96,13 +96,18 @@ def test_first_integral_after_failed_extraction(argv, status, monkeypatch):
     # every probe on x = 0: a leaf of the radial field (integral y/x, no
     # polynomial one), where neither a pair of points nor the Cramer
     # fallback certifies although E = 0, and an invariant line of a planted
-    # field, where J is singular although E != 0; the determinant decides
+    # field, where J is singular although E != 0; the library's determinant
+    # decides, and the command computes no extactic of its own
     ext = sys.modules["extatica.extactic"]
 
     def on_line(rng, nvars, bound):
         return [0] + [rng.randint(-bound, bound) for _ in range(nvars - 1)]
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command called extactic")
+
     monkeypatch.setattr(ext, "_probe_point", on_line)
+    monkeypatch.setattr(sys.modules["extatica.cli"], "extactic", refuse)
     code, out, err = run_cli(["first-integral"] + argv)
     assert code == 0 and err == ""
     lines = out.splitlines()
@@ -300,6 +305,14 @@ class TestParser:
         assert p.degree() == MAX_DEGREE
         assert len(p.terms) == 2145
 
+    def test_depth_cap_itself_parses(self):
+        ring = PolyRing(("x", "y"))
+        nested = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+        assert str(parse_polynomial(nested, ring)) == "x"
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH}"
+                                             " at line 1, column 101"):
+            parse_polynomial(f"({nested})", ring)
+
     @pytest.mark.parametrize("text,numbers", [
         ("(a+b+c+d+1)^32", "the power 32 of 5 terms, of degree 32, may "
                            "have 58905 terms"),
@@ -431,6 +444,37 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and error in json.loads(lines[0])["error"]
+
+    @pytest.mark.parametrize("command", [["parse", "--vars", "x"],
+                                         ["extactic", "--vars", "x,y",
+                                          "--k", "1", "--field"]],
+                             ids=["parse", "field"])
+    def test_deep_nesting_is_2(self, command):
+        # 300 levels of parentheses ended in a RecursionError traceback
+        # before the depth cap
+        nested = "(" * 10_000 + "x" + ")" * 10_000
+        argv = command + [nested if command[0] == "parse" else nested + ", y"]
+        proc = run_process(argv, timeout=10)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and f"nested deeper than {MAX_DEPTH}" in \
+            json.loads(lines[0])["error"]
+
+    @pytest.mark.parametrize("argv,error", [
+        (["corpus", "planted:2,1"],
+         "expected planted:n,d,seed with three integers, not 'planted:2,1'"),
+        (["corpus", "random:2,2"],
+         "expected random:n,d,seed with three integers, not 'random:2,2'"),
+        (["bound", "gen", "--d", "2", "--k", "1", "--count", "1", "--genus",
+          "1/0"], "--genus '1/0' has a zero denominator"),
+    ], ids=["planted-two-numbers", "random-two-numbers", "genus-1/0"])
+    def test_malformed_selector_or_genus_names_the_form(self, argv, error):
+        # these printed Python's own messages: "not enough values to unpack
+        # (expected 3, got 2)" and "Fraction(1, 0)"
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": error}
 
     @pytest.mark.parametrize("selector", ["random:2,2,7", "random:3,2,1",
                                           "planted:2,2,1"])

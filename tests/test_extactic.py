@@ -1071,7 +1071,7 @@ class TestVanishingDecision:
     def test_every_pair_and_the_fallback_failing_raise(self, monkeypatch):
         # on x = 0, a leaf of the radial field (integral y/x, no polynomial
         # one), no pair certifies and the minors at the rank seen there give
-        # no first integral either
+        # no first integral either; E = 0, so the failure stands
         field = VectorField((X, Y), AFFINE)
         system = monomial_system(2, 2, AFFINE)
         decided = _spy(monkeypatch, "_certify_vanishing")
@@ -1079,8 +1079,22 @@ class TestVanishingDecision:
         with pytest.raises(ExtractionFailedError):
             extract_first_integral(field, system)
         assert decided == [None]
-        # the probe and every pair, then the fallback's own points
-        assert len(drawn) > 1 + 2 * EXT._PAIRS
+        # the probe and every pair; the fallback draws no point
+        assert len(drawn) == 1 + 2 * EXT._PAIRS
+
+    def test_a_failed_extraction_with_nonzero_extactic_raises(self,
+                                                              monkeypatch):
+        # every probe on the invariant line x = 0 of a planted field: J is
+        # singular there although E != 0, the fallback finds no integral,
+        # and the determinant of J settles the decision
+        field = planted_lines_field(2, 2, 1).field
+        system = monomial_system(2, 1, AFFINE)
+        fallback = _spy(monkeypatch, "_cramer_first_integral")
+        drawn = _probes_on(monkeypatch, itertools.repeat(0))
+        with pytest.raises(ExtacticNotZeroError, match="determinant"):
+            extract_first_integral(field, system)
+        assert [type(f) for f in fallback] == [ExtractionFailedError]
+        assert len(drawn) == 1 + 2 * EXT._PAIRS
 
     def test_the_probe_skips_a_prime_dividing_a_denominator(self,
                                                            monkeypatch):
