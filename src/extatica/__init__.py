@@ -7,10 +7,9 @@ evaluates the associated degree and genus bounds - all in exact rational
 arithmetic.
 """
 
-from .bounds import (BoundInput, BoundReport, HypothesisNotMetError,
-                     abelian_bound, genus_rhs, genus_threshold,
-                     invariant_count_check, pn_threshold,
-                     poincare_degree_bound, surface_bound)
+from .bounds import (BoundReport, HypothesisNotMetError, abelian_bound,
+                     genus_rhs, genus_threshold, invariant_count_check,
+                     pn_threshold, poincare_degree_bound, surface_bound)
 from .corpus import (CorpusEntry, Fact, hamiltonian, invariant_curve_search,
                      pencil_field, planted_lines_field, random_field, slv,
                      slv1_invariant_conic)

@@ -27,8 +27,10 @@ environment variable.
 Each command parses, calls the library once and prints; the parser is built
 once per process.  Every `bound` verdict is `bounds.report`'s (forced
 exactly when lhs > rhs), and the bounds refuse unprintable binomials and
-factorials before computing them; `--genus` is refused in exponent form or
-above MAX_NUMBER_CHARS before it is converted.  The dimension guard runs
+factorials before computing them, and `_frac_str` any other number too
+long to print.  `--genus` in exponent form, and `--genus` or an integer
+literal above MAX_NUMBER_CHARS, are refused before they are converted.
+The dimension guard runs
 on C(n + k, k) before a monomial system is enumerated.  The `random:` and
 `planted:` corpus selectors obey MAX_DEGREE and MAX_TERMS.
 `first-integral` has no `--engine` or `--jobs`: its answer depends on
@@ -46,10 +48,10 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bounds import (BoundInput, BoundReport, HypothesisNotMetError,
-                     MissingInputError, abelian_bound, genus_rhs,
-                     genus_threshold, invariant_count_check, pn_threshold,
-                     poincare_degree_bound, report, surface_bound)
+from .bounds import (BoundReport, HypothesisNotMetError, abelian_bound,
+                     genus_rhs, genus_threshold, invariant_count_check,
+                     pn_threshold, poincare_degree_bound, report,
+                     surface_bound)
 from .corpus import (CorpusEntry, hamiltonian, pencil_field,
                      planted_lines_field, random_field, slv)
 from .extactic import (ExtacticNotZeroError, ExtractionFailedError,
@@ -71,9 +73,9 @@ MAX_DEPTH = 100
 #: (a+b+c+d+1)^32 has 58,905 terms.  (x+y+1)^64 has 2,145.
 MAX_TERMS = 10_000
 
-#: Longest `--genus` text accepted.  It is checked, and an exponent form
-#: refused, before the conversion: Fraction("1e10000000") would build
-#: 10^10000000 first.
+#: Longest `--genus` text and integer literal accepted.  Both are checked,
+#: and an exponent form of `--genus` refused, before the conversion:
+#: Fraction("1e10000000") would build 10^10000000 first.
 MAX_NUMBER_CHARS = 1000
 
 
@@ -122,6 +124,9 @@ def _tokenize(text: str):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            if j - i > MAX_NUMBER_CHARS:
+                raise ParseError(f"a literal of {j - i} digits exceeds the "
+                                 f"cap of {MAX_NUMBER_CHARS}", line, col)
             tokens.append(_Token("number", text[i:j], line, col))
             col += j - i
             i = j
@@ -318,7 +323,12 @@ def _split_vars(text: str) -> PolyRing:
 def _corpus_entry(selector: str) -> CorpusEntry:
     kind, _, rest = selector.partition(":")
     if kind == "slv":
-        return slv(int(rest))
+        try:
+            level = int(rest)
+        except ValueError:
+            raise ValueError(f"expected slv:L with a positive integer L, "
+                             f"not {selector!r}") from None
+        return slv(level)
     if kind in ("planted", "random"):
         try:
             n, d, seed = (int(v) for v in rest.split(","))
@@ -397,8 +407,17 @@ def _max_dim() -> Optional[int]:
     return int(raw) if raw else None
 
 
-def _frac_str(value) -> Optional[str]:
-    return None if value is None else str(Fraction(value))
+def _frac_str(what: str, value) -> Optional[str]:
+    """`value` as text, refused when a part has more digits than Python
+    prints: as 2^(3 limit) < 10^limit, only a longer part is compared."""
+    if value is None:
+        return None
+    value = Fraction(value)
+    limit = sys.get_int_max_str_digits()
+    for part in (abs(value.numerator), value.denominator):
+        if limit and part.bit_length() > 3 * limit and part >= 10 ** limit:
+            raise ValueError(f"{what} would have more than {limit} digits")
+    return str(value)
 
 
 def _genus(text: str) -> Fraction:
@@ -500,17 +519,17 @@ def _bound_report(args) -> BoundReport:
                               args.deg_x)
         degree = None if args.deg_d is None else Fraction(args.deg_d)
         return report(degree, bound, formula, bound)
-    surface = {} if formula != "cor" else dict(
-        h1=args.h1, h0_k_minus_d=args.h0_k_minus_d, k_self=args.k_self,
-        k_dot_d=args.k_dot_d, chi_top=args.chi, genus=_genus(args.genus))
-    inp = BoundInput(deg_D=args.deg_d, h0=args.h0, n_invariant=args.count,
-                     deg_foliation=args.deg_f, deg_variety=args.deg_x,
-                     **surface)
+    system = dict(h0=args.h0, n_invariant=args.count,
+                  deg_foliation=args.deg_f, deg_variety=args.deg_x)
     if formula == "poin":
-        bound = poincare_degree_bound(inp)
+        bound = poincare_degree_bound(**system)
         return report(Fraction(args.deg_d), bound, formula, bound)
-    return surface_bound(inp) if formula == "cor" else \
-        invariant_count_check(inp)
+    if formula == "cor":
+        return surface_bound(
+            deg_D=args.deg_d, **system, h1=args.h1,
+            h0_k_minus_d=args.h0_k_minus_d, k_self=args.k_self,
+            k_dot_d=args.k_dot_d, chi_top=args.chi, genus=_genus(args.genus))
+    return invariant_count_check(deg_D=args.deg_d, **system)
 
 
 def _cmd_bound(args) -> int:
@@ -518,9 +537,9 @@ def _cmd_bound(args) -> int:
     return _emit({
         "command": "bound",
         "formula": rep.formula,
-        "lhs": _frac_str(rep.lhs),
-        "rhs": _frac_str(rep.rhs),
-        "threshold": _frac_str(rep.threshold),
+        "lhs": _frac_str("lhs", rep.lhs),
+        "rhs": _frac_str("rhs", rep.rhs),
+        "threshold": _frac_str("threshold", rep.threshold),
         "verdict": rep.verdict,
     })
 
@@ -645,8 +664,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(str(exc), 3)
     except EngineDisagreementError as exc:
         return _fail(str(exc), 5)
-    except (ParseError, MissingInputError, ContextError, ValueError,
-            ZeroDivisionError) as exc:
+    except (ParseError, ContextError, ValueError, ZeroDivisionError) as exc:
         return _fail(str(exc), 2)
 
 

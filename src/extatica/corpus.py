@@ -83,24 +83,21 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
-def random_field(nvars: int, degree: int, seed: int,
-                 homogeneous: bool = False) -> VectorField:
-    """Dense random field, coefficients uniform in [-9, 9], never the zero
-    field; `homogeneous=True` yields a homogeneous-mode presentation."""
+def random_field(nvars: int, degree: int, seed: int) -> VectorField:
+    """Dense random affine field of degree <= `degree`, coefficients uniform
+    in [-9, 9], never the zero field."""
     if nvars < 2 or degree < 0:
         raise ValueError("need nvars >= 2 and degree >= 0")
     rng = SplitMix64(seed)
     ring = PolyRing(default_variable_names(nvars))
-    exps = list(monomials_of_degree(nvars, degree) if homogeneous
-                else monomials_up_to_degree(nvars, degree))
+    exps = list(monomials_up_to_degree(nvars, degree))
     while True:
         comps = []
         for _ in range(nvars):
             comps.append(ring.from_terms(
                 {e: rng.int_in(-9, 9) for e in exps}))
         if not all(c.is_zero() for c in comps):
-            return VectorField(tuple(comps),
-                               HOMOGENEOUS if homogeneous else AFFINE)
+            return VectorField(tuple(comps), AFFINE)
 
 
 # ---------------------------------------------------------------------------

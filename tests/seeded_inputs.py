@@ -1,6 +1,6 @@
-"""Seeded test inputs: random polynomials and polynomial matrices drawn from
-the corpus's splitmix64 stream, and the projective plane's surface data for
-`extatica.bounds.surface_bound`.
+"""Seeded test inputs: random polynomials, homogeneous fields and polynomial
+matrices drawn from the corpus's splitmix64 stream, and the projective
+plane's surface data for `extatica.bounds.surface_bound`.
 
 Every fixed-seed test reads its data from here, so the data stay the same
 byte for byte across platforms.
@@ -10,9 +10,9 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from extatica.bounds import BoundInput
 from extatica.corpus import SplitMix64
-from extatica.foliation import default_variable_names
+from extatica.foliation import (HOMOGENEOUS, VectorField,
+                                default_variable_names)
 from extatica.polyring import (PolyRing, Polynomial, monomials_of_degree,
                                monomials_up_to_degree)
 
@@ -30,6 +30,21 @@ def random_polynomial(nvars: int, degree: int, seed: int,
         terms = {e: rng.int_in(-coeff_bound, coeff_bound) for e in exps}
         if any(terms.values()):
             return ring.from_terms(terms)
+
+
+def random_homogeneous_field(nvars: int, degree: int,
+                             seed: int) -> VectorField:
+    """Dense random homogeneous-mode field of degree `degree`, coefficients
+    uniform in [-9, 9], never the zero field: the draws of
+    `extatica.corpus.random_field` over the monomials of one degree."""
+    rng = SplitMix64(seed)
+    ring = PolyRing(default_variable_names(nvars))
+    exps = list(monomials_of_degree(nvars, degree))
+    while True:
+        comps = tuple(ring.from_terms({e: rng.int_in(-9, 9) for e in exps})
+                      for _ in range(nvars))
+        if not all(c.is_zero() for c in comps):
+            return VectorField(comps, HOMOGENEOUS)
 
 
 def random_polynomial_matrix(size: int, nvars: int, degree: int, seed: int,
@@ -51,11 +66,10 @@ def random_polynomial_matrix(size: int, nvars: int, degree: int, seed: int,
     return rows
 
 
-def plane_surface_input(d: int, k: int, n_invariant: int,
-                        genus) -> BoundInput:
-    """BoundInput for the projective plane: h0 = C(k+2, 2), h1 = 0,
-    h^0(K-D) = 0, K.K = 9, K.D = -3k, chi = 3."""
-    return BoundInput(
+def plane_surface_input(d: int, k: int, n_invariant: int, genus) -> dict:
+    """`surface_bound`'s keywords for the projective plane: h0 = C(k+2, 2),
+    h1 = 0, h^0(K-D) = 0, K.K = 9, K.D = -3k, chi = 3."""
+    return dict(
         deg_D=k,
         h0=math.comb(k + 2, 2),
         n_invariant=n_invariant,

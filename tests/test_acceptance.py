@@ -11,11 +11,11 @@ import math
 import time
 from fractions import Fraction
 
-from extatica.bounds import (BoundInput, genus_rhs, genus_threshold,
+from extatica.bounds import (genus_rhs, genus_threshold,
                              invariant_count_check, pn_threshold,
                              poincare_degree_bound, surface_bound, CONSISTENT)
 from extatica.corpus import (SplitMix64, hamiltonian, pencil_field,
-                             planted_lines_field, random_field, slv)
+                             planted_lines_field, slv)
 from extatica.extactic import (LinearSystem, det_fraction_free, det_modular,
                                divides_extactic, extactic,
                                extract_first_integral, monomial_system)
@@ -26,8 +26,8 @@ from extatica.cli import parse_polynomial, parse_vector_field
 from extatica.polyring import PolyRing
 
 from golden_cases import GOLDEN_CASES
-from seeded_inputs import (plane_surface_input, random_polynomial,
-                           random_polynomial_matrix)
+from seeded_inputs import (plane_surface_input, random_homogeneous_field,
+                           random_polynomial, random_polynomial_matrix)
 from test_cli import run_cli
 
 RING3 = PolyRing(("x", "y", "z"))
@@ -143,7 +143,7 @@ def test_criterion_4_degree_law():
     equality = 0
     system = monomial_system(3, 1, HOMOGENEOUS)
     for s in range(50):
-        field = random_field(3, 2, 51000 + s, homogeneous=True)
+        field = random_homogeneous_field(3, 2, 51000 + s)
         rep = extactic(field, system)
         d = foliation_degree(field)
         assert rep.degree_bound == 3 * 1 + (d - 1) * math.comb(3, 2) == 3 * d
@@ -160,7 +160,7 @@ def test_criterion_5_symmetries():
     m = system.dimension
     r = VectorField(RING3.variables(), HOMOGENEOUS)
     for s in range(20):
-        field = random_field(3, 2, 61000 + s, homogeneous=True)
+        field = random_homogeneous_field(3, 2, 61000 + s)
         base = extactic(field, system).extactic
         g = random_polynomial(3, 1, 62000 + s, homogeneous=True)
         shifted = VectorField(
@@ -168,7 +168,7 @@ def test_criterion_5_symmetries():
                                               r.components)), HOMOGENEOUS)
         assert extactic(shifted, system).extactic == base
     for s in range(20):
-        field = random_field(3, 2, 63000 + s, homogeneous=True)
+        field = random_homogeneous_field(3, 2, 63000 + s)
         base = extactic(field, system).extactic
         h = random_polynomial(3, 1, 64000 + s, homogeneous=True)
         scaled = VectorField(tuple(h * p for p in field.components),
@@ -177,7 +177,7 @@ def test_criterion_5_symmetries():
             h ** math.comb(m, 2) * base
     rng = SplitMix64(65000)
     for s in range(20):
-        field = random_field(3, 2, 66000 + s, homogeneous=True)
+        field = random_homogeneous_field(3, 2, 66000 + s)
         base = extactic(field, system)
         while True:
             mix = [[Fraction(rng.int_in(-4, 4)) for _ in range(m)]
@@ -223,7 +223,7 @@ def test_criterion_7_bounds():
     for d in range(2, 7):
         for k in range(1, 11):
             for count in range(1, 51):
-                rep = surface_bound(plane_surface_input(d, k, count, 0))
+                rep = surface_bound(**plane_surface_input(d, k, count, 0))
                 assert rep.rhs == genus_rhs(d, k, count)
                 assert 2 - 2 * genus_threshold(d, k, count) == rep.rhs
     assert pn_threshold(2, 2, 2, 7) == 15
@@ -233,15 +233,13 @@ def test_criterion_7_bounds():
         count = h0 + rng.int_in(1, 30)
         deg_f = rng.int_in(2, 9)
         deg_x = rng.int_in(1, deg_f - 1)
-        inp = BoundInput(h0=h0, n_invariant=count, deg_foliation=deg_f,
-                         deg_variety=deg_x)
-        bound = poincare_degree_bound(inp)
+        system = dict(h0=h0, n_invariant=count, deg_foliation=deg_f,
+                      deg_variety=deg_x)
+        bound = poincare_degree_bound(**system)
         lo, hi = 0, 10_000
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            rep = invariant_count_check(BoundInput(
-                deg_D=mid, h0=h0, n_invariant=count, deg_foliation=deg_f,
-                deg_variety=deg_x))
+            rep = invariant_count_check(deg_D=mid, **system)
             if rep.verdict == CONSISTENT:
                 lo = mid
             else:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import time
@@ -7,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extatica.bounds import (CONSISTENT, FORCES, BoundInput,
-                             HypothesisNotMetError, MissingInputError,
+from extatica.bounds import (CONSISTENT, FORCES, HypothesisNotMetError,
                              abelian_bound, genus_rhs, genus_threshold,
                              invariant_count_check, pn_threshold,
                              poincare_degree_bound, report, surface_bound)
@@ -18,58 +18,82 @@ from seeded_inputs import plane_surface_input
 
 class TestInvariantCountCheck:
     def test_consistent_case(self):
-        rep = invariant_count_check(BoundInput(
-            deg_D=2, h0=6, n_invariant=7, deg_foliation=2))
+        rep = invariant_count_check(deg_D=2, h0=6, n_invariant=7,
+                                    deg_foliation=2)
         assert rep.lhs == 2 and rep.rhs == 15
-        assert rep.inequality_holds and rep.verdict == CONSISTENT
+        assert rep.verdict == CONSISTENT
 
     def test_vacuous_when_count_equals_dimension(self):
-        rep = invariant_count_check(BoundInput(
-            deg_D=9, h0=4, n_invariant=4, deg_foliation=3))
+        rep = invariant_count_check(deg_D=9, h0=4, n_invariant=4,
+                                    deg_foliation=3)
         assert rep.lhs == 0 and rep.verdict == CONSISTENT
 
     def test_violation_forces(self):
-        rep = invariant_count_check(BoundInput(
-            deg_D=100, h0=3, n_invariant=5, deg_foliation=2))
+        rep = invariant_count_check(deg_D=100, h0=3, n_invariant=5,
+                                    deg_foliation=2)
         assert rep.lhs == 200 and rep.rhs == 3
         assert rep.verdict == FORCES
 
-    def test_missing_field(self):
-        with pytest.raises(MissingInputError):
-            invariant_count_check(BoundInput(deg_D=1, h0=3, n_invariant=4))
-
     def test_threshold_is_the_poincare_bound(self):
-        inp = BoundInput(deg_D=100, h0=3, n_invariant=5, deg_foliation=2)
-        assert invariant_count_check(inp).threshold == Fraction(3, 2)
-        assert invariant_count_check(BoundInput(
-            deg_D=9, h0=4, n_invariant=4, deg_foliation=3)).threshold is None
+        assert invariant_count_check(
+            deg_D=100, h0=3, n_invariant=5,
+            deg_foliation=2).threshold == Fraction(3, 2)
+        assert invariant_count_check(
+            deg_D=9, h0=4, n_invariant=4, deg_foliation=3).threshold is None
+
+
+_SURFACE = dict(h1=0, h0_k_minus_d=0, k_self=9, k_dot_d=-3, chi_top=3,
+                genus=0)
+
+
+@pytest.mark.parametrize("h0,count,deg_x,error", [
+    (-1, -1, 0, "h0 must be non-negative"),
+    (0, -1, 0, "n_invariant must be non-negative"),
+    (0, 5, 0, "h0 must be at least 1"),
+    (1, 5, 0, "deg_variety must be at least 1"),
+])
+@pytest.mark.parametrize("formula", [
+    invariant_count_check,
+    lambda deg_D, **system: poincare_degree_bound(**system),
+    lambda **system: surface_bound(**system, **_SURFACE),
+], ids=["theorem1", "poin", "cor"])
+def test_general_formulas_check_the_system_in_order(formula, h0, count,
+                                                    deg_x, error):
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        formula(deg_D=-1, h0=h0, n_invariant=count, deg_foliation=2,
+                deg_variety=deg_x)
+
+
+def test_surface_bound_needs_positive_degree():
+    with pytest.raises(ValueError, match="need deg_D > 0"):
+        surface_bound(deg_D=0, h0=3, n_invariant=4, deg_foliation=2,
+                      **_SURFACE)
 
 
 class TestReport:
     def test_forces_exactly_above_rhs(self):
         assert report(Fraction(3), Fraction(3), "f").verdict == CONSISTENT
         rep = report(Fraction(7, 2), Fraction(3), "f", Fraction(3))
-        assert rep.verdict == FORCES and not rep.inequality_holds
+        assert rep.verdict == FORCES
         assert (rep.formula, rep.threshold) == ("f", 3)
 
     def test_missing_lhs_forces_nothing(self):
         rep = report(None, Fraction(-5), "abelian", Fraction(-5))
-        assert rep.inequality_holds and rep.verdict == CONSISTENT
+        assert rep.verdict == CONSISTENT
 
 
 class TestPoincareDegreeBound:
     def test_small(self):
-        assert poincare_degree_bound(BoundInput(
-            h0=3, n_invariant=4, deg_foliation=2)) == 3
+        assert poincare_degree_bound(h0=3, n_invariant=4,
+                                     deg_foliation=2) == 3
 
     def test_unit(self):
-        assert poincare_degree_bound(BoundInput(
-            h0=6, n_invariant=21, deg_foliation=2)) == 1
+        assert poincare_degree_bound(h0=6, n_invariant=21,
+                                     deg_foliation=2) == 1
 
     def test_hypothesis_boundary(self):
         with pytest.raises(HypothesisNotMetError):
-            poincare_degree_bound(BoundInput(
-                h0=3, n_invariant=3, deg_foliation=2))
+            poincare_degree_bound(h0=3, n_invariant=3, deg_foliation=2)
 
 
 class TestPnThreshold:
@@ -126,7 +150,7 @@ class TestGenusRhs:
                         (5, 7, 13)] + [
                 (2 + (s % 5), 1 + (s * 3) % 10, 1 + (s * 7) % 50)
                 for s in range(20)]:
-            rep = surface_bound(plane_surface_input(d, k, n, 0))
+            rep = surface_bound(**plane_surface_input(d, k, n, 0))
             assert rep.rhs == genus_rhs(d, k, n)
 
 
@@ -153,19 +177,14 @@ class TestSurfaceBound:
             assert Fraction(9 - 12 * (-3 * k) + 3, 6) == 6 * k + 2
 
     def test_conic_example(self):
-        rep = surface_bound(plane_surface_input(2, 2, 1, 0))
-        assert rep.lhs == 2 and rep.rhs == 27 and rep.inequality_holds
+        rep = surface_bound(**plane_surface_input(2, 2, 1, 0))
+        assert rep.lhs == 2 and rep.rhs == 27 and rep.verdict == CONSISTENT
 
     def test_monotone_in_genus(self):
-        low = surface_bound(plane_surface_input(2, 2, 1, 0))
-        high = surface_bound(plane_surface_input(2, 2, 1, 100))
+        low = surface_bound(**plane_surface_input(2, 2, 1, 0))
+        high = surface_bound(**plane_surface_input(2, 2, 1, 100))
         assert high.lhs < low.lhs and high.rhs == low.rhs
-        assert high.inequality_holds
-
-    def test_missing_surface_fields(self):
-        with pytest.raises(MissingInputError):
-            surface_bound(BoundInput(deg_D=1, h0=3, n_invariant=4,
-                                     deg_foliation=2))
+        assert high.verdict == CONSISTENT
 
 
 class TestAbelianBound:
@@ -196,14 +215,41 @@ class TestAbelianBound:
         assert time.perf_counter() - start < 1.0
 
 
+class TestClosedForms:
+    """The specializations against their own closed forms, an oracle
+    independent of the general formulas they are computed through."""
+
+    def test_pn_threshold(self):
+        for d, k, n in itertools.product(range(2, 7), range(1, 8),
+                                         range(1, 4)):
+            h0 = math.comb(n + k, k)
+            for count in (h0 + 1, h0 + 7, 3 * h0):
+                assert pn_threshold(d, k, n, count) == \
+                    Fraction((d - 1) * math.comb(h0, 2), count - h0)
+
+    def test_abelian_bound(self):
+        for n, h0 in itertools.product(range(1, 5), range(1, 12)):
+            for count, deg_f, deg_x in [(h0 + 1, 2, 1), (h0 + 5, 7, 3),
+                                        (2 * h0 + 3, 1, 4)]:
+                assert abelian_bound(h0 * math.factorial(n), n, count, deg_f,
+                                     deg_x) == \
+                    Fraction((deg_f - deg_x) * math.comb(h0, 2), count - h0)
+
+    def test_genus_rhs(self):
+        for d, k, count in itertools.product(range(2, 8), range(1, 12),
+                                             (1, 5, 40)):
+            poly = (d * (k**3 + 6 * k**2 + 11 * k + 6) - k**3 - 6 * k**2
+                    + 13 * k + 2)
+            assert genus_rhs(d, k, count) == Fraction(poly, 4) - 2 * count
+
+
 @given(deg_d=st.integers(1, 60), h0=st.integers(1, 12),
        count=st.integers(0, 80), deg_f=st.integers(1, 9),
        deg_x=st.integers(1, 4))
 @settings(max_examples=200)
 def test_contrapositive_coherence(deg_d, h0, count, deg_f, deg_x):
-    rep = invariant_count_check(BoundInput(
-        deg_D=deg_d, h0=h0, n_invariant=count, deg_foliation=deg_f,
-        deg_variety=deg_x))
+    rep = invariant_count_check(deg_D=deg_d, h0=h0, n_invariant=count,
+                                deg_foliation=deg_f, deg_variety=deg_x)
     assert (rep.verdict == FORCES) == (rep.lhs > rep.rhs)
 
 
@@ -224,15 +270,13 @@ def test_verdict_flips_exactly_at_poincare_bound():
         count = h0 + rng.int_in(1, 30)
         deg_f = rng.int_in(2, 9)
         deg_x = rng.int_in(1, deg_f - 1)
-        inp = BoundInput(h0=h0, n_invariant=count, deg_foliation=deg_f,
-                         deg_variety=deg_x)
-        bound = poincare_degree_bound(inp)
+        system = dict(h0=h0, n_invariant=count, deg_foliation=deg_f,
+                      deg_variety=deg_x)
+        bound = poincare_degree_bound(**system)
         lo, hi = 0, 10_000
         while lo < hi:  # largest consistent degree, by bisection
             mid = (lo + hi + 1) // 2
-            rep = invariant_count_check(BoundInput(
-                deg_D=mid, h0=h0, n_invariant=count, deg_foliation=deg_f,
-                deg_variety=deg_x))
+            rep = invariant_count_check(deg_D=mid, **system)
             if rep.verdict == CONSISTENT:
                 lo = mid
             else:

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 import extatica
 from extatica import bounds
-from extatica.cli import MAX_DEGREE, MAX_DEPTH, MAX_TERMS, ParseError, \
-    build_parser, main, parse_polynomial, parse_vector_field
+from extatica.cli import MAX_DEGREE, MAX_DEPTH, MAX_NUMBER_CHARS, \
+    MAX_TERMS, ParseError, build_parser, main, parse_polynomial, \
+    parse_vector_field
 from extatica.polyring import PolyRing
 
 from golden_cases import GOLDEN_CASES
@@ -179,25 +180,24 @@ def _bound_case(formula, draw):
     count = h0 + draw(st.integers(0 if formula == "theorem1" else 1, 20))
     shared = dict(deg_d=draw(st.integers(1, 30)), h0=h0, count=count,
                   deg_f=draw(st.integers(0, 8)), deg_x=draw(st.integers(1, 3)))
-    inp = bounds.BoundInput(deg_D=shared["deg_d"], h0=h0, n_invariant=count,
-                            deg_foliation=shared["deg_f"],
-                            deg_variety=shared["deg_x"])
+    system = dict(h0=h0, n_invariant=count, deg_foliation=shared["deg_f"],
+                  deg_variety=shared["deg_x"])
     if formula == "theorem1":
-        rep = bounds.invariant_count_check(inp)
-        threshold = bounds.poincare_degree_bound(inp) if count > h0 else None
+        rep = bounds.invariant_count_check(deg_D=shared["deg_d"], **system)
+        threshold = (bounds.poincare_degree_bound(**system) if count > h0
+                     else None)
         return _flags(**shared), (rep.lhs, rep.rhs, threshold)
     if formula == "poin":
-        bound = bounds.poincare_degree_bound(inp)
+        bound = bounds.poincare_degree_bound(**system)
         return _flags(**shared), (shared["deg_d"], bound, bound)
     surface = dict(h1=draw(small), h0_k_minus_d=draw(small),
                    k_self=draw(small), k_dot_d=draw(small), chi=draw(small),
                    genus=draw(st.fractions(-20, 20, max_denominator=4)))
-    rep = bounds.surface_bound(bounds.BoundInput(
-        deg_D=shared["deg_d"], h0=h0, n_invariant=count,
-        deg_foliation=shared["deg_f"], deg_variety=shared["deg_x"],
-        h1=surface["h1"], h0_k_minus_d=surface["h0_k_minus_d"],
-        k_self=surface["k_self"], k_dot_d=surface["k_dot_d"],
-        chi_top=surface["chi"], genus=surface["genus"]))
+    rep = bounds.surface_bound(
+        deg_D=shared["deg_d"], **system, h1=surface["h1"],
+        h0_k_minus_d=surface["h0_k_minus_d"], k_self=surface["k_self"],
+        k_dot_d=surface["k_dot_d"], chi_top=surface["chi"],
+        genus=surface["genus"])
     return _flags(**shared, **surface), (rep.lhs, rep.rhs, None)
 
 
@@ -468,13 +468,46 @@ class TestExitCodes:
          "expected random:n,d,seed with three integers, not 'random:2,2'"),
         (["bound", "gen", "--d", "2", "--k", "1", "--count", "1", "--genus",
           "1/0"], "--genus '1/0' has a zero denominator"),
-    ], ids=["planted-two-numbers", "random-two-numbers", "genus-1/0"])
+        (["bound", "abelian", "--dn", "-2", "--n", "2", "--count", "4",
+          "--deg-f", "3", "--deg-x", "1"], "need D^n >= 0 (got -2)"),
+        (["corpus", "slv:abc"],
+         "expected slv:L with a positive integer L, not 'slv:abc'"),
+        (["corpus", "slv:"],
+         "expected slv:L with a positive integer L, not 'slv:'"),
+    ], ids=["planted-two-numbers", "random-two-numbers", "genus-1/0",
+            "abelian-negative-dn", "slv-abc", "slv-empty"])
     def test_malformed_selector_or_genus_names_the_form(self, argv, error):
         # these printed Python's own messages: "not enough values to unpack
-        # (expected 3, got 2)" and "Fraction(1, 0)"
+        # (expected 3, got 2)", "Fraction(1, 0)", "n must be a non-negative
+        # integer" (from C(D^n/n!, 2)) and "invalid literal for int() with
+        # base 10"
         code, out, err = run_cli(argv)
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": error}
+
+    @pytest.mark.parametrize("argv,error", [
+        (["bound", "gen", "--d", "2", "--k", "1" + "0" * 2000, "--count", "1",
+          "--genus", "0"], "rhs would have more than 4300 digits"),
+        (["bound", "theorem1", "--deg-d", "1", "--h0", "9" * 2201, "--count",
+          "3", "--deg-f", "3"], "rhs would have more than 4300 digits"),
+        (["bound", "poin", "--deg-d", "1", "--h0", "9" * 2201, "--count",
+          "1" + "0" * 2201, "--deg-f", "3"],
+         "rhs would have more than 4300 digits"),
+        (["bound", "cor", "--deg-d", "1", "--h0", "9" * 2201, "--count", "3",
+          "--deg-f", "3", "--h1", "0", "--h0-k-minus-d", "0", "--k-self", "9",
+          "--k-dot-d", "-3", "--chi", "3", "--genus", "0"],
+         "rhs would have more than 4300 digits"),
+        (["parse", "--vars", "x", "x + " + "7" * 5000],
+         f"a literal of 5000 digits exceeds the cap of {MAX_NUMBER_CHARS} "
+         f"at line 1, column 5"),
+    ], ids=["gen", "theorem1", "poin", "cor", "parse"])
+    def test_number_past_the_print_limit_is_2(self, argv, error):
+        # each printed "Exceeds the limit (4300 digits) for integer string
+        # conversion; use sys.set_int_max_str_digits() to increase the limit"
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": error}
+        assert "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize("selector", ["random:2,2,7", "random:3,2,1",
                                           "planted:2,2,1"])

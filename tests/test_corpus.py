@@ -13,6 +13,7 @@ from extatica.foliation import (AFFINE, HOMOGENEOUS, apply_derivation,
 from extatica.linalg import det_mod
 
 from conftest import PRIMES_2_61, RING_XY, RING_XYZ, evaluate_mod
+from seeded_inputs import random_homogeneous_field
 
 X, Y = RING_XY.variables()
 
@@ -185,7 +186,7 @@ class TestRandomField:
         assert hits >= 8
 
     def test_homogeneous_degree(self):
-        field = random_field(3, 2, 55, homogeneous=True)
+        field = random_homogeneous_field(3, 2, 55)
         assert field.mode == HOMOGENEOUS
         assert foliation_degree(field) == 2
 

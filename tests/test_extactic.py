@@ -33,7 +33,8 @@ from extatica.polyring import (PRIMES_2_31, BadPrimeError, ContextError,
                                PolyRing, monomials_of_degree,
                                monomials_up_to_degree, proportional)
 from conftest import RING_XY, RING_XYZ, evaluate, evaluate_mod, polynomials
-from seeded_inputs import random_polynomial, random_polynomial_matrix
+from seeded_inputs import (random_homogeneous_field, random_polynomial,
+                           random_polynomial_matrix)
 import bareiss_oracle
 
 X, Y = RING_XY.variables()
@@ -1222,7 +1223,7 @@ class TestSymmetries:
         system = monomial_system(3, 1, HOMOGENEOUS)
         r = VectorField(RING_XYZ.variables(), HOMOGENEOUS)
         for seed in range(5):
-            field = random_field(3, 2, 6000 + seed, homogeneous=True)
+            field = random_homogeneous_field(3, 2, 6000 + seed)
             g = random_polynomial(3, 1, 6100 + seed, homogeneous=True)
             shifted = VectorField(
                 tuple(p + g * rc for p, rc in zip(field.components,
@@ -1234,7 +1235,7 @@ class TestSymmetries:
     def test_scaling_covariance(self):
         system = monomial_system(3, 1, HOMOGENEOUS)
         for seed in range(5):
-            field = random_field(3, 2, 6200 + seed, homogeneous=True)
+            field = random_homogeneous_field(3, 2, 6200 + seed)
             h = random_polynomial(3, 1, 6300 + seed, homogeneous=True)
             scaled = VectorField(tuple(h * p for p in field.components),
                                  HOMOGENEOUS)
@@ -1274,7 +1275,7 @@ def test_degree_law_smoke():
     hits = 0
     total = 20
     for seed in range(total):
-        field = random_field(3, 2, 6400 + seed, homogeneous=True)
+        field = random_homogeneous_field(3, 2, 6400 + seed)
         rep = extactic(field, monomial_system(3, 1, HOMOGENEOUS))
         assert rep.degree_bound == 6
         if not rep.identically_zero:
