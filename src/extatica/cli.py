@@ -1,19 +1,23 @@
 """Expression parser, command dispatch and JSON output.
 
-Grammar (whitespace insignificant, variables are names from the declared
-list)::
+Grammar (whitespace insignificant, variables from the declared list)::
 
     expression := ['+'|'-'] term (('+'|'-') term)*
     term       := factor (('*' factor) | ('/' uint))*
     factor     := atom ('^' uint)*
     atom       := uint | variable | '(' expression ')'
+    uint       := digit+                  (at most MAX_NUMBER_CHARS)
+    variable   := letter (letter | digit)*   (as is every `--vars` name)
 
-Division is only allowed by an unsigned integer literal, so `y/2` is sugar
-for `1/2*y` and `1/2` is an ordinary rational literal; `x/(y)` is a syntax
-error.  A product or power whose total degree would exceed MAX_DEGREE, or
-whose term count may exceed MAX_TERMS, and parentheses nested deeper than
-MAX_DEPTH, are parse errors.  Vector fields are comma-separated component
-expressions.
+A digit is a decimal digit as `int` reads it (`٣` is 3), a letter any
+other word character (`_` and `²` too).  `y/2` is sugar for `1/2*y`;
+`x/(y)` is a syntax error.  Parentheses nested deeper than MAX_DEPTH are a
+parse error, and so, by one size rule checked before it is formed, is a
+product or power whose total degree would exceed MAX_DEGREE, whose
+term-count bound exceeds MAX_TERMS, or whose coefficient bound has more
+digits than Python prints (`sys.get_int_max_str_digits()`), and so is a
+coefficient that long reached by sums or division.  Vector fields are
+comma-separated component expressions.
 
 Every command writes exactly one JSON object to stdout and exits 0 once an
 answer is produced (whatever the verdict); input and parse errors exit 2,
@@ -27,14 +31,13 @@ environment variable.
 Each command parses, calls the library once and prints; the parser is built
 once per process.  Every `bound` verdict is `bounds.report`'s (forced
 exactly when lhs > rhs), and the bounds refuse unprintable binomials and
-factorials before computing them, and `_frac_str` any other number too
-long to print.  `--genus` in exponent form, and `--genus` or an integer
-literal above MAX_NUMBER_CHARS, are refused before they are converted.
-The dimension guard runs
-on C(n + k, k) before a monomial system is enumerated.  The `random:` and
-`planted:` corpus selectors obey MAX_DEGREE and MAX_TERMS.
-`first-integral` has no `--engine` or `--jobs`: its answer depends on
-neither.
+factorials before computing them.  `_text` refuses any other number or
+polynomial too long to print.  `--genus` in exponent form, and `--genus`
+or an integer literal above MAX_NUMBER_CHARS, are refused before they are
+converted.  The dimension guard runs on C(n + k, k) before a monomial
+system is enumerated.  The `random:` and `planted:` corpus selectors obey
+MAX_DEGREE and MAX_TERMS.  `first-integral` has no `--engine` or `--jobs`:
+its answer depends on neither.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -89,224 +93,211 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / recursive descent parser
+# scanner / recursive descent parser
 # ---------------------------------------------------------------------------
 
-_OPERATORS = set("+-*/^(),")
+#: A variable name, as the scanner reads it and every `--vars` name must be.
+_NAME = re.compile(r"[^\W\d]\w*")
+
+#: One token after optional whitespace: an unsigned integer (the decimal
+#: digits int() reads), a name, an operator or any other character.
+_TOKEN = re.compile(rf"\s*(?:(?P<number>\d+)|(?P<name>{_NAME.pattern})"
+                    r"|(?P<op>[-+*/^(),])|(?P<bad>\S))")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
+def _position(text: str, index: int) -> tuple:
+    """(line, column) of text[index], both 1-based."""
+    return text.count("\n", 0, index) + 1, index - text.rfind("\n", 0, index)
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """(kind, text, index) tuples, an operator its own kind, then "end"."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j - i > MAX_NUMBER_CHARS:
-                raise ParseError(f"a literal of {j - i} digits exceeds the "
-                                 f"cap of {MAX_NUMBER_CHARS}", line, col)
-            tokens.append(_Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPERATORS:
-            tokens.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        token, index = match.group(kind), match.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {token!r}",
+                             *_position(text, index))
+        if kind == "number" and len(token) > MAX_NUMBER_CHARS:
+            raise ParseError(f"a literal of {len(token)} digits exceeds the "
+                             f"cap of {MAX_NUMBER_CHARS}",
+                             *_position(text, index))
+        tokens.append((token if kind == "op" else kind, token, index))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
-def _degree(poly: Polynomial) -> int:
-    return max(poly.degree(), 0)
+def _printable(numbers, power: int = 1) -> bool:
+    """Whether Python prints n^power for every int n in `numbers`.  As
+    2^(3 limit) < 10^limit < 2^(4 limit), a power is formed only when the
+    bit lengths leave its size open."""
+    limit = sys.get_int_max_str_digits()
+    for n in numbers:
+        bits = n.bit_length()
+        if limit and bits * power > 3 * limit and (
+                (bits - 1) * power >= 4 * limit
+                or abs(n) ** power >= 10 ** limit):
+            return False
+    return True
 
 
-def _check_degree(degree: int, tok: _Token) -> None:
-    """Refuse a product or power of too high degree before it is formed."""
-    if degree > MAX_DEGREE:
-        raise ParseError(
-            f"total degree {degree} exceeds the cap of {MAX_DEGREE}",
-            tok.line, tok.column)
-
-
-def _check_terms(what: str, bound: int, tok: _Token) -> None:
-    """Refuse a product or power whose term-count bound is too large before
-    it is formed."""
-    if bound > MAX_TERMS:
-        raise ParseError(
-            f"{what} may have {bound} terms, above the cap of {MAX_TERMS}",
-            tok.line, tok.column)
+def _measure(poly: Polynomial) -> tuple:
+    """(degree, den, height): the total degree (0 for zero), the lcm of the
+    denominators, and the sum of |c| * den over the coefficients c."""
+    if len(poly.terms) == 1:  # most operands: a term such as c*x^i*y^j
+        (exps, c), = poly.terms.items()
+        return sum(exps), c.denominator, abs(c.numerator)
+    degree, den, height = 0, 1, 0
+    for exps, c in poly.terms.items():
+        if c.denominator != den:  # rescale what is summed to the new lcm
+            lcm = math.lcm(den, c.denominator)
+            height, den = height * (lcm // den), lcm
+        degree = max(degree, sum(exps))
+        height += abs(c.numerator) * (den // c.denominator)
+    return degree, den, height
 
 
 class _Parser:
     def __init__(self, text: str, ring: PolyRing):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.tokens = _tokenize(text)[::-1]  # the next token last
         self.ring = ring
         self.depth = 0  # parentheses open around the current position
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, index: int) -> ParseError:
+        return ParseError(message, *_position(self.text, index))
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+    def expect(self, kind: str) -> tuple:
+        tok = self.tokens.pop()
+        if tok[0] != kind:
+            raise self.error(
+                f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
+                tok[2])
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line, tok.column)
-        return self.advance()
+    def parse(self, field: bool) -> list:
+        """The whole text: one expression, or a field's components; any
+        coefficient printable (a sum or division may grow one too long)."""
+        values = [self.parse_expression()]
+        while field and self.tokens[-1][0] == ",":
+            self.tokens.pop()
+            values.append(self.parse_expression())
+        kind, token, index = self.tokens[-1]
+        if kind != "end":
+            raise self.error(f"trailing input {token!r}", index)
+        if not _printable(n for v in values for c in v.terms.values()
+                          for n in (c.numerator, c.denominator)):
+            raise self.error(f"a coefficient has more than "
+                             f"{sys.get_int_max_str_digits()} digits", index)
+        if field and len(values) != self.ring.nvars:
+            raise self.error(f"{len(values)} components for "
+                             f"{self.ring.nvars} variables", index)
+        return values
 
-    def dense_terms(self, degree: int) -> int:
-        """The number of monomials of total degree <= `degree`."""
-        return math.comb(self.ring.nvars + degree, degree)
+    def check_size(self, index: int, a: Polynomial, b=None, n: int = 1):
+        """Refuse a * b, or a^n when b is None, before it is formed: when its
+        total degree would exceed MAX_DEGREE, its term-count bound MAX_TERMS,
+        or a coefficient the digits Python prints.  By `_measure`, each
+        coefficient of a * b is at most height_a * height_b over a divisor
+        of den_a * den_b, and of a^n height_a^n over a divisor of den_a^n."""
+        degree, den, height = _measure(a)
+        if b is not None:
+            degree_b, den_b, height_b = _measure(b)
+            degree, den, height = (degree + degree_b, den * den_b,
+                                   height * height_b)
+        degree *= n
+        if degree > MAX_DEGREE:
+            raise self.error(
+                f"total degree {degree} exceeds the cap of {MAX_DEGREE}", index)
+        # A^n has at most one term per multiset of n terms of A
+        size = len(a.terms)
+        terms = (size * len(b.terms) if b is not None
+                 else math.comb(size + n - 1, n) if size > 1 else 1)
+        if terms > MAX_TERMS:
+            terms = min(terms, math.comb(self.ring.nvars + degree, degree))
+        if terms > MAX_TERMS:
+            reason = f"may have {terms} terms, above the cap of {MAX_TERMS}"
+        elif _printable((height, den), n):
+            return
+        else:
+            reason = (f"may have a coefficient of more than "
+                      f"{sys.get_int_max_str_digits()} digits")
+        what = (f"the power {n} of {size} terms, of degree {degree},"
+                if b is None else f"a product of {size} and {len(b.terms)} "
+                                  f"terms of degree {degree}")
+        raise self.error(f"{what} {reason}", index)
 
     def parse_expression(self) -> Polynomial:
-        sign = 1
-        if self.peek().kind in ("+", "-"):
-            if self.advance().kind == "-":
-                sign = -1
+        sign = self.tokens[-1][0]
+        if sign in ("+", "-"):
+            self.tokens.pop()
         value = self.parse_term()
-        if sign < 0:
+        if sign == "-":
             value = -value
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
+        while (op := self.tokens[-1][0]) in ("+", "-"):
+            self.tokens.pop()
             rhs = self.parse_term()
             value = value + rhs if op == "+" else value - rhs
         return value
 
     def parse_term(self) -> Polynomial:
         value = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "*":
-                self.advance()
+        while (op := self.tokens[-1])[0] in ("*", "/"):
+            self.tokens.pop()
+            if op[0] == "*":
                 rhs = self.parse_factor()
-                degree = _degree(value) + _degree(rhs)
-                _check_degree(degree, tok)
-                a, b = len(value.terms), len(rhs.terms)
-                _check_terms(f"a product of {a} and {b} terms of degree "
-                             f"{degree}",
-                             min(a * b, self.dense_terms(degree)), tok)
+                self.check_size(op[2], value, rhs)
                 value = value * rhs
-            elif tok.kind == "/":
-                self.advance()
-                num = self.peek()
-                if num.kind != "number":
-                    raise ParseError(
-                        "division is only allowed by an integer literal",
-                        num.line, num.column)
-                self.advance()
-                d = int(num.text)
-                if d == 0:
-                    raise ParseError("zero denominator", num.line, num.column)
-                value = value.scale(Fraction(1, d))
             else:
-                return value
+                kind, digits, index = self.tokens.pop()
+                if kind != "number":
+                    raise self.error(
+                        "division is only allowed by an integer literal", index)
+                if int(digits) == 0:
+                    raise self.error("zero denominator", index)
+                value = value.scale(Fraction(1, int(digits)))
+        return value
 
     def parse_factor(self) -> Polynomial:
         value = self.parse_atom()
-        while self.peek().kind == "^":
-            self.advance()
-            num = self.expect("number")
-            n = int(num.text)
-            degree = _degree(value) * n
-            _check_degree(degree, num)
-            # A^n has at most one term per multiset of n terms of A
-            a = len(value.terms)
-            products = math.comb(a + n - 1, n) if a else 1
-            _check_terms(f"the power {n} of {a} terms, of degree {degree},",
-                         min(products, self.dense_terms(degree)), num)
+        while self.tokens[-1][0] == "^":
+            self.tokens.pop()
+            _, digits, index = self.expect("number")
+            n = int(digits)
+            self.check_size(index, value, n=n)
             value = value ** n
         return value
 
     def parse_atom(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return self.ring.constant(int(tok.text))
-        if tok.kind == "name":
-            self.advance()
-            if tok.text not in self.ring.names:
-                raise ParseError(f"unknown variable {tok.text!r}", tok.line,
-                                 tok.column)
-            return self.ring.variable(self.ring.names.index(tok.text))
-        if tok.kind == "(":
+        kind, token, index = self.tokens.pop()
+        if kind == "number":
+            return self.ring.constant(int(token))
+        if kind == "name":
+            if token not in self.ring.names:
+                raise self.error(f"unknown variable {token!r}", index)
+            return self.ring.variable(self.ring.names.index(token))
+        if kind == "(":
             if self.depth == MAX_DEPTH:
-                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}",
-                                 tok.line, tok.column)
-            self.advance()
+                raise self.error(f"parentheses nested deeper than {MAX_DEPTH}",
+                                 index)
             self.depth += 1
             value = self.parse_expression()
             self.depth -= 1
             self.expect(")")
             return value
-        raise ParseError(
-            f"expected a value, found {tok.text or 'end of input'!r}",
-            tok.line, tok.column)
+        raise self.error(f"expected a value, found {token or 'end of input'!r}",
+                         index)
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     """Parse one expression; the whole text must be consumed."""
-    parser = _Parser(text, ring)
-    value = parser.parse_expression()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    return value
+    return _Parser(text, ring).parse(field=False)[0]
 
 
 def parse_vector_field(text: str, ring: PolyRing) -> list:
     """Parse a comma-separated component list."""
-    parser = _Parser(text, ring)
-    comps = [parser.parse_expression()]
-    while parser.peek().kind == ",":
-        parser.advance()
-        comps.append(parser.parse_expression())
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    if len(comps) != ring.nvars:
-        raise ParseError(
-            f"{len(comps)} components for {ring.nvars} variables",
-            tok.line, tok.column)
-    return comps
+    return _Parser(text, ring).parse(field=True)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +306,7 @@ def parse_vector_field(text: str, ring: PolyRing) -> list:
 
 def _split_vars(text: str) -> PolyRing:
     names = tuple(v.strip() for v in text.split(","))
-    if any(not n.isidentifier() for n in names):
+    if not all(_NAME.fullmatch(n) for n in names):
         raise ValueError(f"bad variable list {text!r}")
     return PolyRing(names)
 
@@ -404,19 +395,27 @@ def _field_and_system(args) -> tuple:
 
 def _max_dim() -> Optional[int]:
     raw = os.environ.get("EXTATICA_MAX_DIM")
-    return int(raw) if raw else None
+    try:
+        return int(raw) if raw else None
+    except ValueError:
+        raise ValueError(f"expected EXTATICA_MAX_DIM=N with an integer N, "
+                         f"not {raw!r}") from None
 
 
-def _frac_str(what: str, value) -> Optional[str]:
-    """`value` as text, refused when a part has more digits than Python
-    prints: as 2^(3 limit) < 10^limit, only a longer part is compared."""
+def _text(what: str, value) -> Optional[str]:
+    """`value` (None, a rational, a polynomial or a vector field) as text,
+    refused when a coefficient has more digits than Python prints."""
     if value is None:
         return None
-    value = Fraction(value)
-    limit = sys.get_int_max_str_digits()
-    for part in (abs(value.numerator), value.denominator):
-        if limit and part.bit_length() > 3 * limit and part >= 10 ** limit:
-            raise ValueError(f"{what} would have more than {limit} digits")
+    if isinstance(value, (int, Fraction)):
+        rationals = [value]
+    else:  # a polynomial, or a vector field of them
+        rationals = [c for p in getattr(value, "components", [value])
+                     for c in p.terms.values()]
+    if not _printable(n for r in rationals
+                      for n in (r.numerator, r.denominator)):
+        raise ValueError(f"{what} would have more than "
+                         f"{sys.get_int_max_str_digits()} digits")
     return str(value)
 
 
@@ -450,7 +449,7 @@ def _cmd_parse(args) -> int:
         "command": "parse",
         "vars": ",".join(ring.names),
         "input": args.text,
-        "canonical": str(poly),
+        "canonical": _text("canonical", poly),
     })
 
 
@@ -461,12 +460,12 @@ def _cmd_extactic(args) -> int:
     return _emit({
         "command": "extactic",
         "vars": ",".join(ring.names),
-        "field": str(field),
+        "field": _text("field", field),
         "mode": field.mode,
         "k": args.k,
         "m": ext.dimension,
         "engine": ext.engine,
-        "extactic": str(ext.extactic),
+        "extactic": _text("extactic", ext.extactic),
         "degree": None if ext.identically_zero else int(ext.degree),
         "degree_bound": ext.degree_bound,
         "identically_zero": ext.identically_zero,
@@ -479,10 +478,10 @@ def _cmd_invariant_check(args) -> int:
     cof = check_invariance(field, curve)
     return _emit({
         "command": "invariant-check",
-        "field": str(field),
-        "curve": str(curve),
+        "field": _text("field", field),
+        "curve": _text("curve", curve),
         "invariant": cof is not None,
-        "cofactor": None if cof is None else str(cof.polynomial),
+        "cofactor": _text("cofactor", cof and cof.polynomial),
     })
 
 
@@ -498,8 +497,8 @@ def _cmd_first_integral(args) -> int:
     return _emit({
         "command": "first-integral",
         "status": status,
-        "numerator": None if fi is None else str(fi.numerator),
-        "denominator": None if fi is None else str(fi.denominator),
+        "numerator": _text("numerator", fi and fi.numerator),
+        "denominator": _text("denominator", fi and fi.denominator),
         "rank": None if fi is None else fi.rank,
     })
 
@@ -537,9 +536,9 @@ def _cmd_bound(args) -> int:
     return _emit({
         "command": "bound",
         "formula": rep.formula,
-        "lhs": _frac_str("lhs", rep.lhs),
-        "rhs": _frac_str("rhs", rep.rhs),
-        "threshold": _frac_str("threshold", rep.threshold),
+        "lhs": _text("lhs", rep.lhs),
+        "rhs": _text("rhs", rep.rhs),
+        "threshold": _text("threshold", rep.threshold),
         "verdict": rep.verdict,
     })
 
@@ -551,7 +550,7 @@ def _cmd_corpus(args) -> int:
         "name": entry.name,
         "vars": ",".join(entry.field.ring.names),
         "mode": entry.field.mode,
-        "field": str(entry.field),
+        "field": _text("field", entry.field),
         "facts": [
             {"kind": f.kind, "statement": f.statement, "checked": f.checked}
             for f in entry.facts

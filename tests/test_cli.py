@@ -336,6 +336,24 @@ class TestParser:
         assert str(parse_polynomial("z^60 + x^30*y^30", ring)) == \
             "x^30*y^30 + z^60"
 
+    def test_coefficients_up_to_the_print_limit_parse(self):
+        # the size rule refuses only what Python could not print; 2^14300
+        # (4,305 digits) is refused in test_number_past_the_print_limit_is_2
+        ring = PolyRing(("x", "y", "z"))
+        assert len(str(parse_polynomial("2^14000", ring))) == 4215
+        literal = "7" * MAX_NUMBER_CHARS
+        assert str(parse_polynomial(f"{literal}*x*y*z", ring)) == \
+            f"{literal}*x*y*z"
+
+    def test_digits_are_those_int_reads(self):
+        # Arabic-Indic three is a decimal digit; superscript two is not
+        ring = PolyRing(("x",))
+        assert str(parse_polynomial("x^\u0663 + \u0663", ring)) == "x^3 + 3"
+        for text in ("x+\u00b2", "x^\u00b2"):
+            with pytest.raises(ParseError) as exc:
+                parse_polynomial(text, ring)
+            assert (exc.value.line, exc.value.column) == (1, 3)
+
 
 def test_round_trip_500_random():
     ring = PolyRing(("x", "y", "z"))
@@ -351,14 +369,17 @@ def test_parser_never_crashes_on_garbage():
 
     ring = PolyRing(("x", "y"))
 
-    # '^' is exercised by the directed grammar tests; excluded here so the
-    # fuzzer cannot construct astronomically large powers
-    @given(st.text(alphabet="xyz01/ *()+-,._q", max_size=24))
+    # powers with every digit, since the size rule bounds their
+    # coefficients too, and characters that isdigit, isidentifier or int
+    # read differently: superscript two, Arabic-Indic three, the middle dot
+    # and a combining acute accent
+    @given(st.text(alphabet="xyz0123456789/ *()+-,._q^\u00b2\u0663\u00b7"
+                            "\u0301", max_size=24))
     @settings(max_examples=300, deadline=None)
     def check(text):
         try:
             parse_polynomial(text, ring)
-        except ParseError:
+        except ParseError:  # any other exception fails the test
             pass
 
     check()
@@ -474,13 +495,24 @@ class TestExitCodes:
          "expected slv:L with a positive integer L, not 'slv:abc'"),
         (["corpus", "slv:"],
          "expected slv:L with a positive integer L, not 'slv:'"),
+        (["parse", "--vars", "x\u00b7y", "x\u00b7y"],
+         "bad variable list 'x\u00b7y'"),
+        (["parse", "--vars", "x\u0301", "x"], "bad variable list 'x\u0301'"),
+        (["EXTATICA_MAX_DIM=abc", "extactic", "--vars", "x,y", "--field",
+          "x, 2*y", "--k", "1"],
+         "expected EXTATICA_MAX_DIM=N with an integer N, not 'abc'"),
     ], ids=["planted-two-numbers", "random-two-numbers", "genus-1/0",
-            "abelian-negative-dn", "slv-abc", "slv-empty"])
-    def test_malformed_selector_or_genus_names_the_form(self, argv, error):
+            "abelian-negative-dn", "slv-abc", "slv-empty", "vars-middle-dot",
+            "vars-combining-accent", "max-dim-abc"])
+    def test_malformed_selector_or_genus_names_the_form(self, argv, error,
+                                                        monkeypatch):
         # these printed Python's own messages: "not enough values to unpack
         # (expected 3, got 2)", "Fraction(1, 0)", "n must be a non-negative
         # integer" (from C(D^n/n!, 2)) and "invalid literal for int() with
-        # base 10"
+        # base 10"; the two variable lists passed str.isidentifier and
+        # failed only in the scanner ("unexpected character '\u00b7'")
+        if argv[0].startswith("EXTATICA_MAX_DIM="):
+            monkeypatch.setenv(*argv.pop(0).split("=", 1))
         code, out, err = run_cli(argv)
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": error}
@@ -500,11 +532,37 @@ class TestExitCodes:
         (["parse", "--vars", "x", "x + " + "7" * 5000],
          f"a literal of 5000 digits exceeds the cap of {MAX_NUMBER_CHARS} "
          f"at line 1, column 5"),
-    ], ids=["gen", "theorem1", "poin", "cor", "parse"])
+        (["parse", "--vars", "x", "7^9999999"],
+         "the power 9999999 of 1 terms, of degree 0, may have a coefficient "
+         "of more than 4300 digits at line 1, column 3"),
+        (["parse", "--vars", "x", "2^20000"],
+         "the power 20000 of 1 terms, of degree 0, may have a coefficient of "
+         "more than 4300 digits at line 1, column 3"),
+        (["parse", "--vars", "x", "2^14300"],
+         "the power 14300 of 1 terms, of degree 0, may have a coefficient of "
+         "more than 4300 digits at line 1, column 3"),
+        (["parse", "--vars", "x", f"({'7' * 1000}*x)^5"],
+         "the power 5 of 1 terms, of degree 5, may have a coefficient of "
+         "more than 4300 digits at line 1, column 1006"),
+        (["parse", "--vars", "x", "*".join(["7" * 1000] * 5)],
+         "a product of 1 and 1 terms of degree 0 may have a coefficient of "
+         "more than 4300 digits at line 1, column 4004"),
+        (["parse", "--vars", "x", "9^4506+9^4506"],  # 4,300 digits each
+         "a coefficient has more than 4300 digits at line 1, column 14"),
+        (["extactic", "--vars", "x,y,z", "--mode", "affine", "--field",
+          ", ".join(f"{'9' * 1000}*{a}^2+{b}" for a, b in ("xy", "yz", "zx")),
+          "--k", "1"], "extactic would have more than 4300 digits"),
+    ], ids=["gen", "theorem1", "poin", "cor", "parse", "parse-7^9999999",
+            "parse-2^20000", "parse-2^14300", "parse-literal^5",
+            "parse-literal-product", "parse-sum", "extactic"])
     def test_number_past_the_print_limit_is_2(self, argv, error):
         # each printed "Exceeds the limit (4300 digits) for integer string
-        # conversion; use sys.set_int_max_str_digits() to increase the limit"
+        # conversion; use sys.set_int_max_str_digits() to increase the
+        # limit", after 17 s for 7^9999999; the extactic (m = 4, Bareiss,
+        # no height bound) only once it had been computed
+        start = time.perf_counter()
         code, out, err = run_cli(argv)
+        assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": error}
         assert "set_int_max_str_digits" not in err
