@@ -4,8 +4,8 @@ that have first integrals of degree <= k.
 
     PYTHONPATH=src python scripts/fallback_sweep.py
 
-Each draw is one field from a fixed seed.  Its outcome is `first_pair` (the
-probe and the first pair of kernel points certify), `retry` (a later pair
+Each draw is one field from a fixed seed.  Its outcome is `first_pair`
+(the first pair of kernel points certifies), `retry` (a later pair
 certifies), `fallback` (the Cramer-minor fallback answers) or `failed`
 (the fallback fails too, anything else is raised, or the draw runs past
 CAP_SECONDS; `capped` counts those).  The outcome is read by counting
@@ -149,8 +149,8 @@ def outcome(watch: Watch, field, k: int) -> tuple:
     degree = int(max(fi.numerator.degree(), fi.denominator.degree()))
     if watch.fallback:
         return "fallback", degree
-    # the probe point, then two points per pair
-    return ("first_pair" if watch.draws == 3 else "retry"), degree
+    # two points per pair
+    return ("first_pair" if watch.draws == 2 else "retry"), degree
 
 
 def sweep(family: str, k: int, draws: int, watch: Watch) -> dict:

@@ -128,14 +128,17 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
-def _printable(numbers, power: int = 1) -> bool:
-    """Whether Python prints n^power for every int n in `numbers`.  As
-    2^(3 limit) < 10^limit < 2^(4 limit), a power is formed only when the
-    bit lengths leave its size open."""
+def _printable(numbers, power: int = 1, slack: int = 0) -> bool:
+    """Whether n^power has at most `slack` digits more than Python prints,
+    for every int n in `numbers`.  As 2^(3 limit) < 10^limit < 2^(4 limit),
+    a power is formed only when the bit lengths leave its size open."""
     limit = sys.get_int_max_str_digits()
+    if not limit:
+        return True
+    limit += slack
     for n in numbers:
         bits = n.bit_length()
-        if limit and bits * power > 3 * limit and (
+        if bits * power > 3 * limit and (
                 (bits - 1) * power >= 4 * limit
                 or abs(n) ** power >= 10 ** limit):
             return False
@@ -195,12 +198,16 @@ class _Parser:
                              f"{self.ring.nvars} variables", index)
         return values
 
-    def check_size(self, index: int, a: Polynomial, b=None, n: int = 1):
-        """Refuse a * b, or a^n when b is None, before it is formed: when its
-        total degree would exceed MAX_DEGREE, its term-count bound MAX_TERMS,
-        or a coefficient the digits Python prints.  By `_measure`, each
-        coefficient of a * b is at most height_a * height_b over a divisor
-        of den_a * den_b, and of a^n height_a^n over a divisor of den_a^n."""
+    def product(self, index: int, a: Polynomial, b=None,
+                n: int = 1) -> Polynomial:
+        """a * b, or a^n when b is None, refused before it is formed when
+        its total degree would exceed MAX_DEGREE, its term-count bound
+        MAX_TERMS, or a coefficient the digits Python prints.  By
+        `_measure`, each coefficient of a * b is at most height_a * height_b
+        over a divisor of den_a * den_b, and of a^n height_a^n over a
+        divisor of den_a^n.  A coefficient bound that overshoots the digits
+        Python prints by at most those of MAX_TERMS is cheap to form, so the
+        result is formed and its own coefficients judged."""
         degree, den, height = _measure(a)
         if b is not None:
             degree_b, den_b, height_b = _measure(b)
@@ -219,10 +226,15 @@ class _Parser:
         if terms > MAX_TERMS:
             reason = f"may have {terms} terms, above the cap of {MAX_TERMS}"
         elif _printable((height, den), n):
-            return
+            return a ** n if b is None else a * b
         else:
             reason = (f"may have a coefficient of more than "
                       f"{sys.get_int_max_str_digits()} digits")
+            if _printable((height, den), n, len(str(MAX_TERMS))):
+                value = a ** n if b is None else a * b
+                if _printable(m for c in value.terms.values()
+                              for m in (c.numerator, c.denominator)):
+                    return value
         what = (f"the power {n} of {size} terms, of degree {degree},"
                 if b is None else f"a product of {size} and {len(b.terms)} "
                                   f"terms of degree {degree}")
@@ -246,9 +258,7 @@ class _Parser:
         while (op := self.tokens[-1])[0] in ("*", "/"):
             self.tokens.pop()
             if op[0] == "*":
-                rhs = self.parse_factor()
-                self.check_size(op[2], value, rhs)
-                value = value * rhs
+                value = self.product(op[2], value, self.parse_factor())
             else:
                 kind, digits, index = self.tokens.pop()
                 if kind != "number":
@@ -264,9 +274,7 @@ class _Parser:
         while self.tokens[-1][0] == "^":
             self.tokens.pop()
             _, digits, index = self.expect("number")
-            n = int(digits)
-            self.check_size(index, value, n=n)
-            value = value ** n
+            value = self.product(index, value, n=int(digits))
         return value
 
     def parse_atom(self) -> Polynomial:

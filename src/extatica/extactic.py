@@ -22,20 +22,21 @@ Two exact determinant engines are provided:
 Both first expand along every row or column whose only nonzero entry is a
 constant (`_expand_units`), and both return identical canonical
 polynomials.  A determinant is computed only when E is nonzero.
-`_certify_vanishing` decides, and draws every probe point: it probes J
-modulo a prime, then certifies E = 0 by a first integral of degree <= k
-read off the left kernels of J at a pair of points, retried at a few fresh
-pairs.  Without a certified pair `extactic` computes the full determinant,
-and `extract_first_integral` falls back to a ratio of Cramer minors of J
+`_certify_vanishing` decides, and draws every probe point: the first
+point's jet, reduced modulo a prime, may prove E != 0 at once; otherwise
+it certifies E = 0 by a first integral of degree <= k read off the left
+kernels of J at a pair of points, retried at a few fresh pairs.  Without
+a certified pair `extactic` computes the full determinant, and
+`extract_first_integral` falls back to a ratio of Cramer minors of J
 planned on the certificate's point jets, with no point of its own; when
 that fails too, the determinant tells E != 0 from a failed extraction.
 The fallback runs when E = 0 forces no integral of degree <= k (possible
 off the plane), and when two independent rational integrals of degree <= k
 exist, whose pencils the kernel vectors of a pair can mix.  `_point_jet`
-evaluates J at a point, exact or modulo p, by Taylor-mode recurrences
-along the flow; the symbolic jet matrix (`jet_matrix`) is built only for
-a determinant.  Scalar linear algebra (the probes, the kernels, the
-fallback's minors at a point, the modular re-check) runs on `linalg`.
+evaluates J exactly at a point by Taylor-mode recurrences along the flow;
+the symbolic jet matrix (`jet_matrix`) is built only for a determinant.
+Scalar linear algebra (the probes, the kernels, the fallback's minors at
+a point, the modular re-check) runs on `linalg`.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ from typing import Optional, Sequence
 
 from .foliation import (AFFINE, HOMOGENEOUS, DegenerateFieldError,
                         VectorField, apply_derivation, foliation_degree)
-from .linalg import det_mod, kernel, reduce_rational
-from .polyring import (PRIMES_2_31, BadPrimeError, ContextError,
-                       DimensionGuardError, EngineDisagreementError,
-                       PolyRing, Polynomial, bareiss_determinant,
-                       derivation_chains, monomials_of_degree,
-                       monomials_up_to_degree, proportional)
+from .linalg import det_mod, integer_rows, kernel, reduce_rational
+from .polyring import (PRIMES_2_31, ContextError, DimensionGuardError,
+                       EngineDisagreementError, PolyRing, Polynomial,
+                       bareiss_determinant, derivation_chains,
+                       monomials_of_degree, monomials_up_to_degree,
+                       proportional)
 
 #: Complete monomial systems above this dimension are refused unless the
 #: caller overrides: the determinant degree grows quadratically in the
@@ -190,9 +191,8 @@ def jet_matrix(field: VectorField, system: LinearSystem) -> JetMatrix:
     return JetMatrix(tuple(map(tuple, chains)), field, system)
 
 
-def _point_jet(field: VectorField, system: LinearSystem, point,
-               p: Optional[int] = None) -> list:
-    """The jet matrix at a point, [[(X^j s_i)(point)]], exact or modulo p.
+def _point_jet(field: VectorField, system: LinearSystem, point) -> list:
+    """The jet matrix at a point, [[(X^j s_i)(point)]], exactly.
 
     Taylor mode along the flow, with no symbolic polynomial: the values
     f_j = (X^j f)(point) of a product obey Leibniz's rule, (fg)_j =
@@ -201,24 +201,13 @@ def _point_jet(field: VectorField, system: LinearSystem, point,
     the basis, closed under dropping one variable (the last present), get
     their values column by column, each by one binomial convolution of its
     parent's values with the dropped variable's; a point costs
-    O(#monomials * m^2) scalar operations.  Exact values are Python ints
-    where the coefficients are integral and Fractions otherwise.  Modulo p
-    the point is an integer point and every coefficient n/d is reduced
-    once to n * d^-1; a p dividing some d raises BadPrimeError.
+    O(#monomials * m^2) scalar operations.  Values are Python ints where
+    the coefficients are integral and Fractions otherwise.
     """
     m = system.dimension
     nv = field.ring.nvars
-    if p is None:
-        def scalar(c):
-            return c.numerator if c.denominator == 1 else c
-    else:
-        def scalar(c):
-            if c.denominator % p == 0:
-                raise BadPrimeError(
-                    f"denominator {c.denominator} vanishes mod {p}")
-            return c.numerator * pow(c.denominator, -1, p) % p
-        point = [x % p for x in point]
-    terms = [[(e, scalar(c)) for e, c in f.terms.items()]
+    terms = [[(e, c.numerator if c.denominator == 1 else c)
+              for e, c in f.terms.items()]
              for f in field.components + system.basis]
     parents = {}  # monomial of degree >= 2 -> (parent, dropped variable)
     todo = [e for t in terms for e, _ in t]
@@ -238,16 +227,14 @@ def _point_jet(field: VectorField, system: LinearSystem, point,
         values[e] = []
 
     def combine(t, j):
-        total = sum(c * values[e][j] for e, c in t)
-        return total if p is None else total % p
+        return sum(c * values[e][j] for e, c in t)
 
     for j in range(m):
         binom = [math.comb(j, i) for i in range(j + 1)]
         for e in order:
             parent, v = parents[e]
-            total = sum(c * a * b for c, a, b in zip(
-                binom, values[parent], xs[v][::-1]))
-            values[e].append(total if p is None else total % p)
+            values[e].append(sum(c * a * b for c, a, b in zip(
+                binom, values[parent], xs[v][::-1])))
         if j + 1 < m:
             for v in range(nv):
                 xs[v].append(combine(terms[v], j))
@@ -348,11 +335,14 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
     empty minor and a ring without variables go to `_fraction_free`.  Any
     other minor goes to `modular.determinant`, which returns the
     determinant of the minor with its columns scaled to integers and the
-    product of the scales.  `jobs` threads the primes.  The engine refuses a
-    grid above its memory guard with DimensionGuardError, a height bound
+    product of the scales.  Up to `jobs` (at least 1) threads run the
+    primes, as many as the memory guard admits.  The engine refuses a grid
+    above the guard on one thread with DimensionGuardError, a height bound
     beyond the prime table with BadPrimeError, and raises
     EngineDisagreementError when its re-check fails.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     rows, ring = _square_rows(matrix)
     factor, rows = _expand_units(rows)
     if not rows or ring.nvars == 0:
@@ -535,13 +525,16 @@ def _certify_vanishing(field: VectorField, system: LinearSystem,
 
     The one place that draws probe points, from its own generator seeded
     with 0, so every caller sees the same points.  J is only evaluated at
-    points, by `_point_jet`.  A nonzero det J(p) modulo a prime at a random
-    point p proves E != 0 and raises ExtacticNotZeroError.  Otherwise the
-    left kernel of J over Q is taken at a pair of integer points (a
-    full-rank point raises the same); each exact point jet goes to `jets`.
-    The kernel vector of a free column is an element F = sum c_i s_i of the
-    system whose jets vanish at the point, so F vanishes along the leaf; for
-    the first free column it lies on the shortest basis prefix that has one.
+    points, exactly, by `_point_jet`; each point jet goes to `jets`.  The
+    first point's jet, its rows scaled to integers, is reduced modulo the
+    first table prime: a nonzero determinant proves det J(P) != 0, so
+    E != 0, and raises ExtacticNotZeroError; a zero one (as when the prime
+    divides a row's scale) proves nothing.  Then the left kernel of J over
+    Q is taken at a pair of points (a full-rank point raises the same).
+    The kernel vector of a free column is an element F = sum c_i s_i of
+    the system whose jets vanish at the point, so F vanishes along the
+    leaf; for the first free column it lies on the shortest basis prefix
+    that has one.
 
     When the system holds a constant and a kernel of the pair has dimension
     >= 2 (as with several independent polynomial integrals, where no two
@@ -556,12 +549,6 @@ def _certify_vanishing(field: VectorField, system: LinearSystem,
     first integral and coeffs(N) - h*coeffs(D) is a nonzero vector
     annihilating every column X^j(s) over the field of first integrals, so
     E = 0.
-
-    The prime is the first table prime dividing no coefficient denominator
-    of the field or of the basis.  Every denominator of an entry of J
-    divides a product of those, so the prime divides none; it can differ
-    from the first prime dividing no entry's denominator only when
-    cancellation removes p from every entry.
 
     A pair that certifies nothing (a point on a special leaf, or kernel
     vectors that span no pencil of first integrals) is replaced by a fresh
@@ -578,23 +565,17 @@ def _certify_vanishing(field: VectorField, system: LinearSystem,
     m = system.dimension
     nv = field.ring.nvars
     has_constant = any(s.is_constant() for s in system.basis)
-    denominators = {c.denominator for f in field.components + system.basis
-                    for c in f.terms.values()}
-    prime = next((p for p in PRIMES_2_31
-                  if all(d % p for d in denominators)), None)
-    if prime is None:
-        raise BadPrimeError("every table prime divides a denominator")
     rng = Random(0)
-    point = _probe_point(rng, nv, prime - 1)
-    if det_mod(_point_jet(field, system, point, prime), prime):
-        raise ExtacticNotZeroError(
-            "the extactic polynomial is not identically zero "
-            f"(nonzero modulo {prime} at {tuple(point)})")
-    for _ in range(_PAIRS):
+    for pair in range(_PAIRS):
         kernels, derived = [], []
-        for _ in range(2):
+        for side in range(2):
             point = _probe_point(rng, nv, _PROBE_RANGE)
             jets.append(_point_jet(field, system, point))
+            if pair == side == 0 and det_mod(integer_rows(jets[-1])[0],
+                                             PRIMES_2_31[0]):
+                raise ExtacticNotZeroError(
+                    "the extactic polynomial is not identically zero "
+                    f"(nonzero modulo {PRIMES_2_31[0]} at {tuple(point)})")
             columns = list(zip(*jets[-1]))
             left_kernel = kernel(columns, m)
             if not left_kernel:

@@ -65,8 +65,8 @@ def determinant(rows, ring, jobs: int = 1) -> tuple:
     """(det, scale) with det(rows) = det / scale, for a non-empty square
     matrix `rows` over `ring`, which has variables: det is the determinant
     of the integer matrix of the term table and scale the product of its
-    column scales.  `jobs` threads the primes (`prime_images`); the memory
-    guard counts one set of grid arrays per thread."""
+    column scales.  Up to `jobs` threads run the primes (`prime_images`), as
+    many as the memory guard admits, each with its own grid arrays."""
     table, dropped = drop_homogeneous(term_table(rows, ring.nvars))
     var_bounds, total_bound, height = det_bounds(table)
     if total_bound < 0:
@@ -83,9 +83,12 @@ def determinant(rows, ring, jobs: int = 1) -> tuple:
             break
     # the memory guard speaks first: an input that trips both is refused
     # for its bytes
-    workers = max(1, min(jobs, len(chosen)))
-    nbytes = grid_bytes(table, var_bounds, total_bound, workers, len(chosen))
-    if nbytes > MAX_GRID_BYTES:
+    for workers in range(min(jobs, len(chosen)), 0, -1):
+        nbytes = grid_bytes(table, var_bounds, total_bound, workers,
+                            len(chosen))
+        if nbytes <= MAX_GRID_BYTES:
+            break
+    else:
         raise DimensionGuardError(
             f"the grid arrays on the lower set of degree <= {total_bound} "
             f"need {nbytes} bytes, above the guard of {MAX_GRID_BYTES}")
@@ -95,7 +98,7 @@ def determinant(rows, ring, jobs: int = 1) -> tuple:
             f"{target.bit_length()} bits, the usable primes cover "
             f"{prod.bit_length()}")
     exponents, residues = prime_images(table, var_bounds, total_bound, chosen,
-                                       jobs)
+                                       workers)
     exponents = list(map(tuple, exponents.tolist()))
     # each coefficient is nonzero modulo some prime, so never 0
     coefficients = chinese_remainder(residues, chosen)
@@ -725,7 +728,7 @@ def prime_images(table, bounds, degree: int, primes: Sequence[int],
             det = _grid_determinants(_grid_values(plan, p, vander, values), p)
             residues[i] = _interpolate(plan, det, p, lower, newton)
 
-    workers = max(1, min(jobs, len(primes)))
+    workers = min(jobs, len(primes))
     if workers == 1:
         run(range(len(primes)))
     else:

@@ -345,6 +345,21 @@ class TestParser:
         assert str(parse_polynomial(f"{literal}*x*y*z", ring)) == \
             f"{literal}*x*y*z"
 
+    def test_a_bound_just_past_the_print_limit_is_judged_on_the_result(
+            self):
+        # the bound (10^1075)^4 has 4,301 digits, the largest coefficient
+        # 6 * (5 * 10^1074)^4 = 3.75 * 10^4299 only 4,300: the result is
+        # formed and printed, as a power and as a product
+        ring = PolyRing(("x", "y"))
+        c = 625 * 10**4296
+        expected = str(ring.from_terms({(4 - i, i): math.comb(4, i) * c
+                                        for i in range(5)}))
+        base = "(5*10^1074*x+5*10^1074*y)"
+        for text in (f"{base}^4", "*".join([base] * 4)):
+            assert str(parse_polynomial(text, ring)) == expected
+        code, out, _ = run_cli(["parse", "--vars", "x,y", f"{base}^4"])
+        assert code == 0 and json.loads(out)["canonical"] == expected
+
     def test_digits_are_those_int_reads(self):
         # Arabic-Indic three is a decimal digit; superscript two is not
         ring = PolyRing(("x",))

@@ -21,7 +21,7 @@ from extatica.extactic import (DimensionGuardError,
                                jet_matrix, monomial_system)
 from extatica.foliation import (AFFINE, HOMOGENEOUS, DegenerateFieldError,
                                 VectorField, apply_derivation)
-from extatica.linalg import det_mod
+from extatica.linalg import det_mod, integer_rows, reduce_rational
 from extatica import modular
 from extatica.modular import (MAX_GRID_BYTES, _batch_inverse,
                               _grid_determinants, _grid_plan, _grid_values,
@@ -143,28 +143,14 @@ def point_jet_inputs(draw):
             LinearSystem(tuple(basis), k, mode), point)
 
 
-@given(point_jet_inputs(), st.sampled_from(PRIMES_2_31))
+@given(point_jet_inputs())
 @settings(max_examples=100, deadline=None)
-def test_point_jet_matches_the_symbolic_jet(case, p):
+def test_point_jet_matches_the_symbolic_jet(case):
     field, system, point = case
     rows = jet_matrix(field, system).entries
     assert _point_jet(field, system, point) == [
         [evaluate(e, point) for e in r] for r in rows]
-    assert _point_jet(field, system, point, p) == [
-        [evaluate_mod(e, point, p) for e in r] for r in rows]
     event(f"m = {system.dimension}")
-
-
-def test_point_jet_modulo_a_prime_dividing_a_denominator():
-    # x/7: 7^-1 mod 11 is 8, and modulo 7 the coefficient has no image
-    field = VectorField((X.scale(Fraction(1, 7)), Y), AFFINE)
-    system = monomial_system(2, 1, AFFINE)
-    rows = jet_matrix(field, system).entries
-    assert _point_jet(field, system, [3, 2], 11) == [
-        [evaluate_mod(e, [3, 2], 11) for e in r] for r in rows]
-    assert _point_jet(field, system, [3, 2], 11)[1][1] == 3 * 8 % 11
-    with pytest.raises(BadPrimeError, match="vanishes mod 7"):
-        _point_jet(field, system, [3, 2], 7)
 
 
 class TestExtactic:
@@ -811,8 +797,27 @@ class TestModularKernels:
         assert two - shared == 2 * (one - shared)
         monkeypatch.setattr(modular, "MAX_GRID_BYTES", one)
         assert det_modular(rows, jobs=1) == det_fraction_free(rows)
-        with pytest.raises(DimensionGuardError, match=f"need {two} bytes"):
-            det_modular(rows, jobs=2)
+        # the second thread does not fit: jobs=2 runs one
+        assert det_modular(rows, jobs=2) == det_fraction_free(rows)
+        monkeypatch.setattr(modular, "MAX_GRID_BYTES", one - 1)
+        for jobs in (1, 2):
+            with pytest.raises(DimensionGuardError,
+                               match=f"need {one} bytes"):
+                det_modular(rows, jobs=jobs)
+
+    def test_jobs_never_change_the_answer_under_the_guard(self,
+                                                          monkeypatch):
+        # the slv:1 jet at k = 2 needs 173,120 grid bytes on one thread
+        # and 313,920 on two: with the guard between, every jobs value
+        # gets the one-thread determinant
+        field = slv(1).field
+        rows = jet_matrix(field, monomial_system(3, 2, HOMOGENEOUS)).entries
+        expected = det_modular(rows, jobs=1)
+        monkeypatch.setattr(modular, "MAX_GRID_BYTES", 200_000)
+        for jobs in (1, 2, 4):
+            assert det_modular(rows, jobs=jobs) == expected
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            det_modular(rows, jobs=0)
 
     def test_grid_memory_guard_speaks_before_the_prime_table(self):
         # constants near 2^800 exhaust the prime table (1,603 bits), and
@@ -972,7 +977,7 @@ class TestVanishingDecision:
         assert pairs == {("y", "x^2 + 1")}
         assert len(first_points) == 4
 
-    @pytest.mark.parametrize("lines", [(0, 0, 0), (0, 0, 1)],
+    @pytest.mark.parametrize("lines", [(0, 0), (0, 1)],
                              ids=["proportional", "cross-identity-fails"])
     def test_singular_probe_with_nonzero_extactic(self, monkeypatch, lines):
         # on the invariant line x = 0 of a planted field J(p) is singular,
@@ -990,7 +995,7 @@ class TestVanishingDecision:
             extract_first_integral(field, system)
         # both decisions went on to a fresh pair, whose first point is free
         # of the line and shows full rank
-        assert len(drawn) == 4
+        assert len(drawn) == 3
         assert [type(d) for d in decided] == [ExtacticNotZeroError] * 2
         assert all("full rank" in str(d) for d in decided)
 
@@ -1002,12 +1007,12 @@ class TestVanishingDecision:
         k = 2
         system = monomial_system(2, k, AFFINE)
         decided = _spy(monkeypatch, "_certify_vanishing")
-        _probes_on(monkeypatch, (0, 0, 0))
+        _probes_on(monkeypatch, (0, 0))
         assert extactic(field, system).identically_zero
-        drawn = _probes_on(monkeypatch, (0, 0, 0))
+        drawn = _probes_on(monkeypatch, (0, 0))
         fi = extract_first_integral(field, system)
-        assert len(drawn) == 5  # the probe, the first pair and the retry
-        assert all(point[0] == 0 for point in drawn[:3])
+        assert len(drawn) == 4  # the first pair and the retry
+        assert all(point[0] == 0 for point in drawn[:2])
         assert decided == [fi, fi]  # the same seed, the same certificate
         assert max(fi.numerator.degree(), fi.denominator.degree()) <= k
         assert not proportional(fi.numerator, fi.denominator)
@@ -1025,7 +1030,7 @@ class TestVanishingDecision:
             drawn.clear()
             fi = extract_first_integral(field, monomial_system(3, k, AFFINE))
             assert (str(fi.numerator), str(fi.denominator)) == ("z", "1")
-            assert len(drawn) == 3
+            assert len(drawn) == 2
 
     @pytest.mark.parametrize("components,k,integral", [
         # integrals 1, xz + z^2 and yz - z^2 + x: every kernel has
@@ -1044,7 +1049,7 @@ class TestVanishingDecision:
         fallback = _spy(monkeypatch, "_cramer_first_integral")
         fi = extract_first_integral(field, system)
         assert (str(fi.numerator), str(fi.denominator)) == (integral, "1")
-        assert len(drawn) == 3 and fallback == []
+        assert len(drawn) == 2 and fallback == []
         assert apply_derivation(field, fi.numerator).is_zero()
         assert extactic(field, system).identically_zero
 
@@ -1080,8 +1085,8 @@ class TestVanishingDecision:
         with pytest.raises(ExtractionFailedError):
             extract_first_integral(field, system)
         assert decided == [None]
-        # the probe and every pair; the fallback draws no point
-        assert len(drawn) == 1 + 2 * EXT._PAIRS
+        # every pair; the fallback draws no point
+        assert len(drawn) == 2 * EXT._PAIRS
 
     def test_a_failed_extraction_with_nonzero_extactic_raises(self,
                                                               monkeypatch):
@@ -1095,24 +1100,25 @@ class TestVanishingDecision:
         with pytest.raises(ExtacticNotZeroError, match="determinant"):
             extract_first_integral(field, system)
         assert [type(f) for f in fallback] == [ExtractionFailedError]
-        assert len(drawn) == 1 + 2 * EXT._PAIRS
+        assert len(drawn) == 2 * EXT._PAIRS
 
-    def test_the_probe_skips_a_prime_dividing_a_denominator(self,
-                                                           monkeypatch):
+    def test_a_prime_dividing_a_denominator_leaves_the_kernel_to_decide(
+            self, monkeypatch):
+        # X = (x/p, 2y/p): both non-constant rows of the jet are scaled by
+        # p^2, leaving (0, 0, x) and (0, 0, 4y) modulo p, so the first
+        # point's determinant is 0 modulo p although E = 2xy/p^3; its exact
+        # kernel is empty and decides
         p = PRIMES_2_31[0]
-        field = VectorField((X.scale(Fraction(1, p)), Y.scale(2)), AFFINE)
+        field = VectorField((X.scale(Fraction(1, p)),
+                             Y.scale(Fraction(2, p))), AFFINE)
         system = monomial_system(2, 1, AFFINE)
-        used = []
-        original = EXT._point_jet
-
-        def spy(field, system, point, p=None):
-            used.append(p)
-            return original(field, system, point, p)
-
-        monkeypatch.setattr(EXT, "_point_jet", spy)
-        with pytest.raises(ExtacticNotZeroError):
-            extract_first_integral(field, system)
-        assert used == [PRIMES_2_31[1]]
+        jets = []
+        drawn = _probes_on(monkeypatch, ())
+        with pytest.raises(ExtacticNotZeroError, match="full rank"):
+            EXT._certify_vanishing(field, system, jets)
+        assert len(drawn) == len(jets) == 1
+        assert det_mod(integer_rows(jets[0])[0], p) == 0
+        assert reduce_rational(jets[0])[2] != 0
 
 
 def _small(max_degree):
@@ -1208,14 +1214,59 @@ def test_known_first_integrals_never_reach_the_fallback(monkeypatch):
         nv = field.ring.nvars
         drawn.clear()
         fi = extract_first_integral(field, monomial_system(nv, k, AFFINE))
-        # the probe and the first pair: no retry, no fallback
-        assert len(drawn) == 3
+        # the first pair: no retry, no fallback
+        assert len(drawn) == 2
         assert max(fi.numerator.degree(), fi.denominator.degree()) <= k
         assert not proportional(fi.numerator, fi.denominator)
         assert _cross_identity(field, fi.numerator, fi.denominator)
         event(f"{nv} variables")
 
     check()
+
+
+@st.composite
+def probe_inputs(draw):
+    """(field, k): components of degree <= 2 on 2 variables at k = 1-2, or
+    on 3 variables at k = 1; a Hamiltonian field on half the planar draws.
+    Each component may carry the denominator P31, the probe's prime."""
+    nv = draw(st.sampled_from([2, 3]))
+    ring = RING_XY if nv == 2 else RING_XYZ
+    k = draw(st.integers(1, 2 if nv == 2 else 1))
+    if nv == 2 and draw(st.booleans()):
+        h = draw(_small(2))
+        assume(not h.is_constant())
+        comps = hamiltonian(h).field.components
+    else:
+        terms = st.dictionaries(
+            st.sampled_from(list(monomials_up_to_degree(nv, 2))),
+            st.integers(1, 5) | st.integers(-5, -1), min_size=1, max_size=3)
+        comps = draw(st.lists(terms.map(ring.from_terms),
+                              min_size=nv, max_size=nv))
+    scales = draw(st.lists(st.sampled_from([1, Fraction(1, P31)]),
+                           min_size=nv, max_size=nv))
+    field = VectorField(tuple(c.scale(a) for c, a in zip(comps, scales)),
+                        AFFINE)
+    return field, k
+
+
+@given(probe_inputs())
+@settings(max_examples=100, deadline=None)
+def test_the_decision_agrees_with_the_determinant(case):
+    field, k = case
+    system = monomial_system(field.ring.nvars, k, AFFINE)
+    det = det_fraction_free(jet_matrix(field, system).entries)
+    try:
+        fi = EXT._certify_vanishing(field, system, [])
+    except ExtacticNotZeroError:
+        assert not det.is_zero()
+        event("E != 0")
+        return
+    if fi is not None:
+        assert det.is_zero()
+        assert _cross_identity(field, fi.numerator, fi.denominator)
+        event("certified")
+    else:
+        event("undecided")
 
 
 class TestSymmetries:
