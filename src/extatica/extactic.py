@@ -19,24 +19,24 @@ Two exact determinant engines are provided:
   `extatica.modular`, the only module that imports numpy; it is imported
   on the first modular determinant, so numpy loads only then.
 
-Both first expand along every row or column whose only nonzero entry is a
-constant (`_expand_units`), and both return identical canonical
+Both first expand along every row or column whose only nonzero entry is
+a constant (`_expand_units`), and both return identical canonical
 polynomials.  A determinant is computed only when E is nonzero.
-`_certify_vanishing` decides, and draws every probe point: the first
-point's jet, reduced modulo a prime, may prove E != 0 at once; otherwise
-it certifies E = 0 by a first integral of degree <= k read off the left
-kernels of J at a pair of points, retried at a few fresh pairs.  Without
-a certified pair `extactic` computes the full determinant, and
-`extract_first_integral` falls back to a ratio of Cramer minors of J
-planned on the certificate's point jets, with no point of its own; when
-that fails too, the determinant tells E != 0 from a failed extraction.
-The fallback runs when E = 0 forces no integral of degree <= k (possible
-off the plane), and when two independent rational integrals of degree <= k
-exist, whose pencils the kernel vectors of a pair can mix.  `_point_jet`
-evaluates J exactly at a point by Taylor-mode recurrences along the flow;
-the symbolic jet matrix (`jet_matrix`) is built only for a determinant.
-Scalar linear algebra (the probes, the kernels, the fallback's minors at
-a point, the modular re-check) runs on `linalg`.
+`_certify_vanishing` decides, and draws every probe point: a point where
+J has full rank proves E != 0; otherwise it certifies E = 0 by a first
+integral of degree <= k read off the left kernels of J at a pair of
+points, retried at a few fresh pairs.  Without a certified pair
+`extactic` computes the full determinant, and `extract_first_integral`
+falls back to a ratio of Cramer minors of J planned on the certificate's
+point jets, with no point of its own; when that fails too, the
+determinant tells E != 0 from a failed extraction.  The fallback runs
+when E = 0 forces no integral of degree <= k (possible off the plane),
+and when two independent rational integrals of degree <= k exist, whose
+pencils the kernel vectors of a pair can mix.  `_point_jet` evaluates J
+exactly at a point by Taylor-mode recurrences along the flow; the
+symbolic jet matrix (`jet_matrix`) is built only for a determinant.
+Scalar linear algebra (the kernels, the fallback's minors at a point,
+the modular re-check) runs on `linalg`.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from typing import Optional, Sequence
 
 from .foliation import (AFFINE, HOMOGENEOUS, DegenerateFieldError,
                         VectorField, apply_derivation, foliation_degree)
-from .linalg import det_mod, integer_rows, kernel, reduce_rational
-from .polyring import (PRIMES_2_31, ContextError, DimensionGuardError,
+from .linalg import kernel, reduce_rational
+from .polyring import (ContextError, DimensionGuardError,
                        EngineDisagreementError, PolyRing, Polynomial,
                        bareiss_determinant, derivation_chains,
                        monomials_of_degree, monomials_up_to_degree,
@@ -327,6 +327,12 @@ def det_fraction_free(matrix) -> Polynomial:
 # modular determinant
 # ---------------------------------------------------------------------------
 
+def _check_jobs(jobs: int) -> None:
+    """Refuse a thread count below 1 with ValueError."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+
+
 def det_modular(matrix, jobs: int = 1) -> Polynomial:
     """Exact determinant by modular evaluation and interpolation,
     bit-identical to `det_fraction_free`.
@@ -341,8 +347,7 @@ def det_modular(matrix, jobs: int = 1) -> Polynomial:
     beyond the prime table with BadPrimeError, and raises
     EngineDisagreementError when its re-check fails.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    _check_jobs(jobs)
     rows, ring = _square_rows(matrix)
     factor, rows = _expand_units(rows)
     if not rows or ring.nvars == 0:
@@ -427,8 +432,7 @@ def extactic(field: VectorField, system: LinearSystem, engine: str = "auto",
     refused; pass `max_dim` to override.  `jobs` (at least 1) threads the
     modular engine's primes.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    _check_jobs(jobs)
     m = system.dimension
     check_dimension(m, max_dim)
     used = _engine_for(engine, m)
@@ -487,9 +491,10 @@ class FirstIntegral:
     rank: int
 
 
-def _probe_point(rng: Random, nvars: int, bound: int) -> list:
-    """A seeded random integer point with coordinates in [-bound, bound]."""
-    return [rng.randint(-bound, bound) for _ in range(nvars)]
+def _probe_point(rng: Random, nvars: int) -> list:
+    """A seeded random integer point with coordinates in
+    [-_PROBE_RANGE, _PROBE_RANGE]."""
+    return [rng.randint(-_PROBE_RANGE, _PROBE_RANGE) for _ in range(nvars)]
 
 
 def _element(system: LinearSystem, coefficients) -> Polynomial:
@@ -521,16 +526,13 @@ def _polynomial_integral(field: VectorField, system: LinearSystem,
 
 def _certify_vanishing(field: VectorField, system: LinearSystem,
                        jets: list) -> Optional[FirstIntegral]:
-    """Decide E = 0 by a probe, then certify it by a first integral.
+    """Decide E = 0 at probe points and certify it by a first integral.
 
     The one place that draws probe points, from its own generator seeded
     with 0, so every caller sees the same points.  J is only evaluated at
     points, exactly, by `_point_jet`; each point jet goes to `jets`.  The
-    first point's jet, its rows scaled to integers, is reduced modulo the
-    first table prime: a nonzero determinant proves det J(P) != 0, so
-    E != 0, and raises ExtacticNotZeroError; a zero one (as when the prime
-    divides a row's scale) proves nothing.  Then the left kernel of J over
-    Q is taken at a pair of points (a full-rank point raises the same).
+    left kernel of J over Q is taken at a pair of points; an empty one
+    means det J(P) != 0, so E != 0, and raises ExtacticNotZeroError.
     The kernel vector of a free column is an element F = sum c_i s_i of
     the system whose jets vanish at the point, so F vanishes along the
     leaf; for the first free column it lies on the shortest basis prefix
@@ -566,16 +568,11 @@ def _certify_vanishing(field: VectorField, system: LinearSystem,
     nv = field.ring.nvars
     has_constant = any(s.is_constant() for s in system.basis)
     rng = Random(0)
-    for pair in range(_PAIRS):
+    for _ in range(_PAIRS):
         kernels, derived = [], []
-        for side in range(2):
-            point = _probe_point(rng, nv, _PROBE_RANGE)
+        for _ in range(2):
+            point = _probe_point(rng, nv)
             jets.append(_point_jet(field, system, point))
-            if pair == side == 0 and det_mod(integer_rows(jets[-1])[0],
-                                             PRIMES_2_31[0]):
-                raise ExtacticNotZeroError(
-                    "the extactic polynomial is not identically zero "
-                    f"(nonzero modulo {PRIMES_2_31[0]} at {tuple(point)})")
             columns = list(zip(*jets[-1]))
             left_kernel = kernel(columns, m)
             if not left_kernel:
@@ -605,10 +602,10 @@ def extract_first_integral(field: VectorField, system: LinearSystem,
     """A verified rational first integral, when the extactic vanishes.
 
     This settles the decision.  `_certify_vanishing` goes first: it raises
-    ExtacticNotZeroError when a probe proves E != 0, and returns a pair of
-    degree <= k when some pair of probe points certifies one.  Otherwise the
-    symbolic jet matrix is built, once, for the Cramer-minor fallback, which
-    reads the certificate's point jets and draws none.  If it fails too, the
+    ExtacticNotZeroError when J has full rank at a probe point, and returns
+    a pair of degree <= k when some pair of probe points certifies one.
+    Otherwise the symbolic jet matrix is built, once, for the Cramer-minor
+    fallback, which reads the certificate's point jets and draws none.  If it fails too, the
     determinant decides (both take the engine "auto" picks by size): E != 0
     raises ExtacticNotZeroError, and E = 0 ExtractionFailedError.
     """

@@ -5,7 +5,7 @@ kernel and scalar determinant in the package.  It runs fraction-free over Z
 (Bareiss's integer-preserving elimination): each row's denominators are
 cleared once, every division is exact, and `Fraction`s are built only from
 the final rows.  `det_mod` is the determinant of an integer matrix modulo a
-prime, used by the modular engine's re-check and the certificate's probe.
+prime, used wherever the modular engine evaluates a single point.
 `max_assignment`, the largest weight of a permutation of a weight matrix
 (the Hungarian method), gives the modular engine its degree bounds.
 """
@@ -17,9 +17,25 @@ from math import inf, lcm
 from typing import Optional
 
 
-def integer_rows(matrix) -> tuple:
-    """(rows, scale): each row of a rational matrix times the lcm of its
-    denominators, a row of `int`s as it is, and the product of the lcms."""
+def _eliminate(matrix) -> tuple:
+    """Fraction-free Gauss-Jordan over Z, without row exchanges.
+
+    A row with a non-integer entry is first multiplied by the lcm of its
+    denominators; integer rows (`int` entries) are taken as they are.  Row
+    scaling changes neither the zero pattern of the reduction nor the
+    kernel.  Column by column, the pivot is the first row, in the original
+    row order, that is not a pivot row yet and has a nonzero entry there.
+    With `a` the pivot and `prev` the previous pivot (1 at first), every
+    other row becomes (a*row - row[c]*pivot_row) // prev, all of it: pivot
+    rows carry nonzero entries in earlier free columns.  Every division is
+    exact (each entry is a minor of the scaled matrix), and afterwards every
+    pivot row holds `prev` at each pivot column, so the rational reduction
+    is the integer one divided by the last pivot.
+
+    Returns (rows, pivots, prev, scale): the integer rows, the (row, column)
+    pivots in column order, the last pivot (1 if none), and the product of
+    the row scale factors.
+    """
     rows = []
     scale = 1
     for r in matrix:
@@ -30,28 +46,6 @@ def integer_rows(matrix) -> tuple:
             s = lcm(*(v.denominator for v in r))
             scale *= s
             rows.append([v.numerator * (s // v.denominator) for v in r])
-    return rows, scale
-
-
-def _eliminate(matrix) -> tuple:
-    """Fraction-free Gauss-Jordan over Z, without row exchanges.
-
-    The rows are first scaled to integers (`integer_rows`), which changes
-    neither the zero pattern of the reduction nor the kernel.  Column by
-    column, the pivot is the first row, in the original row order, that is
-    not a pivot row yet and has a nonzero entry there.  With `a` the pivot
-    and `prev` the previous pivot (1 at first), every other row becomes
-    (a*row - row[c]*pivot_row) // prev, all of it: pivot rows carry nonzero
-    entries in earlier free columns.  Every division is exact (each entry
-    is a minor of the scaled matrix), and afterwards every pivot row holds
-    `prev` at each pivot column, so the rational reduction is the integer
-    one divided by the last pivot.
-
-    Returns (rows, pivots, prev, scale): the integer rows, the (row, column)
-    pivots in column order, the last pivot (1 if none), and the product of
-    the row scale factors.
-    """
-    rows, scale = integer_rows(matrix)
     ncols = len(rows[0]) if rows else 0
     used = [False] * len(rows)
     pivots = []

@@ -101,8 +101,9 @@ def test_first_integral_after_failed_extraction(argv, status, monkeypatch):
     # decides, and the command computes no extactic of its own
     ext = sys.modules["extatica.extactic"]
 
-    def on_line(rng, nvars, bound):
-        return [0] + [rng.randint(-bound, bound) for _ in range(nvars - 1)]
+    def on_line(rng, nvars):
+        return [0] + [rng.randint(-ext._PROBE_RANGE, ext._PROBE_RANGE)
+                      for _ in range(nvars - 1)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the command called extactic")

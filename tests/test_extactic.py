@@ -21,7 +21,7 @@ from extatica.extactic import (DimensionGuardError,
                                jet_matrix, monomial_system)
 from extatica.foliation import (AFFINE, HOMOGENEOUS, DegenerateFieldError,
                                 VectorField, apply_derivation)
-from extatica.linalg import det_mod, integer_rows, reduce_rational
+from extatica.linalg import det_mod
 from extatica import modular
 from extatica.modular import (MAX_GRID_BYTES, _batch_inverse,
                               _grid_determinants, _grid_plan, _grid_values,
@@ -908,8 +908,9 @@ def _probes_on(monkeypatch, lines):
     order = iter(lines)
     drawn = []
 
-    def on_line(rng, nvars, bound):
-        point = [rng.randint(-bound, bound) for _ in range(nvars)]
+    def on_line(rng, nvars):
+        point = [rng.randint(-EXT._PROBE_RANGE, EXT._PROBE_RANGE)
+                 for _ in range(nvars)]
         line = next(order, None)
         if line is not None:
             point[line] = 0
@@ -965,9 +966,10 @@ class TestVanishingDecision:
             rng = Random(seed)
             drawn = []
 
-            def probe(_, nvars, bound):
-                drawn.append(tuple(rng.randint(-bound, bound)
-                                   for _ in range(nvars)))
+            def probe(_, nvars):
+                drawn.append(tuple(
+                    rng.randint(-EXT._PROBE_RANGE, EXT._PROBE_RANGE)
+                    for _ in range(nvars)))
                 return list(drawn[-1])
 
             monkeypatch.setattr(EXT, "_probe_point", probe)
@@ -1102,23 +1104,20 @@ class TestVanishingDecision:
         assert [type(f) for f in fallback] == [ExtractionFailedError]
         assert len(drawn) == 2 * EXT._PAIRS
 
-    def test_a_prime_dividing_a_denominator_leaves_the_kernel_to_decide(
+    def test_a_table_prime_in_a_denominator_is_decided_exactly(
             self, monkeypatch):
-        # X = (x/p, 2y/p): both non-constant rows of the jet are scaled by
-        # p^2, leaving (0, 0, x) and (0, 0, 4y) modulo p, so the first
-        # point's determinant is 0 modulo p although E = 2xy/p^3; its exact
-        # kernel is empty and decides
+        # X = (x/p, 2y) with p the first table prime: the point jets are
+        # exact, so the denominator raises no BadPrimeError, and the first
+        # point's empty kernel decides E = 2xy/p != 0
         p = PRIMES_2_31[0]
-        field = VectorField((X.scale(Fraction(1, p)),
-                             Y.scale(Fraction(2, p))), AFFINE)
+        field = VectorField((X.scale(Fraction(1, p)), Y.scale(2)), AFFINE)
         system = monomial_system(2, 1, AFFINE)
-        jets = []
+        assert not det_fraction_free(jet_matrix(field, system).entries) \
+            .is_zero()
         drawn = _probes_on(monkeypatch, ())
         with pytest.raises(ExtacticNotZeroError, match="full rank"):
-            EXT._certify_vanishing(field, system, jets)
-        assert len(drawn) == len(jets) == 1
-        assert det_mod(integer_rows(jets[0])[0], p) == 0
-        assert reduce_rational(jets[0])[2] != 0
+            extract_first_integral(field, system)
+        assert len(drawn) == 1
 
 
 def _small(max_degree):
@@ -1228,7 +1227,7 @@ def test_known_first_integrals_never_reach_the_fallback(monkeypatch):
 def probe_inputs(draw):
     """(field, k): components of degree <= 2 on 2 variables at k = 1-2, or
     on 3 variables at k = 1; a Hamiltonian field on half the planar draws.
-    Each component may carry the denominator P31, the probe's prime."""
+    Each component may carry the denominator P31, the first table prime."""
     nv = draw(st.sampled_from([2, 3]))
     ring = RING_XY if nv == 2 else RING_XYZ
     k = draw(st.integers(1, 2 if nv == 2 else 1))
