@@ -136,6 +136,7 @@ def outcome(watch: Watch, field, k: int) -> tuple:
     The draws tell the first pair from a retry; the fallback draws no probe
     point, so only the watch on it tells a fallback answer."""
     watch.draws, watch.fallback = 0, False
+    EXT._decision.cache_clear()  # even a draw equal to the last is decided
     system = monomial_system(field.ring.nvars, k, AFFINE)
     signal.setitimer(signal.ITIMER_REAL, CAP_SECONDS)
     try:

@@ -25,14 +25,17 @@ polynomials.  A determinant is computed only when E is nonzero.
 `_certify_vanishing` decides, and draws every probe point: a point where
 J has full rank proves E != 0; otherwise it certifies E = 0 by a first
 integral of degree <= k read off the left kernels of J at a pair of
-points, retried at a few fresh pairs.  Without a certified pair
-`extactic` computes the full determinant, and `extract_first_integral`
-falls back to a ratio of Cramer minors of J planned on the certificate's
-point jets, with no point of its own; when that fails too, the
-determinant tells E != 0 from a failed extraction.  The fallback runs
-when E = 0 forces no integral of degree <= k (possible off the plane),
-and when two independent rational integrals of degree <= k exist, whose
-pencils the kernel vectors of a pair can mix.  `_point_jet` evaluates J
+points, retried at a few fresh pairs.  The decision runs once per pair:
+`_decision` keeps the outcome for the pair just decided, so the second
+of two calls on an equal pair (`extactic`, then `extract_first_integral`)
+reuses it and draws no point.  Without a certified pair `extactic`
+computes the full determinant, and `extract_first_integral` falls back
+to a ratio of Cramer minors of J planned on the certificate's point
+jets, with no point of its own; when that fails too, the determinant
+tells E != 0 from a failed extraction.  The fallback runs when E = 0
+forces no integral of degree <= k (possible off the plane), and when two
+independent rational integrals of degree <= k exist, whose pencils the
+kernel vectors of a pair can mix.  `_point_jet` evaluates J
 exactly at a point by Taylor-mode recurrences along the flow; the
 symbolic jet matrix (`jet_matrix`) is built only for a determinant.
 Scalar linear algebra (the kernels, the fallback's minors at a point,
@@ -41,6 +44,7 @@ the modular re-check) runs on `linalg`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -425,12 +429,13 @@ def extactic(field: VectorField, system: LinearSystem, engine: str = "auto",
              max_dim: Optional[int] = None, jobs: int = 1) -> ExtacticReport:
     """Determinant of the jet matrix plus derived facts.
 
-    The decision comes first (`_certify_vanishing`): a certified first
-    integral proves E = 0 without a determinant.  Otherwise E is computed by
-    `engine`, "fraction-free", "modular" or "auto" (fraction-free up to 4x4,
-    modular beyond).  Systems larger than the guard (21 by default) are
-    refused; pass `max_dim` to override.  `jobs` (at least 1) threads the
-    modular engine's primes.
+    The decision comes first (`_decision`): a certified first integral
+    proves E = 0 without a determinant.  It runs once per pair, so an
+    `extract_first_integral` on an equal pair right after reuses it.
+    Otherwise E is computed by `engine`, "fraction-free", "modular" or
+    "auto" (fraction-free up to 4x4, modular beyond).  Systems larger than
+    the guard (21 by default) are refused; pass `max_dim` to override.
+    `jobs` (at least 1) threads the modular engine's primes.
     """
     _check_jobs(jobs)
     m = system.dimension
@@ -438,10 +443,7 @@ def extactic(field: VectorField, system: LinearSystem, engine: str = "auto",
     used = _engine_for(engine, m)
     _check_pair(field, system)
     d = foliation_degree(field)  # refuses the zero field
-    try:
-        certified = _certify_vanishing(field, system, []) is not None
-    except ExtacticNotZeroError:
-        certified = False
+    certified = _decision(field, system)[0] is not None
     det = system.ring.zero() if certified else _det(
         jet_matrix(field, system).entries, used, jobs=jobs)
     bound = extactic_degree_bound(m, system.degree, d)
@@ -524,19 +526,21 @@ def _polynomial_integral(field: VectorField, system: LinearSystem,
     return None
 
 
-def _certify_vanishing(field: VectorField, system: LinearSystem,
-                       jets: list) -> Optional[FirstIntegral]:
+def _certify_vanishing(field: VectorField, system: LinearSystem) -> tuple:
     """Decide E = 0 at probe points and certify it by a first integral.
+
+    Returns (integral, point, jets): the certified FirstIntegral or None,
+    the probe point (a tuple) where J has full rank or None, and the point
+    jets drawn, as tuples of row tuples.  A pure function of the pair.
 
     The one place that draws probe points, from its own generator seeded
     with 0, so every caller sees the same points.  J is only evaluated at
-    points, exactly, by `_point_jet`; each point jet goes to `jets`.  The
-    left kernel of J over Q is taken at a pair of points; an empty one
-    means det J(P) != 0, so E != 0, and raises ExtacticNotZeroError.
-    The kernel vector of a free column is an element F = sum c_i s_i of
-    the system whose jets vanish at the point, so F vanishes along the
-    leaf; for the first free column it lies on the shortest basis prefix
-    that has one.
+    points, exactly, by `_point_jet`.  The left kernel of J over Q is taken
+    at a pair of points; an empty one means det J(P) != 0, so E != 0, and
+    the decision ends with P.  The kernel vector of a free column is an
+    element F = sum c_i s_i of the system whose jets vanish at the point,
+    so F vanishes along the leaf; for the first free column it lies on the
+    shortest basis prefix that has one.
 
     When the system holds a constant and a kernel of the pair has dimension
     >= 2 (as with several independent polynomial integrals, where no two
@@ -554,10 +558,11 @@ def _certify_vanishing(field: VectorField, system: LinearSystem,
 
     A pair that certifies nothing (a point on a special leaf, or kernel
     vectors that span no pencil of first integrals) is replaced by a fresh
-    one, up to `_PAIRS` pairs; then None is returned, `jets` holds the
-    2 * `_PAIRS` singular point jets, and the caller falls back: `extactic`
-    to the full determinant, `extract_first_integral` to Cramer minors read
-    off those jets (`_cramer_first_integral`).  That happens when E = 0
+    one, up to `_PAIRS` pairs; then neither an integral nor a point is
+    returned, the jets are the 2 * `_PAIRS` singular point jets, and the
+    caller falls back: `extactic` to the full determinant,
+    `extract_first_integral` to Cramer minors read off those jets
+    (`_cramer_first_integral`).  That happens when E = 0
     forces no integral of degree <= k, which is possible off the plane, but
     also when two independent rational integrals of degree <= k exist, such
     as f1/g1 and f2/g2 of X = (g1 grad f1 - f1 grad g1) x (g2 grad f2 -
@@ -568,24 +573,23 @@ def _certify_vanishing(field: VectorField, system: LinearSystem,
     nv = field.ring.nvars
     has_constant = any(s.is_constant() for s in system.basis)
     rng = Random(0)
+    jets = []
     for _ in range(_PAIRS):
         kernels, derived = [], []
         for _ in range(2):
             point = _probe_point(rng, nv)
-            jets.append(_point_jet(field, system, point))
+            jets.append(tuple(map(tuple, _point_jet(field, system, point))))
             columns = list(zip(*jets[-1]))
             left_kernel = kernel(columns, m)
             if not left_kernel:
-                raise ExtacticNotZeroError(
-                    "the extactic polynomial is not identically zero "
-                    f"(full rank at {tuple(point)})")
+                return None, tuple(point), tuple(jets)
             kernels.append(left_kernel)
             derived += columns[1:]
         rank = m - min(map(len, kernels))
         if has_constant and max(map(len, kernels)) >= 2:
             fi = _polynomial_integral(field, system, derived, rank)
             if fi is not None:
-                return fi
+                return fi, None, tuple(jets)
         for vectors in zip(*kernels):
             reduced, pivots, _ = reduce_rational(vectors)
             if len(pivots) < 2:
@@ -593,19 +597,34 @@ def _certify_vanishing(field: VectorField, system: LinearSystem,
             den, num = (_element(system, reduced[i]) for i, _ in pivots)
             if (apply_derivation(field, num) * den
                     == num * apply_derivation(field, den)):
-                return FirstIntegral(num, den, rank)
-    return None
+                return FirstIntegral(num, den, rank), None, tuple(jets)
+    return None, None, tuple(jets)
+
+
+@functools.lru_cache(maxsize=1)
+def _decision(field: VectorField, system: LinearSystem) -> tuple:
+    """`_certify_vanishing` on the pair, kept for the pair just decided.
+
+    One slot: the first-integral decision is `extactic`, then
+    `extract_first_integral` on an equal pair, and the second call reads
+    the first call's outcome, with the same points, jets and certificate.
+    Equal pairs built from fresh objects hit too (fields and systems hash
+    by value), and any other pair decides afresh.
+    """
+    return _certify_vanishing(field, system)
 
 
 def extract_first_integral(field: VectorField, system: LinearSystem,
                            max_dim: Optional[int] = None) -> FirstIntegral:
     """A verified rational first integral, when the extactic vanishes.
 
-    This settles the decision.  `_certify_vanishing` goes first: it raises
-    ExtacticNotZeroError when J has full rank at a probe point, and returns
-    a pair of degree <= k when some pair of probe points certifies one.
-    Otherwise the symbolic jet matrix is built, once, for the Cramer-minor
-    fallback, which reads the certificate's point jets and draws none.  If it fails too, the
+    This settles the decision.  `_decision` goes first, and runs once per
+    pair: right after `extactic` on an equal pair it reuses that outcome
+    and draws no point.  A probe point where J has full rank raises
+    ExtacticNotZeroError, and a pair of degree <= k that some pair of probe
+    points certifies is returned.  Otherwise the symbolic jet matrix is
+    built, once, for the Cramer-minor fallback, which reads the
+    certificate's point jets and draws none.  If it fails too, the
     determinant decides (both take the engine "auto" picks by size): E != 0
     raises ExtacticNotZeroError, and E = 0 ExtractionFailedError.
     """
@@ -613,8 +632,11 @@ def extract_first_integral(field: VectorField, system: LinearSystem,
     _check_pair(field, system)
     if field.is_zero():
         raise DegenerateFieldError("zero field presents no foliation")
-    jets = []
-    fi = _certify_vanishing(field, system, jets)
+    fi, point, jets = _decision(field, system)
+    if point is not None:
+        raise ExtacticNotZeroError(
+            "the extactic polynomial is not identically zero "
+            f"(full rank at {point})")
     if fi is not None:
         return fi
     rows = jet_matrix(field, system).entries

@@ -1,9 +1,15 @@
+import importlib
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
 from extatica.polyring import PolyRing, monomials_up_to_degree
+
+# the module; the package attribute `extatica.extactic` is the function of
+# the same name
+_EXTACTIC = importlib.import_module("extatica.extactic")
 
 #: Fixed table of primes just below 2**61: large enough that random integer
 #: evaluations essentially never collide.
@@ -18,6 +24,13 @@ PRIMES_2_61 = (
 
 RING_XY = PolyRing(("x", "y"))
 RING_XYZ = PolyRing(("x", "y", "z"))
+
+
+@pytest.fixture(autouse=True)
+def fresh_decision():
+    """Empty the slot that keeps the pair just decided, so a test that
+    patches the probe points decides its pairs afresh."""
+    _EXTACTIC._decision.cache_clear()
 
 
 def evaluate(f, point):

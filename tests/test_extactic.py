@@ -973,6 +973,7 @@ class TestVanishingDecision:
                 return list(drawn[-1])
 
             monkeypatch.setattr(EXT, "_probe_point", probe)
+            EXT._decision.cache_clear()  # decide the pair afresh
             fi = extract_first_integral(field, system)
             pairs.add((str(fi.numerator), str(fi.denominator)))
             first_points.add(drawn[0])
@@ -990,16 +991,18 @@ class TestVanishingDecision:
         expected = det_modular(jet_matrix(field, system).entries)
         assert not expected.is_zero()
         decided = _spy(monkeypatch, "_certify_vanishing")
-        _probes_on(monkeypatch, lines)
-        assert extactic(field, system).extactic == expected
         drawn = _probes_on(monkeypatch, lines)
-        with pytest.raises(ExtacticNotZeroError, match="full rank"):
-            extract_first_integral(field, system)
-        # both decisions went on to a fresh pair, whose first point is free
+        assert extactic(field, system).extactic == expected
+        # the decision went on to a fresh pair, whose first point is free
         # of the line and shows full rank
         assert len(drawn) == 3
-        assert [type(d) for d in decided] == [ExtacticNotZeroError] * 2
-        assert all("full rank" in str(d) for d in decided)
+        with pytest.raises(ExtacticNotZeroError, match="full rank") as exc:
+            extract_first_integral(field, system)
+        # one decision: the second call reuses it and draws no point
+        assert len(drawn) == 3 and len(decided) == 1
+        fi, point, _ = decided[0]
+        assert fi is None and point == tuple(drawn[2])
+        assert f"full rank at {point}" in str(exc.value)
 
     def test_proportional_first_pair_is_retried(self, monkeypatch):
         # x = 0 is a leaf of the radial field, which has the integral y/x
@@ -1009,13 +1012,15 @@ class TestVanishingDecision:
         k = 2
         system = monomial_system(2, k, AFFINE)
         decided = _spy(monkeypatch, "_certify_vanishing")
-        _probes_on(monkeypatch, (0, 0))
-        assert extactic(field, system).identically_zero
         drawn = _probes_on(monkeypatch, (0, 0))
-        fi = extract_first_integral(field, system)
+        assert extactic(field, system).identically_zero
         assert len(drawn) == 4  # the first pair and the retry
         assert all(point[0] == 0 for point in drawn[:2])
-        assert decided == [fi, fi]  # the same seed, the same certificate
+        fi = extract_first_integral(field, system)
+        # one decision: the second call reuses its certificate and draws
+        # no point
+        assert len(drawn) == 4
+        assert [d[:2] for d in decided] == [(fi, None)]
         assert max(fi.numerator.degree(), fi.denominator.degree()) <= k
         assert not proportional(fi.numerator, fi.denominator)
         assert _cross_identity(field, fi.numerator, fi.denominator)
@@ -1067,9 +1072,15 @@ class TestVanishingDecision:
         system = monomial_system(3, 1, AFFINE)
         decided = _spy(monkeypatch, "_certify_vanishing")
         fallback = _spy(monkeypatch, "_cramer_first_integral")
+        drawn = _probes_on(monkeypatch, ())
         assert extactic(field, system).identically_zero
+        assert len(drawn) == 2 * EXT._PAIRS
         fi = extract_first_integral(field, system)
-        assert decided == [None, None] and fallback == [fi]
+        # one decision, which certified nothing; the fallback plans on its
+        # jets, and the second call draws no point
+        assert len(drawn) == 2 * EXT._PAIRS
+        assert [d[:2] for d in decided] == [(None, None)]
+        assert len(decided[0][2]) == 2 * EXT._PAIRS and fallback == [fi]
         assert (str(fi.numerator), str(fi.denominator)) == (
             "-x*z + y", "x^2 + 1")
         assert fi.rank == 2
@@ -1086,7 +1097,7 @@ class TestVanishingDecision:
         drawn = _probes_on(monkeypatch, itertools.repeat(0))
         with pytest.raises(ExtractionFailedError):
             extract_first_integral(field, system)
-        assert decided == [None]
+        assert [d[:2] for d in decided] == [(None, None)]
         # every pair; the fallback draws no point
         assert len(drawn) == 2 * EXT._PAIRS
 
@@ -1118,6 +1129,74 @@ class TestVanishingDecision:
         with pytest.raises(ExtacticNotZeroError, match="full rank"):
             extract_first_integral(field, system)
         assert len(drawn) == 1
+
+
+class TestOneDecisionPerPair:
+    """`extactic`, then `extract_first_integral` on an equal pair: the pair
+    is decided once, and the second call reuses the decision."""
+
+    @staticmethod
+    def pencil(f, g):
+        # the field of the pencil f : g and the system of degree 2, as
+        # fresh objects on every call
+        return pencil_field(f, g).field, monomial_system(2, 2, AFFINE)
+
+    def test_the_second_call_reuses_the_decision(self, monkeypatch):
+        field, system = self.pencil(X**2 + 1, Y)
+        decided = _spy(monkeypatch, "_certify_vanishing")
+        drawn = _probes_on(monkeypatch, ())
+        assert extactic(field, system).identically_zero
+        assert len(drawn) == 2
+        fi = extract_first_integral(field, system)
+        assert len(drawn) == 2 and len(decided) == 1
+        assert decided[0][0] is fi
+        assert (str(fi.numerator), str(fi.denominator)) == ("y", "x^2 + 1")
+
+    def test_an_equal_pair_from_fresh_objects_reuses_it(self, monkeypatch):
+        # as the CLI and the benchmark build their inputs
+        field, system = self.pencil(X**2 + 1, Y)
+        again, same = self.pencil(
+            RING_XY.from_terms({(2, 0): 1, (0, 0): 1}),
+            RING_XY.from_terms({(0, 1): 1}))
+        assert (again, same) == (field, system)
+        assert again is not field and same is not system
+        decided = _spy(monkeypatch, "_certify_vanishing")
+        drawn = _probes_on(monkeypatch, ())
+        assert extactic(field, system).identically_zero
+        fi = extract_first_integral(again, same)
+        assert len(drawn) == 2 and len(decided) == 1
+        assert decided[0][0] is fi
+
+    def test_another_pair_in_between_decides_afresh(self, monkeypatch):
+        field, system = self.pencil(X**2 + 1, Y)
+        other = hamiltonian(X**2 + Y).field
+        decided = _spy(monkeypatch, "_certify_vanishing")
+        drawn = _probes_on(monkeypatch, ())
+        assert extactic(field, system).identically_zero
+        assert extactic(other, system).identically_zero
+        fi = extract_first_integral(field, system)
+        # three decisions of a pair each; the last draws the first's points
+        assert len(decided) == 3 and len(drawn) == 6
+        assert drawn[4:] == drawn[:2]
+        assert decided[2][0] == decided[0][0] == fi
+
+    def test_a_reused_nonzero_decision_raises_afresh(self, monkeypatch):
+        field = planted_lines_field(2, 2, 1).field
+        system = monomial_system(2, 1, AFFINE)
+        decided = _spy(monkeypatch, "_certify_vanishing")
+        drawn = _probes_on(monkeypatch, ())
+        assert not extactic(field, system).identically_zero
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ExtacticNotZeroError) as exc:
+                extract_first_integral(field, system)
+            raised.append(exc.value)
+        assert len(decided) == 1 and len(drawn) == 1
+        first, second = raised
+        assert first is not second
+        assert str(first) == str(second) == (
+            "the extactic polynomial is not identically zero "
+            f"(full rank at {tuple(drawn[0])})")
 
 
 def _small(max_degree):
@@ -1212,6 +1291,7 @@ def test_known_first_integrals_never_reach_the_fallback(monkeypatch):
         field, k = case
         nv = field.ring.nvars
         drawn.clear()
+        EXT._decision.cache_clear()  # a replayed example decides afresh
         fi = extract_first_integral(field, monomial_system(nv, k, AFFINE))
         # the first pair: no retry, no fallback
         assert len(drawn) == 2
@@ -1254,10 +1334,9 @@ def test_the_decision_agrees_with_the_determinant(case):
     field, k = case
     system = monomial_system(field.ring.nvars, k, AFFINE)
     det = det_fraction_free(jet_matrix(field, system).entries)
-    try:
-        fi = EXT._certify_vanishing(field, system, [])
-    except ExtacticNotZeroError:
-        assert not det.is_zero()
+    fi, point, _ = EXT._certify_vanishing(field, system)
+    if point is not None:
+        assert fi is None and not det.is_zero()
         event("E != 0")
         return
     if fi is not None:
