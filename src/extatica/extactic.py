@@ -9,9 +9,10 @@ system.
 
 Two exact determinant engines are provided:
 
-* `det_fraction_free` - Bareiss elimination over the polynomial ring, on
-  packed integer monomials (`polyring.bareiss_determinant`), best for
-  small matrices.
+* `det_fraction_free` - exact over the polynomial ring, on packed integer
+  monomials: expansion in minors up to 4x4
+  (`polyring.expansion_determinant`), Bareiss elimination beyond
+  (`polyring.bareiss_determinant`); best for small matrices.
 * `det_modular` - evaluation/interpolation modulo word-size primes with
   Chinese remaindering into symmetric residues, after each column is scaled
   to integers; best once degrees blow up.  The whole pipeline, from the
@@ -57,8 +58,8 @@ from .linalg import kernel, reduce_rational
 from .polyring import (ContextError, DimensionGuardError,
                        EngineDisagreementError, PolyRing, Polynomial,
                        bareiss_determinant, derivation_chains,
-                       monomials_of_degree, monomials_up_to_degree,
-                       proportional)
+                       expansion_determinant, monomials_of_degree,
+                       monomials_up_to_degree, proportional)
 
 #: Complete monomial systems above this dimension are refused unless the
 #: caller overrides: the determinant degree grows quadratically in the
@@ -69,6 +70,12 @@ _PROBE_RANGE = 10_000  # random integer probe points live in [-10^4, 10^4]
 
 #: Pairs of kernel points `_certify_vanishing` tries before it gives up.
 _PAIRS = 3
+
+#: Minors of up to this many rows are expanded in minors, larger ones go to
+#: Bareiss: expansion forms no product of two minors and divides nothing,
+#: but builds C(m, r) minors of each size r.  4 is also where `auto` leaves
+#: the fraction-free engine.
+_EXPANSION_ROWS = 4
 
 
 class VacuousQueryError(ValueError):
@@ -304,23 +311,28 @@ def _times(det: Polynomial, c: Fraction) -> Polynomial:
 
 
 def _fraction_free(rows, ring) -> Polynomial:
-    """The determinant of a square matrix of any size by Bareiss
-    elimination; the empty matrix has determinant 1.  `rows` is consumed."""
+    """The determinant of a square matrix of any size: by expansion in
+    minors up to `_EXPANSION_ROWS` rows, by Bareiss elimination beyond; the
+    empty matrix has determinant 1.  `rows` is consumed."""
     if not rows:
         return ring.one()
     if len(rows) == 1:
         return rows[0][0]
+    if len(rows) <= _EXPANSION_ROWS:
+        return expansion_determinant(rows, ring)
     return bareiss_determinant(rows, ring)
 
 
 def det_fraction_free(matrix) -> Polynomial:
-    """Exact determinant by Bareiss elimination over the polynomial ring.
+    """Exact determinant over the polynomial ring, with no fraction field.
 
-    Unit rows and columns are expanded along first (`_expand_units`).  The
-    elimination (`polyring.bareiss_determinant`) clears each row's
-    denominators once and runs on packed integer term maps, every division
-    exact over Z (Sylvester's identity), so no fraction field is needed.
-    Pivots are the sparsest available in their column.
+    Unit rows and columns are expanded along first (`_expand_units`).  Both
+    kernels clear each row's denominators once and run on packed integer
+    term maps.  A minor of up to `_EXPANSION_ROWS` rows is expanded in
+    minors (`polyring.expansion_determinant`), which divides nothing; a
+    larger one goes to Bareiss elimination (`polyring.bareiss_determinant`),
+    every division exact over Z (Sylvester's identity), with the sparsest
+    available pivot in each column.
     """
     rows, ring = _square_rows(matrix)
     factor, rows = _expand_units(rows)

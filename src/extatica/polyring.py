@@ -14,14 +14,17 @@ is one integer addition and a divisibility test one guard-bit check.  A
 product with a one-term factor only shifts and scales, so it packs
 nothing.  `derivation_chains`, behind `extactic.jet_matrix` and
 `foliation.apply_derivation`, derives f, X(f), X^2(f), ... on packed
-maps, summing the products P_v * df/dx_v of a step on one accumulator,
-and `bareiss_determinant`, behind `extactic.det_fraction_free`, runs a
-whole Bareiss elimination on the same maps; the packed format is known to
-this module only.  Nothing here evaluates a polynomial at a point: the
-point jets of `extactic` and the modular engine (`extatica.modular`, on its
-own table of terms) evaluate what they need.  The errors both determinant
-engines raise live here too (`BadPrimeError`, `DimensionGuardError`,
-`EngineDisagreementError`), so `modular` imports nothing from `extactic`.
+maps, summing the products P_v * df/dx_v of a step on one accumulator.
+The two kernels behind `extactic.det_fraction_free` run a whole
+determinant on the same maps: `expansion_determinant` expands in minors
+(small matrices), `bareiss_determinant` runs a Bareiss elimination; both
+pack the rows by `_pack_rows`.  The packed format is known to this module
+only.  Nothing here evaluates a polynomial at a point: the point jets of
+`extactic` and the modular engine (`extatica.modular`, on its own table of
+terms) evaluate what they need.  The errors the modular engine raises live
+here too (`BadPrimeError`, `EngineDisagreementError`, and
+`DimensionGuardError`, which `extactic`'s dimension guard raises as well),
+so `modular` imports nothing from `extactic`.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -44,9 +48,8 @@ Scalar = Union[int, Fraction]
 #: correct (max(NEG_INF, d) == d for every integer d).
 NEG_INF = float("-inf")
 
-#: Fixed table of primes just below 2**31, used by the modular determinant
-#: engine and by the vanishing probe of `extactic`: products of two residues
-#: fit in a 64-bit lane.
+#: Fixed table of primes just below 2**31, read by the modular determinant
+#: engine alone: products of two residues fit in a 64-bit lane.
 PRIMES_2_31 = (
     2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
     2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
@@ -540,29 +543,73 @@ def derivation_chains(components: Sequence[Polynomial],
     return chains
 
 
+def _pack_rows(rows: list, nvars: int, reach: int) -> tuple:
+    """(packing, scale): each row of `rows` replaced, in place, by its
+    packed integer maps over the lcm of its denominators, and scale the
+    product of those lcms, so det(rows) = det(packed rows) / scale.
+
+    The packing covers `reach` times the sum of the columns' largest entry
+    degrees, which bounds the degree of every minor.
+    """
+    m = len(rows)
+    degree = sum(max(max(rows[i][j].degree() for i in range(m)), 0)
+                 for j in range(m))
+    packing = _Packing.of(nvars, int(reach * degree))
+    scale = 1
+    for r in rows:
+        den = math.lcm(*(c.denominator for e in r for c in e.terms.values()))
+        scale *= den
+        r[:] = [packing.pack(e.terms, den) for e in r]
+    return packing, scale
+
+
+def expansion_determinant(rows: list, ring: PolyRing) -> Polynomial:
+    """Determinant of a square matrix (m >= 2) of polynomials in `ring` by
+    expansion in minors over Z on packed term maps.
+
+    The minors on the last columns are kept by row subset and built from
+    the last column back to the first: the minor of rows S on the last |S|
+    columns is sum_t (-1)^t a_(S_t, c) * minor(S - S_t), c = m - |S|,
+    summed into one map; zero factors are skipped.  No value exceeds the
+    determinant's degree bound, and nothing is divided, so the packing is
+    half as wide as Bareiss's.  C(m, |S|) minors per column: for small m
+    only.  `rows` is consumed.
+    """
+    m = len(rows)
+    packing, scale = _pack_rows(rows, ring.nvars, 1)
+    minors = {(i,): rows[i][m - 1] for i in range(m)}
+    for c in range(m - 2, -1, -1):
+        level = {}
+        for subset in itertools.combinations(range(m), m - c):
+            acc = {}
+            for t, i in enumerate(subset):
+                entry = rows[i][c]
+                minor = minors[subset[:t] + subset[t + 1:]]
+                if entry and minor:
+                    if t % 2:
+                        entry = {k: -v for k, v in entry.items()}
+                    _convolve(acc, entry, minor)
+            level[subset] = {k: v for k, v in acc.items() if v}
+        minors = level
+    return packing.unpack(ring, minors[tuple(range(m))], scale)
+
+
 def bareiss_determinant(rows: list, ring: PolyRing) -> Polynomial:
     """Determinant of a square matrix (m >= 2) of polynomials in `ring` by
     Bareiss elimination over Z on packed term maps.
 
     Each row's denominators are cleared once, so det = det(integer matrix)
     / (product of the row scales); every division is exact over Z
-    (Sylvester's identity), and a failed one raises AssertionError.
-    Pivots are the sparsest available in their column.  Only the corner is
-    unpacked.  `rows` is consumed.
+    (Sylvester's identity), and a failed one raises AssertionError.  The
+    first step divides by 1, so it divides nothing.  Pivots are the
+    sparsest available in their column.  Only the corner is unpacked.
+    `rows` is consumed.
     """
     m = len(rows)
-    # every Bareiss entry is a minor, of degree at most the sum of the
-    # columns' largest entry degrees; a product of two fits twice that
-    degree = sum(max(max(rows[i][j].degree() for i in range(m)), 0)
-                 for j in range(m))
-    packing = _Packing.of(ring.nvars, int(2 * degree))
-    scale = 1
-    for r in rows:
-        den = math.lcm(*(c.denominator for e in r for c in e.terms.values()))
-        scale *= den
-        r[:] = [packing.pack(e.terms, den) for e in r]
+    # every Bareiss entry is a minor; a product of two fits twice its bound
+    packing, scale = _pack_rows(rows, ring.nvars, 2)
     sign = 1
-    prev = packing.pack(ring.one().terms, 1)
+    prev = None  # the previous pivot; None stands for the first step's 1
     for k in range(m - 1):
         pivot_row = None
         for i in range(k, m):
@@ -582,9 +629,12 @@ def bareiss_determinant(rows: list, ring: PolyRing) -> Polynomial:
             for j in range(k + 1, m):
                 num = _convolve(_convolve({}, pivot, rows[i][j]),
                                 head, rows[k][j])
-                q = _divide_packed(num, prev, packing)
-                if q is None:
-                    raise AssertionError("fraction-free division failed")
+                if prev is None:
+                    q = {x: c for x, c in num.items() if c}
+                else:
+                    q = _divide_packed(num, prev, packing)
+                    if q is None:
+                        raise AssertionError("fraction-free division failed")
                 rows[i][j] = q
             rows[i][k] = {}
         prev = pivot

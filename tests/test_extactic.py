@@ -30,7 +30,8 @@ from extatica.modular import (MAX_GRID_BYTES, _batch_inverse,
                               det_bounds, drop_homogeneous, grid_bytes,
                               lower_set_size, term_table)
 from extatica.polyring import (PRIMES_2_31, BadPrimeError, ContextError,
-                               PolyRing, monomials_of_degree,
+                               PolyRing, bareiss_determinant,
+                               expansion_determinant, monomials_of_degree,
                                monomials_up_to_degree, proportional)
 from conftest import RING_XY, RING_XYZ, evaluate, evaluate_mod, polynomials
 from seeded_inputs import (random_homogeneous_field, random_polynomial,
@@ -248,17 +249,28 @@ class TestDetFractionFree:
 
 @st.composite
 def polynomial_matrices(draw):
-    """Square matrices (m <= 5) over 1-3 variables with sparse rational
-    entries, about one in five of them zero, so pivots vanish and rows
-    swap."""
-    ring = PolyRing(("x", "y", "z")[:draw(st.integers(1, 3))])
-    m = draw(st.sampled_from((1, 2, 3, 4, 5)))
-    entry = st.tuples(
-        st.integers(0, 4),
-        polynomials(ring, max_degree=2, max_terms=3, nonzero=True),
-        st.fractions(-4, 4, max_denominator=6).filter(bool)).map(
-            lambda t: t[1].scale(t[2]) if t[0] else ring.zero())
+    """Square matrices (m <= 6, on both sides of the expansion cutoff) over
+    0-3 variables with rational entries, about one in four of them zero and
+    one in four a constant, so pivots vanish, rows swap, unit rows and
+    columns expand away and structural zeros occur."""
+    ring = PolyRing(("x", "y", "z")[:draw(st.integers(0, 3))])
+    m = draw(st.sampled_from((1, 2, 3, 4, 5, 6)))
+    scalar = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1),
+                       st.integers(1, 6))
+    entries = [st.just(ring.zero()), scalar.map(ring.constant)]
+    if ring.nvars:
+        entries += [st.tuples(polynomials(ring, max_degree=2, max_terms=3),
+                              scalar).map(lambda t: t[0].scale(t[1]))] * 2
+    entry = st.one_of(entries)
     return [[draw(entry) for _ in range(m)] for _ in range(m)]
+
+
+def _both_kernels(rows):
+    """The expansion in minors and Bareiss on the same matrix (m >= 2),
+    each on its own copy of the rows."""
+    ring = rows[0][0].ring
+    return (expansion_determinant([list(r) for r in rows], ring),
+            bareiss_determinant([list(r) for r in rows], ring))
 
 
 _ONE, _ZERO = RING_XY.one(), RING_XY.zero()
@@ -268,11 +280,35 @@ _ONE, _ZERO = RING_XY.one(), RING_XY.zero()
 @example(rows=[[_ZERO, X], [Y, _ONE]])               # zero pivot: a swap
 @example(rows=[[X, Y, _ONE], [X, Y, X], [_ONE, _ONE, Y]])  # a later swap
 @example(rows=[[X, X], [Y, Y]])                      # singular
-@settings(max_examples=60, deadline=None)
+@example(rows=[[X, _ZERO, Y], [Y, _ZERO, X], [_ONE, X, X]])  # zero column
+# Bareiss's first step cancels entry (1, 1) to zero, term by term
+@example(rows=[[X, Y, _ONE, X, Y], [X, Y, X, _ONE, X], [Y, X, Y, X, _ONE],
+               [_ONE, X, X, Y, Y], [Y, _ONE, Y, _ONE, X]])
+@settings(max_examples=80, deadline=None)
 def test_det_fraction_free_matches_oracle_and_modular(rows):
+    """`det_fraction_free` expands minors of up to 4 rows in minors and
+    runs Bareiss beyond; both kernels agree with the Fraction oracle and
+    the modular engine at every size."""
     det = det_fraction_free(rows)
+    event(f"m = {len(rows)}, {'zero' if det.is_zero() else 'nonzero'}")
     assert det == bareiss_oracle.det_fraction_free(rows)
     assert det == det_modular(rows)
+    if len(rows) >= 2:
+        assert _both_kernels(rows) == (det, det)
+
+
+@pytest.mark.parametrize("nvars, degree, k, mode, seed", [
+    (2, 3, 1, AFFINE, 1), (2, 2, 2, AFFINE, 2), (3, 2, 1, AFFINE, 3),
+    (3, 2, 1, HOMOGENEOUS, 4), (4, 1, 1, HOMOGENEOUS, 5)])
+def test_both_kernels_on_jets_of_random_fields(nvars, degree, k, mode, seed):
+    field = (random_field(nvars, degree, seed) if mode == AFFINE
+             else random_homogeneous_field(nvars, degree, seed))
+    rows = jet_matrix(field, monomial_system(nvars, k, mode)).entries
+    det = det_fraction_free(rows)
+    assert not det.is_zero()
+    assert det == det_modular(rows)
+    assert det == bareiss_oracle.det_fraction_free(rows)
+    assert _both_kernels(rows) == (det, det)
 
 
 @st.composite
