@@ -5,14 +5,13 @@ that have first integrals of degree <= k.
     PYTHONPATH=src python scripts/fallback_sweep.py
 
 Each draw is one field from a fixed seed.  Its outcome is `first_pair`
-(the first pair of kernel points certifies), `retry` (a later pair
-certifies), `fallback` (the Cramer-minor fallback answers) or `failed`
-(the fallback fails too, anything else is raised, or the draw runs past
-CAP_SECONDS; `capped` counts those).  The outcome is read by counting
-the probe points drawn and by watching the fallback, without changing
-either.  One JSON line per family and k holds the counts, the degrees
-max(deg A, deg B) of the fallback's answers A/B, the exception types of
-the failures, and the seconds taken.
+(the first pair of kernel points certifies), `interpolated` (the
+integral interpolated from the point kernels certifies) or `failed`
+(no certificate, anything else is raised, or the draw runs past
+CAP_SECONDS; `capped` counts those).  The outcome is read by watching
+the interpolation, without changing it.  One JSON line per family and k
+holds the counts, the degrees max(deg A, deg B) of the interpolated
+answers A/B, the exception types of the failures, and the seconds taken.
 
 The families, on the complete affine system of degree k:
   hamiltonian     (-h_y, h_x), deg h <= k, 2 variables, k = 1-3
@@ -21,7 +20,7 @@ The families, on the complete affine system of degree k:
   gradient-cross  grad h1 x grad h2, deg h1, h2 <= 2, 3 variables, k = 2
   planar-lift     (P, Q, 0), deg P, Q <= 2, 3 variables, k = 1-2
   ratio           (g1 grad f1 - f1 grad g1) x (g2 grad f2 - f2 grad g2),
-                  deg f_i, g_i <= k, 3 variables, k = 1; its first
+                  deg f_i, g_i <= k, 3 variables, k = 1-2; its first
                   integrals are the functions of f1/g1 and f2/g2
 """
 
@@ -89,12 +88,12 @@ def draw_field(family: str, k: int, rng: Random):
     return VectorField(comps, AFFINE)
 
 
-FAMILIES = {  # name: (variables, k values, draws split over the k values)
-    "hamiltonian": (2, (1, 2, 3), 2400),
-    "pencil": (2, (1, 2, 3), 2400),
-    "gradient-cross": (3, (2,), 2400),
-    "planar-lift": (3, (1, 2), 2400),
-    "ratio": (3, (1,), 1000),
+FAMILIES = {  # name: (variables, {k: draws})
+    "hamiltonian": (2, {1: 800, 2: 800, 3: 800}),
+    "pencil": (2, {1: 800, 2: 800, 3: 800}),
+    "gradient-cross": (3, {2: 2400}),
+    "planar-lift": (3, {1: 1200, 2: 1200}),
+    "ratio": (3, {1: 1000, 2: 200}),
 }
 
 
@@ -111,31 +110,24 @@ def _alarm(signum, frame):
 
 
 class Watch:
-    """Counts the probe points drawn and notes a call of the fallback,
-    passing every call through to the original.  Every point is the
-    certificate's: the fallback draws no probe point."""
+    """Notes an interpolation call that returns an integral, passing every
+    call through to the original."""
 
     def __init__(self):
-        self.draws, self.fallback = 0, False
-        probe, cramer = EXT._probe_point, EXT._cramer_first_integral
-
-        def counted(*args):
-            self.draws += 1
-            return probe(*args)
+        self.interpolated = False
+        interpolate = EXT._interpolated_integral
 
         def watched(*args):
-            self.fallback = True
-            return cramer(*args)
+            result = interpolate(*args)
+            self.interpolated = result[0] is not None
+            return result
 
-        EXT._probe_point, EXT._cramer_first_integral = counted, watched
+        EXT._interpolated_integral = watched
 
 
 def outcome(watch: Watch, field, k: int) -> tuple:
-    """(outcome, degree of the answer, or the exception's type name).
-
-    The draws tell the first pair from a retry; the fallback draws no probe
-    point, so only the watch on it tells a fallback answer."""
-    watch.draws, watch.fallback = 0, False
+    """(outcome, degree of the answer, or the exception's type name)."""
+    watch.interpolated = False
     EXT._decision.cache_clear()  # even a draw equal to the last is decided
     system = monomial_system(field.ring.nvars, k, AFFINE)
     signal.setitimer(signal.ITIMER_REAL, CAP_SECONDS)
@@ -148,10 +140,7 @@ def outcome(watch: Watch, field, k: int) -> tuple:
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
     degree = int(max(fi.numerator.degree(), fi.denominator.degree()))
-    if watch.fallback:
-        return "fallback", degree
-    # two points per pair
-    return ("first_pair" if watch.draws == 2 else "retry"), degree
+    return ("interpolated" if watch.interpolated else "first_pair"), degree
 
 
 def sweep(family: str, k: int, draws: int, watch: Watch) -> dict:
@@ -164,18 +153,18 @@ def sweep(family: str, k: int, draws: int, watch: Watch) -> dict:
             field = draw_field(family, k, rng)
         result, detail = outcome(watch, field, k)
         counts[result] += 1
-        if result == "fallback":
+        if result == "interpolated":
             degrees[detail] += 1
         elif result in ("failed", "capped"):
             errors[detail] += 1
     return {"family": family, "nvars": FAMILIES[family][0], "k": k,
             "draws": draws,
             **{name: counts[name] for name in
-               ("first_pair", "retry", "fallback")},
+               ("first_pair", "interpolated")},
             "failed": counts["failed"] + counts["capped"],
             "capped": counts["capped"],
-            "fallback_degrees": {str(d): n
-                                 for d, n in sorted(degrees.items())},
+            "interpolated_degrees": {str(d): n
+                                     for d, n in sorted(degrees.items())},
             "errors": dict(sorted(errors.items())),
             "seconds": round(time.perf_counter() - start, 1)}
 
@@ -183,9 +172,9 @@ def sweep(family: str, k: int, draws: int, watch: Watch) -> dict:
 def main() -> int:
     signal.signal(signal.SIGALRM, _alarm)
     watch = Watch()
-    for family, (_, ks, total) in FAMILIES.items():
-        for k in ks:
-            line = sweep(family, k, total // len(ks), watch)
+    for family, (_, draws) in FAMILIES.items():
+        for k, n in draws.items():
+            line = sweep(family, k, n, watch)
             sys.stdout.write(json.dumps(line) + "\n")
             sys.stdout.flush()
     return 0

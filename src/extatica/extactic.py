@@ -26,20 +26,17 @@ polynomials.  A determinant is computed only when E is nonzero.
 `_certify_vanishing` decides, and draws every probe point: a point where
 J has full rank proves E != 0; otherwise it certifies E = 0 by a first
 integral of degree <= k read off the left kernels of J at a pair of
-points, retried at a few fresh pairs.  The decision runs once per pair:
-`_decision` keeps the outcome for the pair just decided, so the second
-of two calls on an equal pair (`extactic`, then `extract_first_integral`)
-reuses it and draws no point.  Without a certified pair `extactic`
-computes the full determinant, and `extract_first_integral` falls back
-to a ratio of Cramer minors of J planned on the certificate's point
-jets, with no point of its own; when that fails too, the determinant
-tells E != 0 from a failed extraction.  The fallback runs when E = 0
-forces no integral of degree <= k (possible off the plane), and when two
-independent rational integrals of degree <= k exist, whose pencils the
-kernel vectors of a pair can mix.  `_point_jet` evaluates J
-exactly at a point by Taylor-mode recurrences along the flow; the
-symbolic jet matrix (`jet_matrix`) is built only for a determinant.
-Scalar linear algebra (the kernels, the fallback's minors at a point,
+points.  When the pair certifies nothing, `_interpolated_integral`
+interpolates the entries of the reduced left kernel, each a first
+integral, from the kernels at more points; its answer may have degree
+> k.  The decision runs once per pair: `_decision` keeps the outcome for
+the pair just decided, so the second of two calls on an equal pair
+(`extactic`, then `extract_first_integral`) reuses it and draws no
+point.  Without a certificate, both compute the determinant, and
+`extract_first_integral` tells E != 0 from a failed extraction by it.
+`_point_jet` evaluates J exactly at a point by Taylor-mode recurrences
+along the flow; the symbolic jet matrix (`jet_matrix`) is built only for
+a determinant.  Scalar linear algebra (the kernels, the interpolation,
 the modular re-check) runs on `linalg`.
 """
 
@@ -68,8 +65,8 @@ DEFAULT_MAX_DIMENSION = 21
 
 _PROBE_RANGE = 10_000  # random integer probe points live in [-10^4, 10^4]
 
-#: Pairs of kernel points `_certify_vanishing` tries before it gives up.
-_PAIRS = 3
+#: Probe points one decision draws at most before the determinant decides.
+_MAX_POINTS = 200
 
 #: Minors of up to this many rows are expanded in minors, larger ones go to
 #: Bareiss: expansion forms no product of two minors and divides nothing,
@@ -494,10 +491,10 @@ class FirstIntegral:
     """A verified rational first integral numerator/denominator pair.
 
     The certificate identity X(A)*B - A*X(B) = 0 holds exactly and A/B is
-    non-constant.  From the kernel certificate, A and B are elements of the
-    linear system (degree <= k) in reduced row echelon form; from the
-    fallback they are signed minors of the jet matrix.  `rank` is the rank
-    of the jet matrix seen at the probe points.
+    non-constant.  From a pair of probe points, A and B are elements of the
+    linear system (degree <= k) in reduced row echelon form; interpolated,
+    A/B is an entry of the reduced left kernel of J and may have degree
+    > k.  `rank` is the rank of the jet matrix seen at the probe points.
     """
 
     numerator: Polynomial
@@ -515,6 +512,14 @@ def _element(system: LinearSystem, coefficients) -> Polynomial:
     """The element sum c_i s_i of the system."""
     return sum((s.scale(c) for s, c in zip(system.basis, coefficients) if c),
                system.ring.zero())
+
+
+def _is_integral(field: VectorField, num: Polynomial,
+                 den: Polynomial) -> bool:
+    """The cross identity X(num) * den = num * X(den): num/den is constant
+    along X."""
+    return (apply_derivation(field, num) * den
+            == num * apply_derivation(field, den))
 
 
 def _polynomial_integral(field: VectorField, system: LinearSystem,
@@ -541,9 +546,9 @@ def _polynomial_integral(field: VectorField, system: LinearSystem,
 def _certify_vanishing(field: VectorField, system: LinearSystem) -> tuple:
     """Decide E = 0 at probe points and certify it by a first integral.
 
-    Returns (integral, point, jets): the certified FirstIntegral or None,
-    the probe point (a tuple) where J has full rank or None, and the point
-    jets drawn, as tuples of row tuples.  A pure function of the pair.
+    Returns (integral, point): the certified FirstIntegral or None, and the
+    probe point (a tuple) where J has full rank or None.  A pure function
+    of the pair.
 
     The one place that draws probe points, from its own generator seeded
     with 0, so every caller sees the same points.  J is only evaluated at
@@ -568,49 +573,180 @@ def _certify_vanishing(field: VectorField, system: LinearSystem) -> tuple:
     annihilating every column X^j(s) over the field of first integrals, so
     E = 0.
 
-    A pair that certifies nothing (a point on a special leaf, or kernel
-    vectors that span no pencil of first integrals) is replaced by a fresh
-    one, up to `_PAIRS` pairs; then neither an integral nor a point is
-    returned, the jets are the 2 * `_PAIRS` singular point jets, and the
-    caller falls back: `extactic` to the full determinant,
-    `extract_first_integral` to Cramer minors read off those jets
-    (`_cramer_first_integral`).  That happens when E = 0
-    forces no integral of degree <= k, which is possible off the plane, but
-    also when two independent rational integrals of degree <= k exist, such
-    as f1/g1 and f2/g2 of X = (g1 grad f1 - f1 grad g1) x (g2 grad f2 -
-    f2 grad g2): every kernel then has dimension >= 2, and its basis
-    vectors, paired in order, can mix the two pencils at every pair.
+    A pair that certifies nothing goes on to `_interpolated_integral`, on
+    the same generator and with the pair's kernels.  That happens at a
+    point on a special leaf, when E = 0 forces no integral of degree <= k
+    (possible off the plane), and when two independent rational integrals
+    of degree <= k exist, such as f1/g1 and f2/g2 of X = (g1 grad f1 -
+    f1 grad g1) x (g2 grad f2 - f2 grad g2): every kernel then has
+    dimension >= 2, and its basis vectors, paired in order, can mix the
+    two pencils.
     """
     m = system.dimension
     nv = field.ring.nvars
-    has_constant = any(s.is_constant() for s in system.basis)
     rng = Random(0)
-    jets = []
-    for _ in range(_PAIRS):
-        kernels, derived = [], []
-        for _ in range(2):
-            point = _probe_point(rng, nv)
-            jets.append(tuple(map(tuple, _point_jet(field, system, point))))
-            columns = list(zip(*jets[-1]))
-            left_kernel = kernel(columns, m)
-            if not left_kernel:
-                return None, tuple(point), tuple(jets)
-            kernels.append(left_kernel)
-            derived += columns[1:]
-        rank = m - min(map(len, kernels))
-        if has_constant and max(map(len, kernels)) >= 2:
-            fi = _polynomial_integral(field, system, derived, rank)
-            if fi is not None:
-                return fi, None, tuple(jets)
-        for vectors in zip(*kernels):
-            reduced, pivots, _ = reduce_rational(vectors)
-            if len(pivots) < 2:
-                continue  # proportional: no pencil
-            den, num = (_element(system, reduced[i]) for i, _ in pivots)
-            if (apply_derivation(field, num) * den
-                    == num * apply_derivation(field, den)):
-                return FirstIntegral(num, den, rank), None, tuple(jets)
-    return None, None, tuple(jets)
+    points, kernels, derived = [], [], []
+    for _ in range(2):
+        point = _probe_point(rng, nv)
+        columns = list(zip(*_point_jet(field, system, point)))
+        left_kernel = kernel(columns, m)
+        if not left_kernel:
+            return None, tuple(point)
+        points.append(point)
+        kernels.append(left_kernel)
+        derived += columns[1:]
+    rank = m - min(map(len, kernels))
+    if (any(s.is_constant() for s in system.basis)
+            and max(map(len, kernels)) >= 2):
+        fi = _polynomial_integral(field, system, derived, rank)
+        if fi is not None:
+            return fi, None
+    for vectors in zip(*kernels):
+        reduced, pivots, _ = reduce_rational(vectors)
+        if len(pivots) < 2:
+            continue  # proportional: no pencil
+        den, num = (_element(system, reduced[i]) for i, _ in pivots)
+        if _is_integral(field, num, den):
+            return FirstIntegral(num, den, rank), None
+    return _interpolated_integral(field, system, rng, points, kernels)
+
+
+def _fit(ring: PolyRing, exps, powers, values) -> Optional[tuple]:
+    """(N, D) on the monomials `exps` with N(P) = v D(P) at every point P,
+    when that fit is unique up to a factor, or None.  `powers` holds the
+    monomials' values at the points and `values` the v.  One exact kernel;
+    D is 1 on the last monomial it has."""
+    rows = []
+    for row, v in zip(powers, values):
+        rows.append([v.denominator * p for p in row]
+                    + [-v.numerator * p for p in row])
+    solutions = kernel(rows, 2 * len(exps))
+    if len(solutions) != 1:
+        return None
+    num = ring.from_terms(dict(zip(exps, solutions[0])))
+    den = ring.from_terms(dict(zip(exps, solutions[0][len(exps):])))
+    return None if den.is_zero() else (num, den)
+
+
+def _in_span(system: LinearSystem, f: Polynomial) -> bool:
+    """Whether f is an element of the system."""
+    elements = system.basis + (f,)
+    exps = {e for g in elements for e in g.terms}
+    _, pivots, _ = reduce_rational(
+        [[g.terms.get(e, 0) for g in elements] for e in exps])
+    return all(c < system.dimension for _, c in pivots)
+
+
+def _row_vanishes(system: LinearSystem, pivot: int, entries: dict) -> bool:
+    """Whether s_pivot + sum_c (N_c / D_c) s_c = 0, for `entries` the map
+    c -> (N_c, D_c), multiplied out over the product of the distinct D_c."""
+    dens = list(dict.fromkeys(den for _, den in entries.values()))
+
+    def over(f, den=None):
+        # f times every distinct denominator but `den`
+        for d in dens:
+            if d != den:
+                f = f * d
+        return f
+
+    total = over(system.basis[pivot])
+    for c, (num, den) in entries.items():
+        total = total + over(num * system.basis[c], den)
+    return total.is_zero()
+
+
+def _interpolated_integral(field: VectorField, system: LinearSystem,
+                           rng: Random, points, kernels) -> tuple:
+    """A first integral interpolated from the reduced left kernels of J at
+    many points, after a pair of points that certified nothing.
+
+    Returns (integral, point) as `_certify_vanishing` does.  The pair's
+    points and kernels come first; further points are drawn from `rng`.
+
+    Every entry of the reduced row echelon basis of the left kernel V of J
+    over Q(x) is a first integral: applying X to c J = 0 shows that X(c)
+    lies in V, and for a basis row c, X(c) is 0 at every pivot column, so
+    X(c) = 0.  (Pereira, Ann. Inst. Fourier 51, 2001, builds this kernel
+    from the pencils of the integrals.)  At a point where J(P) has the
+    rank of J and V's pivot columns, the reduced left kernel of J(P) is
+    that basis at P.  So the points kept are those
+    whose reduced kernel has the pivot columns of the largest rank seen; a
+    point of larger rank drops the points kept before it, and a point of
+    full rank proves E != 0.
+
+    For delta = 0, 1, ..., every entry of every row not fitted yet is
+    interpolated as N/D of degree <= delta from 2 C(n + delta, n) + 3
+    points (`_fit`).  A fit at delta = 0 is a constant; a later one counts
+    only if it passes the cross identity, and then it is a first integral.
+    One whose N and D are both elements of the system certifies E = 0
+    at once, as on a pair of points: coeffs(N) - (N/D) coeffs(D)
+    annihilates J.  Otherwise a row certifies when every free entry is
+    fitted, one at least is not constant, and s_pivot + sum_c v_c s_c = 0
+    holds exactly: applying X^j shows that the row annihilates J over the
+    field of first integrals.  Its entry of least degree is returned.
+
+    The decision returns (None, None) when every entry is fitted without a
+    certificate, or when a point is needed after `_MAX_POINTS` drawn.
+    """
+    m, nv = system.dimension, field.ring.nvars
+    pending = list(zip(points, kernels))
+    drawn = len(points)
+    kept, lead, fits, delta = [], None, {}, 0
+    while True:
+        need = 2 * math.comb(nv + delta, nv) + 3
+        if len(kept) < need:
+            if pending:
+                point, left_kernel = pending.pop(0)
+            elif drawn == _MAX_POINTS:
+                return None, None
+            else:
+                point = _probe_point(rng, nv)
+                drawn += 1
+                left_kernel = kernel(
+                    list(zip(*_point_jet(field, system, point))), m)
+                if not left_kernel:
+                    return None, tuple(point)
+            reduced, pivots, _ = reduce_rational(left_kernel)
+            columns = [c for _, c in pivots]
+            if lead is None or len(columns) < len(lead):
+                kept, lead, fits, delta = [], columns, {}, 0
+            if columns == lead:
+                kept.append((point, [reduced[i] for i, _ in pivots]))
+            continue
+        rank = m - len(lead)
+        free = [c for c in range(m) if c not in lead]
+        exps = list(monomials_up_to_degree(nv, delta))
+        sample = kept[:need]
+        powers = [[math.prod(x ** a for x, a in zip(point, e)) for e in exps]
+                  for point, _ in sample]
+        for row in range(len(lead)):
+            for c in free:
+                if (row, c) in fits:
+                    continue
+                fit = _fit(system.ring, exps, powers,
+                           [rows[row][c] for _, rows in sample])
+                if fit is None:
+                    continue
+                if delta and not _is_integral(field, *fit):
+                    fits[row, c] = None  # no first integral: the row fails
+                    continue
+                fits[row, c] = fit
+                if (delta and not proportional(*fit)
+                        and _in_span(system, fit[0])
+                        and _in_span(system, fit[1])):
+                    return FirstIntegral(*fit, rank), None
+        for row, pivot in enumerate(lead):
+            entries = {c: fits.get((row, c)) for c in free}
+            integrals = [f for f in entries.values()
+                         if f and not proportional(*f)]
+            if (all(entries.values()) and integrals
+                    and _row_vanishes(system, pivot, entries)):
+                num, den = min(integrals, key=lambda f: max(
+                    f[0].degree(), f[1].degree()))
+                return FirstIntegral(num, den, rank), None
+        if len(fits) == len(lead) * len(free):
+            return None, None
+        delta += 1
 
 
 @functools.lru_cache(maxsize=1)
@@ -619,9 +755,9 @@ def _decision(field: VectorField, system: LinearSystem) -> tuple:
 
     One slot: the first-integral decision is `extactic`, then
     `extract_first_integral` on an equal pair, and the second call reads
-    the first call's outcome, with the same points, jets and certificate.
-    Equal pairs built from fresh objects hit too (fields and systems hash
-    by value), and any other pair decides afresh.
+    the first call's outcome, with the same points and certificate.  Equal
+    pairs built from fresh objects hit too (fields and systems hash by
+    value), and any other pair decides afresh.
     """
     return _certify_vanishing(field, system)
 
@@ -633,82 +769,26 @@ def extract_first_integral(field: VectorField, system: LinearSystem,
     This settles the decision.  `_decision` goes first, and runs once per
     pair: right after `extactic` on an equal pair it reuses that outcome
     and draws no point.  A probe point where J has full rank raises
-    ExtacticNotZeroError, and a pair of degree <= k that some pair of probe
-    points certifies is returned.  Otherwise the symbolic jet matrix is
-    built, once, for the Cramer-minor fallback, which reads the
-    certificate's point jets and draws none.  If it fails too, the
-    determinant decides (both take the engine "auto" picks by size): E != 0
-    raises ExtacticNotZeroError, and E = 0 ExtractionFailedError.
+    ExtacticNotZeroError, and a certified integral is returned: of degree
+    <= k from the first pair of points, of any degree when interpolated.
+    Without a certificate the symbolic jet matrix is built for its
+    determinant (the engine "auto" picks by size): E != 0 raises
+    ExtacticNotZeroError, and E = 0 ExtractionFailedError.
     """
     check_dimension(system.dimension, max_dim)
     _check_pair(field, system)
     if field.is_zero():
         raise DegenerateFieldError("zero field presents no foliation")
-    fi, point, jets = _decision(field, system)
+    fi, point = _decision(field, system)
     if point is not None:
         raise ExtacticNotZeroError(
             "the extactic polynomial is not identically zero "
             f"(full rank at {point})")
     if fi is not None:
         return fi
-    rows = jet_matrix(field, system).entries
-    try:
-        return _cramer_first_integral(field, system, rows, jets)
-    except ExtractionFailedError:
-        if _det(rows, "auto").is_zero():
-            raise
+    if _det(jet_matrix(field, system).entries, "auto").is_zero():
+        raise ExtractionFailedError(
+            "no probe point certified a first integral")
     raise ExtacticNotZeroError(
         "the extactic polynomial is not identically zero (its determinant "
         "is nonzero, although J is singular at every probe point)")
-
-
-def _minor(rows, row_idx, col_idx):
-    return [[rows[i][j] for j in col_idx] for i in row_idx]
-
-
-def _cramer_first_integral(field: VectorField, system: LinearSystem, rows,
-                           jets) -> FirstIntegral:
-    """The fallback: a first integral as a ratio A/B of two signed r x r
-    minors of the symbolic jet matrix `rows`, planned on the certificate's
-    point jets `jets` (all singular); it draws no point.
-
-    r is the largest rank among the jets.  The pivot rows are those of the
-    leading r columns at the first jet where these have rank r, so B is
-    nonzero there.  A replaces one pivot row by another row (Cramer's rule);
-    a ratio with one value at two jets looks constant and is skipped, and
-    X(A)*B - A*X(B) = 0 is checked exactly before returning.
-    """
-    found = [reduce_rational(jet)[1] for jet in jets]
-    r = max(map(len, found))
-    cols = list(range(r))
-    # the pivots in columns < r are those of the leading columns alone
-    leading = [sorted(i for i, j in f if j < r) for f in found]
-    at = next((n for n, p in enumerate(leading) if len(p) == r), None)
-    if r == 0 or at is None:
-        raise ExtractionFailedError(
-            "no probe point exhibits a nonzero rank on the leading columns")
-    pivots = leading[at]
-
-    def value(jet, row_idx):
-        return reduce_rational(_minor(jet, row_idx, cols))[2]
-
-    denom = _det(_minor(rows, pivots, cols), "auto")
-    if denom.is_zero():
-        raise ExtractionFailedError("pivot minor vanished unexpectedly")
-    # the numeric filter's points: this jet and the next one where B != 0
-    points = [(jet, b) for jet in jets[at:] if (b := value(jet, pivots))][:2]
-    for i0 in (i for i in range(system.dimension) if i not in pivots):
-        for k in range(r):
-            row_idx = pivots.copy()
-            row_idx[k] = i0
-            if len(points) == 2 and len(
-                    {value(jet, row_idx) / b for jet, b in points}) == 1:
-                continue  # looks constant; try another replacement
-            numer = _det(_minor(rows, row_idx, cols), "auto")
-            if numer.is_zero() or proportional(numer, denom):
-                continue
-            if (apply_derivation(field, numer) * denom
-                    == numer * apply_derivation(field, denom)):
-                return FirstIntegral(numer, denom, r)
-    raise ExtractionFailedError(
-        "no non-constant dependency ratio passed exact verification")

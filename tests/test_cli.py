@@ -234,7 +234,40 @@ def test_first_integral_of_degree_above_k():
     assert code == 0 and err == ""
     assert json.loads(out) == {
         "command": "first-integral", "status": "found",
-        "numerator": "-x*z + y", "denominator": "x^2 + 1", "rank": 2}
+        "numerator": "x*z - y", "denominator": "y^2 + z^2", "rank": 2}
+
+
+#: X = (g1 grad f1 - f1 grad g1) x (g2 grad f2 - f2 grad g2) for f1/g1 =
+#: (x^2 + yz)/(3xy - 2z^2) and f2/g2 = (5z^2 - 1)/(4yz - 4z^2)
+RATIO_FIELD = (
+    "-60*x^3*y*z^2 + 80*x^2*z^4 + 60*x*y^2*z^3 - 12*x^3*y + 24*x^3*z "
+    "- 16*x^2*z^2 - 12*x*y^2*z - 16*y*z^3 + 16*z^4, "
+    "-60*x^2*y^2*z^2 + 80*x*y*z^4 + 60*y^3*z^3 - 12*x^2*y^2 + 24*x^2*y*z "
+    "+ 16*x*y*z^2 - 32*x*z^3 + 12*y^3*z - 24*y^2*z^2, "
+    "-60*x^2*y*z^3 + 80*x*z^5 + 60*y^2*z^4 + 12*x^2*y*z - 16*x*z^3 "
+    "- 12*y^2*z^2")
+
+
+@pytest.mark.parametrize("command", ["first-integral", "extactic"])
+def test_two_pencils_of_degree_2_are_decided_in_seconds(command):
+    # two independent integrals of degree 2 at k = 2 (m = 10): no pair of
+    # points certifies, the interpolated integral does, and the extactic
+    # needs no determinant, whose grid would exceed the memory guard
+    start = time.perf_counter()
+    code, out, err = run_cli([
+        command, "--vars", "x,y,z", "--field", RATIO_FIELD,
+        "--mode", "affine", "--k", "2"])
+    assert time.perf_counter() - start < 10
+    assert code == 0 and err == ""
+    answer = json.loads(out)
+    if command == "extactic":
+        assert answer["identically_zero"] is True
+        return
+    assert answer["status"] == "found"
+    ring = PolyRing(("x", "y", "z"))
+    num, den = (parse_polynomial(answer[key], ring)
+                for key in ("numerator", "denominator"))
+    assert max(num.degree(), den.degree()) == 2
 
 
 def test_zero_extactic_is_certified_without_a_grid():

@@ -21,7 +21,7 @@ from extatica.extactic import (DimensionGuardError,
                                jet_matrix, monomial_system)
 from extatica.foliation import (AFFINE, HOMOGENEOUS, DegenerateFieldError,
                                 VectorField, apply_derivation)
-from extatica.linalg import det_mod
+from extatica.linalg import det_mod, kernel
 from extatica import modular
 from extatica.modular import (MAX_GRID_BYTES, _batch_inverse,
                               _grid_determinants, _grid_plan, _grid_values,
@@ -1029,34 +1029,39 @@ class TestVanishingDecision:
         decided = _spy(monkeypatch, "_certify_vanishing")
         drawn = _probes_on(monkeypatch, lines)
         assert extactic(field, system).extactic == expected
-        # the decision went on to a fresh pair, whose first point is free
+        # the decision went on past the pair, and its next point is free
         # of the line and shows full rank
         assert len(drawn) == 3
         with pytest.raises(ExtacticNotZeroError, match="full rank") as exc:
             extract_first_integral(field, system)
         # one decision: the second call reuses it and draws no point
         assert len(drawn) == 3 and len(decided) == 1
-        fi, point, _ = decided[0]
+        fi, point = decided[0]
         assert fi is None and point == tuple(drawn[2])
         assert f"full rank at {point}" in str(exc.value)
 
-    def test_proportional_first_pair_is_retried(self, monkeypatch):
+    def test_proportional_first_pair_is_interpolated(self, monkeypatch):
         # x = 0 is a leaf of the radial field, which has the integral y/x
         # and no polynomial one: both probes of the first pair find the
-        # same kernel, spanned by x, x^2 and xy
+        # same kernel, spanned by x, x^2 and xy.  The generic reduced
+        # kernel, x - (x/y) y, x^2 - (x/y)^2 y^2 and xy - (x/y) y^2, takes
+        # that value at x = 0, so the pair's points stay in the
+        # interpolation, and the entry -x/y fits at degree 1 on 2 * 3 + 3
+        # points
         field = VectorField((X, Y), AFFINE)
         k = 2
         system = monomial_system(2, k, AFFINE)
         decided = _spy(monkeypatch, "_certify_vanishing")
         drawn = _probes_on(monkeypatch, (0, 0))
         assert extactic(field, system).identically_zero
-        assert len(drawn) == 4  # the first pair and the retry
+        assert len(drawn) == 9
         assert all(point[0] == 0 for point in drawn[:2])
         fi = extract_first_integral(field, system)
         # one decision: the second call reuses its certificate and draws
         # no point
-        assert len(drawn) == 4
-        assert [d[:2] for d in decided] == [(fi, None)]
+        assert len(drawn) == 9
+        assert decided == [(fi, None)]
+        assert (str(fi.numerator), str(fi.denominator)) == ("-x", "y")
         assert max(fi.numerator.degree(), fi.denominator.degree()) <= k
         assert not proportional(fi.numerator, fi.denominator)
         assert _cross_identity(field, fi.numerator, fi.denominator)
@@ -1089,10 +1094,10 @@ class TestVanishingDecision:
         field = VectorField(components(*RING_XYZ.variables()), AFFINE)
         system = monomial_system(3, k, AFFINE)
         drawn = _probes_on(monkeypatch, ())
-        fallback = _spy(monkeypatch, "_cramer_first_integral")
+        interpolated = _spy(monkeypatch, "_interpolated_integral")
         fi = extract_first_integral(field, system)
         assert (str(fi.numerator), str(fi.denominator)) == (integral, "1")
-        assert len(drawn) == 2 and fallback == []
+        assert len(drawn) == 2 and interpolated == []
         assert apply_derivation(field, fi.numerator).is_zero()
         assert extactic(field, system).identically_zero
 
@@ -1101,55 +1106,92 @@ class TestVanishingDecision:
         # the leaves of X = (1 + x^2, z + xy, xz - y) are the lines meeting
         # the complex conjugate lines x = -+i, y = -+iz: every leaf lies in
         # a pencil of planes, so E = 0 at k = 1, but no rational pencil of
-        # planes contains them all; the integrals over Q have degree 2
+        # planes contains them all; the integrals over Q have degree 2, so
+        # only a row of the interpolated kernel certifies, at degree 2 on
+        # 2 * 10 + 3 points
         x, y, z = RING_XYZ.variables()
         field = VectorField((RING_XYZ.one() + x * x, z + x * y, x * z - y),
                             AFFINE)
         system = monomial_system(3, 1, AFFINE)
         decided = _spy(monkeypatch, "_certify_vanishing")
-        fallback = _spy(monkeypatch, "_cramer_first_integral")
+        interpolated = _spy(monkeypatch, "_interpolated_integral")
         drawn = _probes_on(monkeypatch, ())
         assert extactic(field, system).identically_zero
-        assert len(drawn) == 2 * EXT._PAIRS
+        assert len(drawn) == 23
         fi = extract_first_integral(field, system)
-        # one decision, which certified nothing; the fallback plans on its
-        # jets, and the second call draws no point
-        assert len(drawn) == 2 * EXT._PAIRS
-        assert [d[:2] for d in decided] == [(None, None)]
-        assert len(decided[0][2]) == 2 * EXT._PAIRS and fallback == [fi]
+        # one decision, certified by the interpolation; the second call
+        # draws no point
+        assert len(drawn) == 23
+        assert decided == [(fi, None)] and interpolated == [(fi, None)]
         assert (str(fi.numerator), str(fi.denominator)) == (
-            "-x*z + y", "x^2 + 1")
+            "x*z - y", "y^2 + z^2")
         assert fi.rank == 2
         assert not proportional(fi.numerator, fi.denominator)
         assert _cross_identity(field, fi.numerator, fi.denominator)
 
     def test_every_pair_and_the_fallback_failing_raise(self, monkeypatch):
         # on x = 0, a leaf of the radial field (integral y/x, no polynomial
-        # one), no pair certifies and the minors at the rank seen there give
-        # no first integral either; E = 0, so the failure stands
+        # one), the pair certifies nothing and every entry of the reduced
+        # kernel is 0 there, fitted as a constant on the 5 points of degree
+        # 0; no entry is left to fit, and E = 0, so the failure stands
         field = VectorField((X, Y), AFFINE)
         system = monomial_system(2, 2, AFFINE)
         decided = _spy(monkeypatch, "_certify_vanishing")
         drawn = _probes_on(monkeypatch, itertools.repeat(0))
         with pytest.raises(ExtractionFailedError):
             extract_first_integral(field, system)
-        assert [d[:2] for d in decided] == [(None, None)]
-        # every pair; the fallback draws no point
-        assert len(drawn) == 2 * EXT._PAIRS
+        assert decided == [(None, None)]
+        assert len(drawn) == 5
 
     def test_a_failed_extraction_with_nonzero_extactic_raises(self,
                                                               monkeypatch):
         # every probe on the invariant line x = 0 of a planted field: J is
-        # singular there although E != 0, the fallback finds no integral,
-        # and the determinant of J settles the decision
+        # singular there although E != 0, the interpolation finds no
+        # integral, and the determinant of J settles the decision
         field = planted_lines_field(2, 2, 1).field
         system = monomial_system(2, 1, AFFINE)
-        fallback = _spy(monkeypatch, "_cramer_first_integral")
+        interpolated = _spy(monkeypatch, "_interpolated_integral")
         drawn = _probes_on(monkeypatch, itertools.repeat(0))
         with pytest.raises(ExtacticNotZeroError, match="determinant"):
             extract_first_integral(field, system)
-        assert [type(f) for f in fallback] == [ExtractionFailedError]
-        assert len(drawn) == 2 * EXT._PAIRS
+        # every entry is a constant on the line, fitted at degree 0
+        assert interpolated == [(None, None)]
+        assert len(drawn) == 5
+
+    def test_the_interpolation_stops_at_the_point_cap(self, monkeypatch):
+        # on the plane x = 0, the entries of the reduced kernel of X = (1 +
+        # x^2, z + xy, xz - y) (such as -y/(y^2 + z^2)) are not constant,
+        # and no fit of degree >= 1 is unique: the x monomials vanish; the
+        # decision stops at the cap, and the determinant shows E = 0
+        x, y, z = RING_XYZ.variables()
+        field = VectorField((RING_XYZ.one() + x * x, z + x * y, x * z - y),
+                            AFFINE)
+        monkeypatch.setattr(EXT, "_MAX_POINTS", 30)
+        interpolated = _spy(monkeypatch, "_interpolated_integral")
+        drawn = _probes_on(monkeypatch, itertools.repeat(0))
+        with pytest.raises(ExtractionFailedError):
+            extract_first_integral(field, monomial_system(3, 1, AFFINE))
+        assert interpolated == [(None, None)]
+        # 23 points fit degree 2; degree 3 needs 43, above the cap
+        assert len(drawn) == 30
+
+    def test_a_point_of_larger_rank_drops_the_points_before_it(self,
+                                                                monkeypatch):
+        # the radial field vanishes at the origin, where J has rank 1; the
+        # point (0, 5) has the generic rank 3, so the origin is dropped,
+        # and 8 more points fit -x/y at degree 1
+        field = VectorField((X, Y), AFFINE)
+        system = monomial_system(2, 2, AFFINE)
+        drawn = _probes_on(monkeypatch, ())
+        points = [[0, 0], [0, 5]]
+        kernels = [kernel(list(zip(*_point_jet(field, system, p))), 6)
+                   for p in points]
+        assert [len(k) for k in kernels] == [5, 3]
+        fi, point = EXT._interpolated_integral(field, system, Random(0),
+                                               points, kernels)
+        assert point is None and fi.rank == 3
+        assert (str(fi.numerator), str(fi.denominator)) == ("-x", "y")
+        assert len(drawn) == 8
 
     def test_a_table_prime_in_a_denominator_is_decided_exactly(
             self, monkeypatch):
@@ -1339,6 +1381,63 @@ def test_known_first_integrals_never_reach_the_fallback(monkeypatch):
     check()
 
 
+def _ratio_field(f1, g1, f2, g2):
+    """X = (g1 grad f1 - f1 grad g1) x (g2 grad f2 - f2 grad g2): f1/g1 and
+    f2/g2 are first integrals."""
+    a, b = ([g * f.partial_derivative(v) - f * g.partial_derivative(v)
+             for v in range(3)] for f, g in ((f1, g1), (f2, g2)))
+    return VectorField(tuple(a[(v + 1) % 3] * b[(v + 2) % 3]
+                             - a[(v + 2) % 3] * b[(v + 1) % 3]
+                             for v in range(3)), AFFINE)
+
+
+@st.composite
+def ratio_inputs(draw):
+    """A ratio field for deg f_i, g_i <= 1: two integrals of degree <= 1,
+    which the kernel vectors of a pair of points can mix."""
+    field = _ratio_field(*(draw(_small3(1)) for _ in range(4)))
+    assume(not field.is_zero())
+    return field
+
+
+def test_ratio_fields_are_certified(monkeypatch):
+    # in the sweep, about one draw in seven reaches the interpolation; its
+    # answers, by a kernel entry in the system or by a row, pass the cross
+    # identity
+    interpolated = _spy(monkeypatch, "_interpolated_integral")
+    system = monomial_system(3, 1, AFFINE)
+
+    x, y, z = RING_XYZ.variables()
+    one = RING_XYZ.one()
+
+    @given(ratio_inputs())
+    # a kernel entry in the system certifies, and a row of integrals of
+    # degree 2
+    @example(_ratio_field(x.scale(3) - y.scale(4) + one.scale(5),
+                          y.scale(4) - z.scale(4) + one.scale(2),
+                          z.scale(-2), x.scale(3) + y.scale(4) - one.scale(5)))
+    @example(_ratio_field(x.scale(2) + y.scale(2) - z.scale(3) + one.scale(4),
+                          x.scale(2) + z.scale(4) + one.scale(2),
+                          y - z - one, x + z.scale(4) + one.scale(3)))
+    @settings(max_examples=100, deadline=None)
+    def check(field):
+        interpolated.clear()
+        EXT._decision.cache_clear()  # a replayed example decides afresh
+        fi = extract_first_integral(field, system)
+        assert not proportional(fi.numerator, fi.denominator)
+        assert _cross_identity(field, fi.numerator, fi.denominator)
+        assert det_fraction_free(jet_matrix(field, system).entries).is_zero()
+        degree = max(fi.numerator.degree(), fi.denominator.degree())
+        if not interpolated:
+            assert degree <= 1
+            event("first pair")
+        else:
+            assert interpolated == [(fi, None)]
+            event("span" if degree <= 1 else "row")
+
+    check()
+
+
 @st.composite
 def probe_inputs(draw):
     """(field, k): components of degree <= 2 on 2 variables at k = 1-2, or
@@ -1370,7 +1469,7 @@ def test_the_decision_agrees_with_the_determinant(case):
     field, k = case
     system = monomial_system(field.ring.nvars, k, AFFINE)
     det = det_fraction_free(jet_matrix(field, system).entries)
-    fi, point, _ = EXT._certify_vanishing(field, system)
+    fi, point = EXT._certify_vanishing(field, system)
     if point is not None:
         assert fi is None and not det.is_zero()
         event("E != 0")
