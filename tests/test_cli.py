@@ -95,8 +95,8 @@ def test_first_integral_computes_no_determinant(name, monkeypatch):
 ], ids=["leaf-of-y-over-x", "planted-line"])
 def test_first_integral_after_failed_extraction(argv, status, monkeypatch):
     # every probe on x = 0: a leaf of the radial field (integral y/x, no
-    # polynomial one), where neither a pair of points nor the Cramer
-    # fallback certifies although E = 0, and an invariant line of a planted
+    # polynomial one), where neither a pair of points nor the interpolated
+    # kernel certifies although E = 0, and an invariant line of a planted
     # field, where J is singular although E != 0; the library's determinant
     # decides, and the command computes no extactic of its own
     ext = sys.modules["extatica.extactic"]

@@ -1371,7 +1371,7 @@ def test_known_first_integrals_never_reach_the_fallback(monkeypatch):
         drawn.clear()
         EXT._decision.cache_clear()  # a replayed example decides afresh
         fi = extract_first_integral(field, monomial_system(nv, k, AFFINE))
-        # the first pair: no retry, no fallback
+        # the first pair, without interpolation
         assert len(drawn) == 2
         assert max(fi.numerator.degree(), fi.denominator.degree()) <= k
         assert not proportional(fi.numerator, fi.denominator)
