@@ -33,8 +33,9 @@ matrix by evaluation and interpolation modulo word-size primes.
    products (`_matmul_mod`).  The large int64 reductions mod p are one
    helper, `_reduce`, a multiply and shift in place of numpy's true
    division.
-6. Garner's mixed-radix algorithm in int64 (`chinese_remainder`) gives the
-   symmetric residues, which are the integer coefficients.
+6. The Chinese remainder formula with the CRT basis, one object-array
+   product (`chinese_remainder`), gives the symmetric residues, which are
+   the integer coefficients.
 7. A re-check of the result at one more point, on Python ints and modulo a
    prime outside the remaindering set (`recheck`); a failure raises
    EngineDisagreementError.
@@ -744,41 +745,26 @@ def prime_images(table, bounds, degree: int, primes: Sequence[int],
 # remaindering and the re-check
 # ---------------------------------------------------------------------------
 
-def _garner_digits(residues: np.ndarray, primes: Sequence[int]) -> np.ndarray:
-    """Mixed-radix digits of the integers in [0, prod(primes)) with the
-    given int64 (len(primes), s) residues: digit row i is in [0, p_i), and
-    the integer is d_0 + p_0 (d_1 + p_1 (d_2 + ...)) (Garner, IRE Trans.
-    Electron. Comput. 8, 1959).  Row i is (r_i - the value of the earlier
-    digits mod p_i) / (p_0 ... p_(i-1)) mod p_i, the value by Horner from
-    the top digit; every product stays below 2^62 in int64."""
-    digits = np.empty_like(residues)
-    for i, p in enumerate(primes):
-        acc = np.zeros(residues.shape[1], dtype=np.int64)
-        for j in range(i - 1, -1, -1):
-            acc *= primes[j]
-            acc += digits[j]
-            acc %= p
-        inv = pow(math.prod(primes[:i]) % p, -1, p)
-        digits[i] = (residues[i] - acc) * inv % p
-    return digits
-
-
 def chinese_remainder(residues: np.ndarray, primes: Sequence[int]) -> list:
-    """The integers of absolute value below prod(primes) / 2 with the given
-    int64 (len(primes), s) residues, as a list of s Python ints: Garner's
-    digits (`_garner_digits`), then one object-array product with the
-    radix weights 1, p_0, p_0 p_1, ..., and the symmetric residue."""
-    weights = np.array([math.prod(primes[:i]) for i in range(len(primes))],
-                       dtype=object)
-    values = _garner_digits(residues, primes).T.astype(object) @ weights
-    prod, half = math.prod(primes), math.prod(primes) // 2
+    """The integers of absolute value below M / 2, M = prod(primes), with
+    the given int64 (len(primes), s) residues, as a list of s Python ints:
+    one object-array product with the CRT basis M_i (M_i^-1 mod p_i),
+    M_i = M / p_i, then one reduction mod M and the symmetric residue (von
+    zur Gathen and Gerhard, Modern Computer Algebra, ch. 5)."""
+    prod = math.prod(primes)
+    basis = np.array([prod // p * pow(prod // p, -1, p) for p in primes],
+                     dtype=object)
+    values = residues.T.astype(object) @ basis % prod
+    half = prod // 2
     return [v - prod if v > half else v for v in values.tolist()]
 
 
 #: The prime of `recheck`: the largest prime below every prime of
-#: `polyring.PRIMES_2_31`, so never one that the Chinese remaindering used,
-#: and a wrong coefficient, whatever its error, shows at the check point
-#: unless the error's value there is a multiple of it.
+#: `polyring.PRIMES_2_31`, so never one that the Chinese remaindering used.
+#: A wrong residue at p_i moves a coefficient by a multiple of M / p_i,
+#: which every other remaindering prime divides; modulo this prime the
+#: error shows at the check point unless its value there is a multiple of
+#: it.
 CHECK_PRIME = 2147482591
 
 

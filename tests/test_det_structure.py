@@ -279,25 +279,26 @@ class TestSelfCheck:
         with pytest.raises(EngineDisagreementError):
             det_modular(rows)
 
-    @pytest.mark.parametrize("digit", [0, 1, -1])
-    def test_a_corrupted_garner_digit_is_caught(self, monkeypatch, digit):
-        # coefficients near 10^12 need eight primes; a wrong digit above the
-        # first changes a coefficient by a multiple of the first prime,
-        # which a check modulo a remaindering prime could not see
-        digits_of = modular._garner_digits
+    @pytest.mark.parametrize("prime", [0, 1, -1])
+    def test_a_corrupted_residue_is_caught(self, monkeypatch, prime):
+        # coefficients near 10^12 need eight primes; a wrong residue at p_i
+        # changes a coefficient by a multiple of M / p_i, which every other
+        # remaindering prime divides, so a check modulo a remaindering
+        # prime could not see it
+        images = modular.prime_images
         seen = []
 
-        def corrupt(residues, primes):
-            digits = digits_of(residues, primes)
-            mid = digits.shape[1] // 2
-            digits[digit, mid] = (digits[digit, mid] + 1) % primes[digit]
+        def corrupt(table, bounds, degree, primes, jobs=1):
+            exponents, residues = images(table, bounds, degree, primes, jobs)
+            mid = residues.shape[1] // 2
+            residues[prime, mid] = (residues[prime, mid] + 1) % primes[prime]
             seen.append(len(primes))
-            return digits
+            return exponents, residues
 
         rows = [[e.scale(10**12 + 7 * i + j) for j, e in enumerate(r)]
                 for i, r in enumerate(random_polynomial_matrix(5, 2, 2, 4242))]
         assert det_modular(rows) == det_fraction_free(rows)
-        monkeypatch.setattr(modular, "_garner_digits", corrupt)
+        monkeypatch.setattr(modular, "prime_images", corrupt)
         with pytest.raises(EngineDisagreementError):
             det_modular(rows)
         assert seen == [8]

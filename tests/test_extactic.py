@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
+from sympy.ntheory.modular import crt
 
 from extatica.corpus import (hamiltonian, pencil_field, planted_lines_field,
                              random_field, slv, slv1_invariant_conic)
@@ -686,19 +687,15 @@ class TestModularKernels:
             rng.randrange(-half, half + 1) for _ in range(40)]
         residues = np.array([[v % p for v in values] for p in primes],
                             dtype=np.int64)
-        # the fixed basis: basis_i is 1 mod p_i and 0 mod the others
-        basis = [prod // p * pow(prod // p, -1, p) for p in primes]
-        expected = []
-        for rs in zip(*residues.tolist()):
-            r = sum(a * b for a, b in zip(rs, basis)) % prod
-            expected.append(r - prod if r > half else r)
+        # the oracle: sympy's Chinese remaindering, independent of the basis
+        expected = [crt(primes, rs, symmetric=True)[0]
+                    for rs in zip(*residues.tolist())]
         assert expected == values
         assert modular.chinese_remainder(residues, primes) == values
         # the residues of prod // 2 + 1 stand for -(prod // 2)
         top = np.array([[(half + 1) % p] for p in primes], dtype=np.int64)
+        assert crt(primes, top[:, 0].tolist(), symmetric=True)[0] == -half
         assert modular.chinese_remainder(top, primes) == [-half]
-        digits = modular._garner_digits(residues, primes)
-        assert ((digits >= 0) & (digits < np.array(primes)[:, None])).all()
 
     @pytest.mark.parametrize("size", [1, 2, 24, 66])
     def test_stacked_tables_match_each_prime(self, size):
@@ -1391,17 +1388,27 @@ def _ratio_field(f1, g1, f2, g2):
                              for v in range(3)), AFFINE)
 
 
+_AFFINE_LINEAR = list(monomials_up_to_degree(3, 1))
+
+
 @st.composite
 def ratio_inputs(draw):
     """A ratio field for deg f_i, g_i <= 1: two integrals of degree <= 1,
-    which the kernel vectors of a pair of points can mix."""
-    field = _ratio_field(*(draw(_small3(1)) for _ in range(4)))
+    which the kernel vectors of a pair of points can mix.  Each of the 16
+    coefficients is 0 in about two draws of five, else in [-5, 5], so the
+    forms are often sparse yet only about one field in six is zero; short
+    term lists would make most f_i, g_i constant or proportional, and most
+    fields zero."""
+    coeff = st.one_of(st.just(0), st.integers(-5, 5), st.integers(-5, 5))
+    coeffs = draw(st.lists(coeff, min_size=16, max_size=16))
+    field = _ratio_field(*(RING_XYZ.from_terms(
+        dict(zip(_AFFINE_LINEAR, coeffs[i:i + 4]))) for i in range(0, 16, 4)))
     assume(not field.is_zero())
     return field
 
 
 def test_ratio_fields_are_certified(monkeypatch):
-    # in the sweep, about one draw in seven reaches the interpolation; its
+    # in the sweep, about one draw in five reaches the interpolation; its
     # answers, by a kernel entry in the system or by a row, pass the cross
     # identity
     interpolated = _spy(monkeypatch, "_interpolated_integral")
